@@ -66,11 +66,8 @@ from .panel import (
     DEFAULT_HORIZON,
     ArmLabel,
     OutcomePanel,
-    PanelSchema,
-    UserRecord,
     days_in_range,
     load_panel,
-    long_term_mean,
     panel_to_csv_text,
     window,
     write_panel,

@@ -16,10 +16,11 @@ import csv
 import io
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -36,6 +37,8 @@ from .errors import (
 
 DEFAULT_HORIZON = 63
 
+COLUMNS = ("experiment_id", "user_id", "arm", "is_control", "day", "outcome")
+
 
 def days_in_range(d_min: int, d_max: int) -> list[int]:
     """All usable day indices in [d_min, d_max]; day 0 is skipped."""
@@ -50,142 +53,95 @@ class ArmLabel:
     is_control: bool
 
 
-@dataclass(frozen=True)
-class UserRecord:
-    """One user's arm assignment and day-indexed outcomes.
-
-    ``outcomes`` maps day index to a finite real value. The record is
-    immutable by convention; do not mutate the mapping after construction.
-    """
-
-    user_id: str
-    arm: ArmLabel
-    outcomes: Mapping[int, float]
-
-
-@dataclass(frozen=True)
-class PanelSchema:
-    """Column layout of the long-format panel file."""
-
-    columns: tuple[str, ...] = (
-        "experiment_id",
-        "user_id",
-        "arm",
-        "is_control",
-        "day",
-        "outcome",
-    )
-    delimiter: str = ","
-
-
-DEFAULT_SCHEMA = PanelSchema()
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomePanel:
     """A complete outcome panel for one experiment.
 
-    Invariants enforced at construction:
+    Row ``i`` of the read-only ``matrix`` holds user ``user_ids[i]`` in arm
+    ``arms[i]``; column ``j`` is day ``days[j]``. Build panels with
+    :meth:`from_matrix` or :func:`load_panel`. Invariants enforced at
+    construction:
 
-    * every user has an outcome for every day in ``day_range`` (day 0
-      excluded), and no days outside it;
-    * all outcomes are finite;
-    * at least one user is in the control arm and at least one is not;
-    * exactly one distinct arm label is marked as control.
+    * the matrix has one row per user and one column per day;
+    * ``days`` is one ascending range of day indices without day 0;
+    * all outcomes are finite and user ids are distinct;
+    * exactly one distinct arm label is marked as control, and at least
+      one other arm exists.
 
-    Panels are immutable after construction and safe to share across
-    concurrent readers.
+    Panels compare by value and are safe to share across concurrent readers.
     """
 
     experiment_id: str
-    users: tuple[UserRecord, ...]
-    day_range: tuple[int, int]
+    user_ids: tuple[str, ...]
+    arms: tuple[ArmLabel, ...]
+    days: tuple[int, ...]
+    matrix: np.ndarray
     horizon: int = DEFAULT_HORIZON
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "users", tuple(self.users))
-        object.__setattr__(self, "day_range", tuple(self.day_range))
-        if not self.users:
-            raise NoControlArm(f"panel {self.experiment_id!r} has no users")
-        d_min, d_max = self.day_range
-        if d_min > d_max:
-            raise OutOfRange(f"invalid day_range [{d_min}, {d_max}]")
+        n_users = len(self.user_ids)
         if self.horizon < 1:
             raise OutOfRange(f"horizon must be positive, got {self.horizon}")
-        expected = frozenset(days_in_range(d_min, d_max))
-        if not expected:
-            raise OutOfRange(f"day_range [{d_min}, {d_max}] contains no usable days")
+        if not self.days:
+            raise OutOfRange(f"panel {self.experiment_id!r} has no usable days")
+        d_min, d_max = self.day_range
+        n_days = d_max - d_min + 1 - (d_min < 0 < d_max)
+        if len(self.days) != n_days or list(self.days) != days_in_range(d_min, d_max):
+            raise OutOfRange(
+                f"days must be the ascending range [{d_min}, {d_max}] without "
+                f"day 0, got {list(self.days)}"
+            )
+        shape = (n_users, len(self.days))
+        if self.matrix.shape != shape or len(self.arms) != n_users:
+            # Surplus columns are days outside the range; other mismatches leave cells missing.
+            extra = self.matrix.ndim == 2 and self.matrix.shape[1] > shape[1]
+            raise (OutOfRange if extra else MissingDay)(
+                f"{n_users} users with {len(self.arms)} arm labels and {shape[1]} days "
+                f"in [{d_min}, {d_max}] do not match a {self.matrix.shape} matrix"
+            )
+        finite = np.isfinite(self.matrix).all(axis=1)
+        if not finite.all():
+            user = self.user_ids[int(np.argmin(finite))]
+            raise NonFiniteOutcome(f"user {user!r} has a non-finite outcome")
+        if len(set(self.user_ids)) != n_users:
+            user = next(u for u, count in Counter(self.user_ids).items() if count > 1)
+            raise DuplicateObservation(f"user {user!r} appears more than once")
 
-        seen_users: set[str] = set()
-        arm_flags: dict[str, bool] = {}
-        for user in self.users:
-            if user.user_id in seen_users:
-                raise DuplicateObservation(
-                    f"user {user.user_id!r} appears more than once"
-                )
-            seen_users.add(user.user_id)
-            prior = arm_flags.get(user.arm.name)
-            if prior is None:
-                arm_flags[user.arm.name] = user.arm.is_control
-            elif prior != user.arm.is_control:
-                raise ArmLabelConflict(
-                    f"arm {user.arm.name!r} is marked both control and non-control"
-                )
-            keys = user.outcomes.keys()
-            if keys != expected:
-                missing = expected - keys
-                if missing:
-                    raise MissingDay(
-                        f"user {user.user_id!r} lacks day {min(missing)} "
-                        f"inside declared range [{d_min}, {d_max}]"
-                    )
-                extra = keys - expected
-                raise OutOfRange(
-                    f"user {user.user_id!r} has day {min(extra)} outside "
-                    f"declared range [{d_min}, {d_max}]"
-                )
-            values = np.fromiter(user.outcomes.values(), dtype=float, count=len(keys))
-            if not np.isfinite(values).all():
-                raise NonFiniteOutcome(
-                    f"user {user.user_id!r} has a non-finite outcome"
-                )
-
-        controls = [name for name, flag in arm_flags.items() if flag]
+        labels = self.arm_labels
+        controls = [label.name for label in labels if label.is_control]
         if not controls:
             raise NoControlArm(f"panel {self.experiment_id!r} has no control arm")
-        if len(controls) > 1:
+        if len(controls) > 1 or len({label.name for label in labels}) < len(labels):
             raise ArmLabelConflict(
-                f"panel {self.experiment_id!r} has multiple control arms: {controls}"
+                f"panel {self.experiment_id!r} needs distinct arm names and one "
+                f"control arm, got {list(labels)}"
             )
-        if len(arm_flags) < 2:
+        if len(labels) < 2:
             raise NoTreatmentArm(
                 f"panel {self.experiment_id!r} has no treatment arm"
             )
 
-    # -- derived views (cached; panels are immutable) --
-
-    @cached_property
-    def days(self) -> tuple[int, ...]:
-        """Usable day indices in ascending order."""
-        return tuple(days_in_range(*self.day_range))
-
-    @cached_property
-    def _matrix(self) -> np.ndarray:
-        """Read-only (n_users, n_days) outcome matrix, columns = ``days``."""
-        days = self.days
-        out = np.array(
-            [[user.outcomes[d] for d in days] for user in self.users], dtype=float
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OutcomePanel):
+            return NotImplemented
+        return (
+            self.experiment_id == other.experiment_id
+            and self.user_ids == other.user_ids
+            and self.arms == other.arms
+            and self.days == other.days
+            and self.horizon == other.horizon
+            and np.array_equal(self.matrix, other.matrix)
         )
-        out.setflags(write=False)
-        return out
+
+    @property
+    def day_range(self) -> tuple[int, int]:
+        """First and last usable day index."""
+        return self.days[0], self.days[-1]
 
     @cached_property
     def arm_labels(self) -> tuple[ArmLabel, ...]:
         """Distinct arm labels in order of first appearance."""
-        seen: dict[str, ArmLabel] = {}
-        for user in self.users:
-            seen.setdefault(user.arm.name, user.arm)
-        return tuple(seen.values())
+        return tuple(dict.fromkeys(self.arms))
 
     @property
     def control_arm(self) -> ArmLabel:
@@ -197,18 +153,14 @@ class OutcomePanel:
 
     @property
     def n_users(self) -> int:
-        return len(self.users)
+        return len(self.user_ids)
 
     def arm_mask(self, arm: ArmLabel | str) -> np.ndarray:
         """Boolean row mask selecting users in ``arm``."""
         name = arm if isinstance(arm, str) else arm.name
         return np.fromiter(
-            (u.arm.name == name for u in self.users), dtype=bool, count=self.n_users
+            (a.name == name for a in self.arms), dtype=bool, count=self.n_users
         )
-
-    def users_in_arm(self, arm: ArmLabel | str) -> tuple[UserRecord, ...]:
-        name = arm if isinstance(arm, str) else arm.name
-        return tuple(u for u in self.users if u.arm.name == name)
 
     @classmethod
     def from_matrix(
@@ -222,24 +174,18 @@ class OutcomePanel:
     ) -> "OutcomePanel":
         """Build a panel from an (n_users, n_days) matrix.
 
-        ``days`` gives the column day indices in ascending order. This is
-        the fast path used by the simulator; the matrix is cached so later
-        window extraction does not rebuild it from the per-user mappings.
+        ``days`` gives the column day indices in ascending order. The matrix
+        is converted to a contiguous float array and marked read-only; an
+        array that needs no conversion is used without a copy.
         """
-        days = list(days)
         matrix = np.ascontiguousarray(matrix, dtype=float)
-        users = tuple(
-            UserRecord(uid, arm, dict(zip(days, row.tolist())))
-            for uid, arm, row in zip(user_ids, arms, matrix)
-        )
-        panel = cls(experiment_id, users, (days[0], days[-1]), horizon)
         matrix.setflags(write=False)
-        panel.__dict__["_matrix"] = matrix
-        return panel
+        days = tuple(int(d) for d in days)
+        return cls(experiment_id, tuple(user_ids), tuple(arms), days, matrix, horizon)
 
 
 def window(panel: OutcomePanel, from_day: int, to_day: int) -> np.ndarray:
-    """Outcome matrix for days ``from_day..to_day``, rows ordered as ``panel.users``.
+    """Outcome matrix for days ``from_day..to_day``, rows ordered as ``panel.user_ids``.
 
     The window must lie inside the panel's day range. Day 0 is skipped if
     the window straddles allocation. Returns a read-only array view.
@@ -256,24 +202,13 @@ def window(panel: OutcomePanel, from_day: int, to_day: int) -> np.ndarray:
     hi = bisect_right(days, to_day)
     if lo == hi:
         raise OutOfRange(f"window [{from_day}, {to_day}] contains no usable days")
-    return panel._matrix[:, lo:hi]
+    return panel.matrix[:, lo:hi]
 
 
-def long_term_mean(panel: OutcomePanel, user: UserRecord) -> float:
-    """Average daily outcome over post-allocation days 1..horizon."""
-    try:
-        return math.fsum(user.outcomes[d] for d in range(1, panel.horizon + 1)) / panel.horizon
-    except KeyError as exc:
-        raise MissingDay(
-            f"user {user.user_id!r} lacks day {exc.args[0]} needed for the "
-            f"{panel.horizon}-day mean"
-        ) from None
-
-
-def _parse_row(row: list[str], lineno: int, schema: PanelSchema) -> tuple:
-    if len(row) != len(schema.columns):
+def _parse_row(row: list[str], lineno: int) -> tuple:
+    if len(row) != len(COLUMNS):
         raise MalformedRow(
-            f"line {lineno}: expected {len(schema.columns)} fields, got {len(row)}"
+            f"line {lineno}: expected {len(COLUMNS)} fields, got {len(row)}"
         )
     exp_id, user_id, arm_name, is_control_s, day_s, outcome_s = row
     if is_control_s not in ("true", "false"):
@@ -297,18 +232,17 @@ def _parse_row(row: list[str], lineno: int, schema: PanelSchema) -> tuple:
 
 def load_panel(
     source: str | Path | IO[str],
-    schema: PanelSchema = DEFAULT_SCHEMA,
     horizon: int = DEFAULT_HORIZON,
 ) -> OutcomePanel:
-    """Load and validate a panel from long-format delimited text.
+    """Load and validate a panel from long-format CSV text.
 
     Args:
         source: path or open text stream positioned at the header row.
-        schema: column layout; defaults to the standard six columns.
         horizon: day count treated as "long-term" for this panel.
 
     Raises:
-        MalformedRow: header or a field cannot be parsed.
+        MalformedRow: the text is not UTF-8 or not CSV, or the header or a
+            field cannot be parsed.
         DuplicateObservation: two rows share the same (user, day).
         MissingDay: a user lacks a day present in the declared range.
         NoControlArm: no row is labelled as control.
@@ -316,70 +250,74 @@ def load_panel(
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
-            return load_panel(handle, schema, horizon)
+            return load_panel(handle, horizon)
 
-    reader = csv.reader(source, delimiter=schema.delimiter)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedRow("empty input: missing header row") from None
-    if tuple(header) != schema.columns:
-        raise MalformedRow(
-            f"bad header {header!r}; expected {list(schema.columns)}"
-        )
-
+    reader = csv.reader(source)
     experiment_id: str | None = None
-    arm_flags: dict[str, bool] = {}
-    user_arm: dict[str, str] = {}
-    outcomes: dict[str, dict[int, float]] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        exp_id, user_id, arm_name, is_control, day, outcome = _parse_row(
-            row, lineno, schema
-        )
-        if experiment_id is None:
-            experiment_id = exp_id
-        elif exp_id != experiment_id:
-            raise MalformedRow(
-                f"line {lineno}: experiment_id {exp_id!r} conflicts with "
-                f"{experiment_id!r}; one file holds one experiment"
-            )
-        prior_flag = arm_flags.get(arm_name)
-        if prior_flag is None:
-            arm_flags[arm_name] = is_control
-        elif prior_flag != is_control:
-            raise ArmLabelConflict(
-                f"line {lineno}: arm {arm_name!r} changes is_control"
-            )
-        prior_arm = user_arm.get(user_id)
-        if prior_arm is None:
-            user_arm[user_id] = arm_name
-            outcomes[user_id] = {}
-        elif prior_arm != arm_name:
-            raise ArmLabelConflict(
-                f"line {lineno}: user {user_id!r} assigned to both "
-                f"{prior_arm!r} and {arm_name!r}"
-            )
-        per_user = outcomes[user_id]
-        if day in per_user:
-            raise DuplicateObservation(
-                f"line {lineno}: duplicate observation for user {user_id!r} day {day}"
-            )
-        per_user[day] = outcome
+    labels: dict[str, ArmLabel] = {}
+    users: dict[str, tuple[ArmLabel, dict[int, float]]] = {}
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise MalformedRow("empty input: missing header row")
+        if tuple(header) != COLUMNS:
+            raise MalformedRow(f"bad header {header!r}; expected {list(COLUMNS)}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            exp_id, user_id, arm_name, is_control, day, outcome = _parse_row(row, lineno)
+            if experiment_id is None:
+                experiment_id = exp_id
+            elif exp_id != experiment_id:
+                raise MalformedRow(
+                    f"line {lineno}: experiment_id {exp_id!r} conflicts with "
+                    f"{experiment_id!r}; one file holds one experiment"
+                )
+            label = labels.get(arm_name)
+            if label is None:
+                label = labels[arm_name] = ArmLabel(arm_name, is_control)
+            elif label.is_control != is_control:
+                raise ArmLabelConflict(
+                    f"line {lineno}: arm {arm_name!r} changes is_control"
+                )
+            user = users.get(user_id)
+            if user is None:
+                user = users[user_id] = (label, {})
+            elif user[0] is not label:
+                raise ArmLabelConflict(
+                    f"line {lineno}: user {user_id!r} assigned to both "
+                    f"{user[0].name!r} and {arm_name!r}"
+                )
+            per_user = user[1]
+            if day in per_user:
+                raise DuplicateObservation(
+                    f"line {lineno}: duplicate observation for user {user_id!r} day {day}"
+                )
+            per_user[day] = outcome
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"panel is not valid UTF-8: {exc}") from None
+    except csv.Error as exc:
+        raise MalformedRow(f"line {reader.line_num}: {exc}") from None
 
     if experiment_id is None:
         raise MalformedRow("no data rows")
-    if not any(arm_flags.values()):
-        raise NoControlArm(f"panel {experiment_id!r} has no control arm")
 
-    d_min = min(min(per_user) for per_user in outcomes.values())
-    d_max = max(max(per_user) for per_user in outcomes.values())
-    labels = {name: ArmLabel(name, flag) for name, flag in arm_flags.items()}
-    users = tuple(
-        UserRecord(uid, labels[user_arm[uid]], outcomes[uid]) for uid in outcomes
-    )
-    return OutcomePanel(experiment_id, users, (d_min, d_max), horizon)
+    d_min = min(min(per_user) for _, per_user in users.values())
+    d_max = max(max(per_user) for _, per_user in users.values())
+    # Count the range before listing it: one stray huge day must not allocate it.
+    n_days = d_max - d_min + 1 - (d_min < 0 < d_max)
+    for user_id, (_, per_user) in users.items():
+        if len(per_user) != n_days:
+            missing = next(d for d in range(d_min, d_max + 1) if d and d not in per_user)
+            raise MissingDay(
+                f"user {user_id!r} lacks day {missing} "
+                f"inside declared range [{d_min}, {d_max}]"
+            )
+    days = days_in_range(d_min, d_max)
+    matrix = np.array([[per_user[d] for d in days] for _, per_user in users.values()])
+    matrix.setflags(write=False)
+    arms = tuple(label for label, _ in users.values())
+    return OutcomePanel(experiment_id, tuple(users), arms, tuple(days), matrix, horizon)
 
 
 def write_panel(panel: OutcomePanel, dest: str | Path | IO[str]) -> None:
@@ -393,21 +331,19 @@ def write_panel(panel: OutcomePanel, dest: str | Path | IO[str]) -> None:
         with open(dest, "w", encoding="utf-8", newline="") as handle:
             write_panel(panel, handle)
         return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(DEFAULT_SCHEMA.columns)
-    for user in panel.users:
-        flag = "true" if user.arm.is_control else "false"
-        for day in panel.days:
-            writer.writerow(
-                (
-                    panel.experiment_id,
-                    user.user_id,
-                    user.arm.name,
-                    flag,
-                    day,
-                    repr(user.outcomes[day]),
-                )
-            )
+    # csv.writer quotes the text fields; day and outcome never need quoting.
+    dest.write(",".join(COLUMNS) + "\n")
+    line = io.StringIO()
+    writer = csv.writer(line, lineterminator="\n")
+    for user_id, arm, row in zip(panel.user_ids, panel.arms, panel.matrix.tolist()):
+        line.seek(0)
+        line.truncate()
+        flag = "true" if arm.is_control else "false"
+        writer.writerow((panel.experiment_id, user_id, arm.name, flag))
+        prefix = line.getvalue()[:-1]
+        dest.write(
+            "".join(f"{prefix},{day},{value!r}\n" for day, value in zip(panel.days, row))
+        )
 
 
 def panel_to_csv_text(panel: OutcomePanel) -> str:

@@ -68,6 +68,12 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            integral = field.type == "int"
+            if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
+                kind = "an integer" if integral else "a number"
+                raise InvalidConfig(f"{field.name} must be {kind}, got {value!r}")
         if self.n_experiments < 1:
             raise InvalidConfig(f"n_experiments must be positive, got {self.n_experiments}")
         if self.arms_per_experiment < 1:
@@ -250,6 +256,8 @@ def load_config(source: str | Path | IO[str]) -> SimConfig:
         payload = json.load(source)
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"config is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"config is not valid UTF-8: {exc}") from None
     if not isinstance(payload, dict):
         raise InvalidConfig("config JSON must be an object")
     return config_from_dict(payload)

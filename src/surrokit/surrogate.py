@@ -55,10 +55,9 @@ class FitDiagnostics:
     n_train: int
     r_squared: float
     residual_variance: float
-    rank_ok: bool
 
     def __post_init__(self) -> None:
-        if self.rank_ok and not 0.0 <= self.r_squared <= 1.0:
+        if not 0.0 <= self.r_squared <= 1.0:
             raise ValueError(f"r_squared {self.r_squared} outside [0, 1]")
         if self.residual_variance < 0.0:
             raise ValueError("residual_variance must be nonnegative")
@@ -141,7 +140,6 @@ def fit_least_squares(
         n_train=n,
         r_squared=r_squared,
         residual_variance=max(rss, 0.0) / (n - order - 1),
-        rank_ok=True,
     )
     return SurrogateModel(
         order=order,
@@ -201,14 +199,12 @@ def running_mean_model(order: int) -> SurrogateModel:
         intercept=0.0,
         coefficients=(1.0 / order,) * order,
         source=ModelSource.RUNNING_MEAN,
-        diagnostics=FitDiagnostics(
-            n_train=0, r_squared=0.0, residual_variance=0.0, rank_ok=True
-        ),
+        diagnostics=FitDiagnostics(n_train=0, r_squared=0.0, residual_variance=0.0),
     )
 
 
 def predict(model: SurrogateModel, panel: OutcomePanel) -> np.ndarray:
-    """Per-user predicted long-term means, ordered as ``panel.users``."""
+    """Per-user predicted long-term means, ordered as ``panel.user_ids``."""
     features = window(panel, 1, model.order)
     return model.intercept + features @ np.asarray(model.coefficients)
 
@@ -225,7 +221,6 @@ def model_to_dict(model: SurrogateModel) -> dict:
             "n_train": d.n_train,
             "r_squared": d.r_squared,
             "residual_variance": d.residual_variance,
-            "rank_ok": d.rank_ok,
         },
     }
 
@@ -241,6 +236,5 @@ def model_from_dict(payload: dict) -> SurrogateModel:
             n_train=int(diag["n_train"]),
             r_squared=float(diag["r_squared"]),
             residual_variance=float(diag["residual_variance"]),
-            rank_ok=bool(diag["rank_ok"]),
         ),
     )

@@ -30,6 +30,9 @@ TOY_CONFIG = {
 }
 
 
+HEADER = "experiment_id,user_id,arm,is_control,day,outcome\n"
+
+
 def write_config(tmp_path, **overrides):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({**TOY_CONFIG, **overrides}))
@@ -91,6 +94,19 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config_path),
                      "--out-dir", str(tmp_path / "x")]) == 3
 
+    @pytest.mark.parametrize(
+        "content",
+        [json.dumps({"users_per_arm": 2.5}).encode(), b'{"seed": 1, "note": "\xff"}'],
+        ids=["fractional-users", "non-utf8"],
+    )
+    def test_malformed_config_exits_3_without_traceback(self, tmp_path, capsys, content):
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(content)
+        assert main(["simulate", "--config", str(config_path),
+                     "--out-dir", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("surrokit:") and "Traceback" not in err
+
 
 class TestAnalyzeUsage:
     def test_t_zero_is_usage_error(self, tmp_path):
@@ -121,6 +137,24 @@ class TestAnalyzeUsage:
         assert main(["analyze", "--panel", str(tmp_path / "absent.csv"),
                      "--regime", "running-mean", "--T", "2", "--horizon", "5",
                      "--out", str(tmp_path / "o.json")]) == 3
+
+    def analyze_bytes_exit(self, tmp_path, capsys, content):
+        panel_path = tmp_path / "panel.csv"
+        panel_path.write_bytes(content)
+        code = main(["analyze", "--panel", str(panel_path), "--regime", "running-mean",
+                     "--T", "1", "--horizon", "1", "--out", str(tmp_path / "o.json")])
+        err = capsys.readouterr().err
+        assert err.startswith("surrokit:") and "Traceback" not in err
+        return code
+
+    def test_non_utf8_panel_exits_3(self, tmp_path, capsys):
+        content = (HEADER + "e1,u1,control,true,1,1.0\ne1,u2,t\xff,false,1,2.0\n").encode("latin-1")
+        assert self.analyze_bytes_exit(tmp_path, capsys, content) == 3
+
+    def test_oversized_panel_field_exits_3(self, tmp_path, capsys):
+        big = "x" * (200 * 1024)
+        content = (HEADER + f'e1,"{big}",control,true,1,1.0\n').encode()
+        assert self.analyze_bytes_exit(tmp_path, capsys, content) == 3
 
 
 class TestAnalyze:

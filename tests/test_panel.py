@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surrokit import (
     ArmLabel,
@@ -15,9 +17,9 @@ from surrokit import (
     NoTreatmentArm,
     OutcomePanel,
     OutOfRange,
-    UserRecord,
+    days_in_range,
+    direct_effect,
     load_panel,
-    long_term_mean,
     panel_to_csv_text,
     window,
     write_panel,
@@ -45,7 +47,9 @@ class TestLoadPanel:
         assert panel.experiment_id == "e1"
         assert panel.day_range == (1, 3)
         assert panel.n_users == 2
-        assert panel.users[0].outcomes == {1: 1.0, 2: 2.0, 3: 3.0}
+        assert panel.user_ids == ("u1", "u2")
+        assert panel.days == (1, 2, 3)
+        np.testing.assert_array_equal(panel.matrix, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         assert panel.control_arm == ArmLabel("control", True)
 
     def test_deleted_cell_is_missing_day(self):
@@ -55,12 +59,17 @@ class TestLoadPanel:
         with pytest.raises(MissingDay):
             load_text(truncated, horizon=3)
 
+    def test_user_without_last_day_is_missing_day(self):
+        truncated = MINIMAL_CSV.replace("e1,u2,t1,false,3,6.0\n", "")
+        with pytest.raises(MissingDay, match="lacks day 3"):
+            load_text(truncated, horizon=3)
+
     def test_four_user_fixture_arm_counts(self, fixture_dir):
         panel = load_panel(fixture_dir / "four_users.csv", horizon=3)
         # hand count of the fixture rows: 2 control users, 2 t1 users
         assert panel.n_users == 4
-        assert len(panel.users_in_arm("control")) == 2
-        assert len(panel.users_in_arm("t1")) == 2
+        assert panel.arm_mask("control").sum() == 2
+        assert panel.arm_mask("t1").sum() == 2
         assert panel.day_range == (1, 3)
 
     def test_duplicate_observation(self):
@@ -115,7 +124,41 @@ class TestLoadPanel:
             load_text("")
 
 
+# Text fields that need CSV quoting: commas, both quote kinds, non-ASCII.
+FIELD_TEXT = st.text(alphabet=list('ab, "\'é中ß;'), max_size=6)
+
+
+@st.composite
+def small_panels(draw):
+    n_arms = draw(st.integers(2, 3))
+    arm_names = draw(st.lists(FIELD_TEXT, min_size=n_arms, max_size=n_arms, unique=True))
+    labels = [ArmLabel(name, i == 0) for i, name in enumerate(arm_names)]
+    n_users = draw(st.integers(n_arms, 5))
+    user_ids = draw(st.lists(FIELD_TEXT, min_size=n_users, max_size=n_users, unique=True))
+    d_min = draw(st.integers(-3, 3).filter(bool))
+    days = days_in_range(d_min, draw(st.integers(d_min, 4).filter(bool)))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.lists(values, min_size=len(days), max_size=len(days)),
+                         min_size=n_users, max_size=n_users))
+    return OutcomePanel.from_matrix(
+        draw(FIELD_TEXT),
+        user_ids,
+        [labels[i % n_arms] for i in range(n_users)],
+        days,
+        np.array(rows, dtype=float).reshape(n_users, len(days)),
+        horizon=draw(st.integers(1, 63)),
+    )
+
+
 class TestRoundTrip:
+    @settings(max_examples=50, deadline=None)
+    @given(small_panels())
+    def test_round_trip_property(self, panel):
+        text = panel_to_csv_text(panel)
+        reloaded = load_text(text, horizon=panel.horizon)
+        assert reloaded == panel
+        assert panel_to_csv_text(reloaded) == text
+
     def test_round_trip_with_pre_period(self):
         rng = np.random.default_rng(7)
         days = list(range(-5, 0)) + list(range(1, 6))
@@ -138,49 +181,67 @@ class TestRoundTrip:
 
 
 class TestConstruction:
-    def test_from_matrix_matches_dict_construction(self):
-        matrix = np.array([[1.0, 2.0], [3.0, 4.0]])
-        via_matrix = build_panel(matrix, [CONTROL, T1])
-        via_dicts = OutcomePanel(
-            "exp",
-            (
-                UserRecord("u0", CONTROL, {1: 1.0, 2: 2.0}),
-                UserRecord("u1", T1, {1: 3.0, 2: 4.0}),
-            ),
-            (1, 2),
-            horizon=2,
+    def test_from_matrix_normalises_to_direct_construction(self):
+        via_matrix = OutcomePanel.from_matrix(
+            "exp", ["u0", "u1"], [CONTROL, T1], [1, 2], [[1, 2], [3, 4]], horizon=2
         )
-        assert via_matrix == via_dicts
+        matrix = np.array([[1.0, 2.0], [3.0, 4.0]])
+        matrix.setflags(write=False)
+        direct = OutcomePanel("exp", ("u0", "u1"), (CONTROL, T1), (1, 2), matrix, horizon=2)
+        assert via_matrix == direct
+        assert via_matrix.matrix.dtype == float
+        assert not via_matrix.matrix.flags.writeable
+        assert via_matrix != build_panel([[1.0, 2.0], [3.0, 5.0]], [CONTROL, T1])
 
     def test_duplicate_user_id(self):
-        users = (
-            UserRecord("u0", CONTROL, {1: 1.0}),
-            UserRecord("u0", T1, {1: 2.0}),
-        )
         with pytest.raises(DuplicateObservation):
-            OutcomePanel("exp", users, (1, 1), horizon=1)
+            OutcomePanel.from_matrix(
+                "exp", ["u0", "u0"], [CONTROL, T1], [1], [[1.0], [2.0]], horizon=1
+            )
 
     def test_extra_day_outside_range(self):
-        users = (
-            UserRecord("u0", CONTROL, {1: 1.0, 2: 5.0}),
-            UserRecord("u1", T1, {1: 2.0, 2: 6.0}),
-        )
+        matrix = [[1.0, 5.0], [2.0, 6.0]]
         with pytest.raises(OutOfRange):
-            OutcomePanel("exp", users, (1, 1), horizon=1)
+            OutcomePanel.from_matrix("exp", ["u0", "u1"], [CONTROL, T1], [1], matrix, horizon=1)
 
     def test_no_treatment_arm(self):
-        users = (
-            UserRecord("u0", CONTROL, {1: 1.0}),
-            UserRecord("u1", CONTROL, {1: 2.0}),
-        )
         with pytest.raises(NoTreatmentArm):
-            OutcomePanel("exp", users, (1, 1), horizon=1)
+            OutcomePanel.from_matrix(
+                "exp", ["u0", "u1"], [CONTROL, CONTROL], [1], [[1.0], [2.0]], horizon=1
+            )
+
+    @pytest.mark.parametrize(
+        "days, matrix, error",
+        [
+            ([1, 2, 3], [[1.0, 2.0], [3.0, 4.0]], MissingDay),
+            ([2, 1], [[1.0, 2.0], [3.0, 4.0]], OutOfRange),
+            ([-1, 0, 1], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], OutOfRange),
+            ([1, 3], [[1.0, 2.0], [3.0, 4.0]], OutOfRange),
+            ([1, 2], [[1.0, 2.0]], MissingDay),
+            ([1, 2], [[1.0, np.inf], [3.0, 4.0]], NonFiniteOutcome),
+        ],
+    )
+    def test_matrix_must_match_days_and_users(self, days, matrix, error):
+        with pytest.raises(error):
+            OutcomePanel.from_matrix("exp", ["u0", "u1"], [CONTROL, T1], days, matrix, horizon=1)
+
+    @pytest.mark.parametrize(
+        "arms, error",
+        [
+            ([CONTROL, ArmLabel("control", False)], ArmLabelConflict),
+            ([CONTROL, ArmLabel("c2", True)], ArmLabelConflict),
+            ([T1, T1], NoControlArm),
+        ],
+    )
+    def test_arm_labels_validated(self, arms, error):
+        with pytest.raises(error):
+            OutcomePanel.from_matrix("exp", ["u0", "u1"], arms, [1], [[1.0], [2.0]], horizon=1)
 
     def test_arm_partition(self):
         rng = np.random.default_rng(3)
         arms = [CONTROL] * 3 + [T1] * 4 + [ArmLabel("t2", False)] * 2
         panel = build_panel(rng.standard_normal((9, 3)), arms)
-        by_arm = [len(panel.users_in_arm(a)) for a in panel.arm_labels]
+        by_arm = [int(panel.arm_mask(a).sum()) for a in panel.arm_labels]
         assert sum(by_arm) == panel.n_users
         assert sorted(by_arm) == [2, 3, 4]
 
@@ -196,7 +257,7 @@ class TestWindow:
         panel = build_panel(rng.standard_normal((2, 126)), [CONTROL, T1], days=days)
         pre = window(panel, -63, -1)
         assert pre.shape == (2, 63)
-        np.testing.assert_array_equal(pre, panel._matrix[:, :63])
+        np.testing.assert_array_equal(pre, panel.matrix[:, :63])
 
     def test_out_of_range(self):
         panel = build_panel(np.ones((2, 63)) * 2, [CONTROL, T1])
@@ -218,37 +279,42 @@ class TestWindow:
 
 
 class TestLongTermMean:
+    """The long-term mean is the row mean of the days 1..horizon window."""
+
     def test_constant_series(self):
         panel = build_panel(np.full((2, 63), 2.0), [CONTROL, T1])
-        assert long_term_mean(panel, panel.users[0]) == 2.0
+        assert window(panel, 1, panel.horizon).mean(axis=1)[0] == 2.0
 
     def test_simple_arithmetic(self):
         panel = build_panel([[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]], [CONTROL, T1])
-        assert long_term_mean(panel, panel.users[0]) == 2.0
+        assert window(panel, 1, panel.horizon).mean(axis=1)[0] == 2.0
 
     def test_randomized_series_vs_summation_oracle(self):
         rng = np.random.default_rng(17)
         panel = build_panel(rng.standard_normal((4, 63)), [CONTROL, CONTROL, T1, T1])
-        for user in panel.users:
+        means = window(panel, 1, panel.horizon).mean(axis=1)
+        for row, mean in zip(panel.matrix.tolist(), means):
             total = 0.0
             for day in range(1, 64):
-                total += user.outcomes[day]
-            assert long_term_mean(panel, user) == pytest.approx(total / 63, rel=1e-12)
+                total += row[panel.days.index(day)]
+            assert mean == pytest.approx(total / 63, rel=1e-12)
 
     def test_missing_day(self):
         days = list(range(-3, 0))  # pre-period only
         panel = build_panel([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [CONTROL, T1], days=days, horizon=3)
+        with pytest.raises(OutOfRange):
+            window(panel, 1, panel.horizon)
         with pytest.raises(MissingDay):
-            long_term_mean(panel, panel.users[0])
+            direct_effect(panel, "t1")
 
-    def test_window_means_match_long_term_mean(self):
+    def test_window_means_match_fsum_oracle(self):
         rng = np.random.default_rng(23)
         for trial in range(5):
             n = int(rng.integers(2, 8))
             arms = [CONTROL] * max(1, n // 2) + [T1] * (n - max(1, n // 2))
             panel = build_panel(10.0 * rng.standard_normal((n, 63)), arms)
             row_means = window(panel, 1, panel.horizon).mean(axis=1)
-            for user, mean in zip(panel.users, row_means):
+            for row, mean in zip(panel.matrix.tolist(), row_means):
                 assert math.isclose(
-                    long_term_mean(panel, user), mean, rel_tol=1e-12, abs_tol=1e-15
+                    math.fsum(row[:63]) / 63, mean, rel_tol=1e-12, abs_tol=1e-15
                 )

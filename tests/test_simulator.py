@@ -134,7 +134,7 @@ class TestCorpus:
         first = [e.panel for e in simulate_corpus(config)]
         second = [e.panel for e in simulate_corpus(config)]
         assert first == second
-        np.testing.assert_array_equal(first[0]._matrix, second[0]._matrix)
+        np.testing.assert_array_equal(first[0].matrix, second[0].matrix)
 
     def test_different_seeds_differ(self):
         base = SimConfig(n_experiments=1, users_per_arm=6, seed=86)
@@ -168,6 +168,14 @@ class TestValidation:
             {"novelty_halflife": 0.0},
             {"seed": -1},
             {"seed": 2**64},
+            {"users_per_arm": 2.5},
+            {"n_experiments": 1.5},
+            {"horizon": 3.5},
+            {"seed": 1.5},
+            {"pre_period": 2.0},
+            {"users_per_arm": True},
+            {"baseline_mean": "1"},
+            {"effect_scale": None},
         ],
     )
     def test_invalid_config(self, overrides):
@@ -182,6 +190,14 @@ class TestValidation:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config_to_dict(config)))
         assert load_config(path) == config
+
+    def test_non_utf8_config_is_invalid(self, tmp_path):
+        from surrokit import load_config
+
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"seed": 1, "note": "\xff"}')
+        with pytest.raises(InvalidConfig):
+            load_config(path)
 
     def test_config_accepts_inf_string(self):
         from surrokit import config_from_dict

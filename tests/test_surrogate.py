@@ -31,7 +31,7 @@ def manual_model(intercept, coefficients, source=ModelSource.SIMILAR_TEST):
         intercept=intercept,
         coefficients=tuple(coefficients),
         source=source,
-        diagnostics=FitDiagnostics(0, 0.0, 0.0, True),
+        diagnostics=FitDiagnostics(0, 0.0, 0.0),
     )
 
 
@@ -108,7 +108,7 @@ class TestFitLeastSquares:
         )
         panel = random_two_arm_panel(rng, n_per_arm=4, days=list(range(1, 5)))
         tripled = build_panel(
-            3.0 * panel._matrix, [u.arm for u in panel.users], days=panel.days
+            3.0 * panel.matrix, panel.arms, days=panel.days
         )
         np.testing.assert_allclose(
             predict(scaled, tripled), 3.0 * predict(model, panel), rtol=1e-10
@@ -220,13 +220,11 @@ class TestRunningMean:
         assert model.intercept == 0.0
         assert model.source is ModelSource.RUNNING_MEAN
 
-    def test_full_horizon_predictions_equal_long_term_mean(self):
+    def test_full_horizon_predictions_equal_window_means(self):
         rng = np.random.default_rng(9)
         panel = random_two_arm_panel(rng, n_per_arm=3, days=list(range(1, 8)))
-        from surrokit import long_term_mean
-
         predictions = predict(running_mean_model(7), panel)
-        expected = [long_term_mean(panel, user) for user in panel.users]
+        expected = window(panel, 1, panel.horizon).mean(axis=1)
         np.testing.assert_allclose(predictions, expected, rtol=1e-12)
 
     def test_invalid_order(self):
@@ -253,10 +251,10 @@ class TestPredict:
         panel = random_two_arm_panel(rng, n_per_arm=6, days=list(range(1, 10)))
         model = fit_similar(panel, 4)
         predictions = predict(model, panel)
-        for user, got in zip(panel.users, predictions):
+        for row, got in zip(panel.matrix.tolist(), predictions):
             expected = model.intercept
             for t, coef in enumerate(model.coefficients, start=1):
-                expected += coef * user.outcomes[t]
+                expected += coef * row[panel.days.index(t)]
             assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -274,5 +272,5 @@ class TestSerialization:
                 intercept=0.0,
                 coefficients=(1.0,),
                 source=ModelSource.SIMILAR_TEST,
-                diagnostics=FitDiagnostics(0, 0.0, 0.0, True),
+                diagnostics=FitDiagnostics(0, 0.0, 0.0),
             )
