@@ -88,6 +88,7 @@ from .surrogate import (
     ModelSource,
     SurrogateModel,
     fit_least_squares,
+    fit_nested,
     fit_pretest,
     fit_similar,
     model_from_dict,

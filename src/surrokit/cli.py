@@ -153,13 +153,13 @@ def _panel_records(
     for days in direct_horizons:
         for arm in arms:
             records.append(estimate_to_record(direct_effect(panel, arm, days)))
-    for order in t_values:
-        if regime == "pretest":
-            model = fit_pretest(panel, order)
-        elif regime == "similar":
-            model = model_from_dict(donor_models[order])
-        else:
-            model = running_mean_model(order)
+    if regime == "pretest":
+        models = fit_pretest(panel, t_values)
+    elif regime == "similar":
+        models = [model_from_dict(donor_models[order]) for order in t_values]
+    else:
+        models = [running_mean_model(order) for order in t_values]
+    for model in models:
         for arm in arms:
             records.append(estimate_to_record(surrogate_effect(model, panel, arm)))
     records.sort(key=lambda r: (r["kind"], r["T"], r["arm"]))
@@ -182,7 +182,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.regime == "similar":
         donor = load_panel(args.donor, horizon=horizon)
         donor_models = {
-            order: model_to_dict(fit_similar(donor, order)) for order in t_values
+            model.order: model_to_dict(model) for model in fit_similar(donor, t_values)
         }
 
     if args.panel is not None:

@@ -155,12 +155,17 @@ class OutcomePanel:
     def n_users(self) -> int:
         return len(self.user_ids)
 
+    @cached_property
+    def _arm_codes(self) -> np.ndarray:
+        """Row i's index into ``arm_labels``."""
+        index = {label: k for k, label in enumerate(self.arm_labels)}
+        return np.array([index[label] for label in self.arms])
+
     def arm_mask(self, arm: ArmLabel | str) -> np.ndarray:
         """Boolean row mask selecting users in ``arm``."""
         name = arm if isinstance(arm, str) else arm.name
-        return np.fromiter(
-            (a.name == name for a in self.arms), dtype=bool, count=self.n_users
-        )
+        code = next((k for k, a in enumerate(self.arm_labels) if a.name == name), -1)
+        return self._arm_codes == code
 
     @classmethod
     def from_matrix(
@@ -174,11 +179,12 @@ class OutcomePanel:
     ) -> "OutcomePanel":
         """Build a panel from an (n_users, n_days) matrix.
 
-        ``days`` gives the column day indices in ascending order. The matrix
-        is converted to a contiguous float array and marked read-only; an
-        array that needs no conversion is used without a copy.
+        ``days`` gives the column day indices in ascending order. The panel
+        holds a read-only contiguous float copy of the matrix, so the
+        caller's array stays writeable and later writes to it do not reach
+        the panel.
         """
-        matrix = np.ascontiguousarray(matrix, dtype=float)
+        matrix = np.array(matrix, dtype=float, order="C")
         matrix.setflags(write=False)
         days = tuple(int(d) for d in days)
         return cls(experiment_id, tuple(user_ids), tuple(arms), days, matrix, horizon)
@@ -332,15 +338,17 @@ def write_panel(panel: OutcomePanel, dest: str | Path | IO[str]) -> None:
             write_panel(panel, handle)
         return
     # csv.writer quotes the text fields; day and outcome never need quoting.
+    # A "\r\n" terminator makes it quote a bare "\r" as well as "\n"; the
+    # terminator itself is cut off below and each row ends in "\n".
     dest.write(",".join(COLUMNS) + "\n")
     line = io.StringIO()
-    writer = csv.writer(line, lineterminator="\n")
+    writer = csv.writer(line, lineterminator="\r\n")
     for user_id, arm, row in zip(panel.user_ids, panel.arms, panel.matrix.tolist()):
         line.seek(0)
         line.truncate()
         flag = "true" if arm.is_control else "false"
         writer.writerow((panel.experiment_id, user_id, arm.name, flag))
-        prefix = line.getvalue()[:-1]
+        prefix = line.getvalue()[:-2]
         dest.write(
             "".join(f"{prefix},{day},{value!r}\n" for day, value in zip(panel.days, row))
         )

@@ -12,17 +12,25 @@ Three model sources are supported:
 * similar-test: fit on another experiment's post-allocation data;
 * running-mean: the fixed model b0 = 0, b_t = 1/T (no fitting).
 
-Fitting is plain OLS via a pivoted QR decomposition. Rank deficiency is an
-error, never a silent pseudo-inverse solve.
+Fitting is plain OLS through a numpy-only orthogonal factorisation of the
+design [1 | Y_1..Y_T]: Gram-Schmidt applied twice per column, left to
+right. The models of nested orders share one factorisation, and the
+factorisation is prefix-invariant by construction: column j is computed
+from columns 0..j alone, by numpy sums (never BLAS) over vectors whose
+lengths do not depend on how many columns are factored. An order-T model is
+therefore bit-identical whether it is fitted alone or among the orders of a
+sweep. Rank deficiency is an error, never a silent pseudo-inverse solve.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     MissingPrePeriod,
@@ -89,6 +97,127 @@ class SurrogateModel:
                 raise ValueError("running-mean models must have b0=0, b_t=1/T")
 
 
+def _factor(x: np.ndarray, y: np.ndarray, width: int):
+    """Orthonormalise the first ``width`` columns of the design [1 | x].
+
+    Column j of the design is projected off the orthonormal columns 0..j-1
+    twice (classical Gram-Schmidt with reorthogonalisation) and normalised.
+    Each step is applied to the column's coefficient row too, so that
+    ``q_j = design @ coef[j]``; the rows of ``coef`` are the columns of
+    R^-1, and the order-T solution is ``(Q'y)[:T+1] @ coef[:T+1, :T+1]``.
+    The target is swept off each new column as it is made, which gives Q'y
+    and the residual sum of squares of every prefix.
+
+    Sums run through ``np.einsum`` (never BLAS), over n rows or over the
+    earlier columns one at a time, on vectors whose lengths are n or j, so
+    column j's results do not depend on ``width``. The result is cut to the
+    longest leading prefix that passes the rank check: every |R_ii| of the
+    prefix above RANK_RTOL times its largest column norm.
+    """
+    n = x.shape[0]
+    q = np.empty((width, n), dtype=float)
+    q[0] = 1.0
+    q[1:] = x[:, : width - 1].T
+    coef = np.identity(width)
+    qty = np.empty(width, dtype=float)
+    rss = np.empty(width, dtype=float)
+    residual = y.copy()
+    smallest_diag, largest_norm = math.inf, 0.0
+    for j in range(width):
+        v, basis = q[j], q[:j]
+        largest_norm = max(largest_norm, math.sqrt(np.einsum("i,i->", v, v)))
+        for _ in range(2):
+            h = np.einsum("ij,j->i", basis, v)
+            v -= np.einsum("i,ij->j", h, basis)
+            coef[j, :j] -= np.einsum("i,ij->j", h, coef[:j, :j])
+        diag = math.sqrt(np.einsum("i,i->", v, v))
+        smallest_diag = min(smallest_diag, diag)
+        if not smallest_diag > RANK_RTOL * largest_norm:
+            return coef[:j, :j], qty[:j], rss[:j]
+        v /= diag
+        coef[j, : j + 1] /= diag
+        qty[j] = np.einsum("i,i->", v, residual)
+        residual -= qty[j] * v
+        rss[j] = np.einsum("i,i->", residual, residual)
+    return coef, qty, rss
+
+
+def _require_rows(n: int, order: int) -> None:
+    if n <= order + 1:
+        raise TooFewRows(f"need more than {order + 1} rows to fit order {order}, got {n}")
+
+
+def fit_nested(
+    features: np.ndarray,
+    targets: np.ndarray,
+    orders: Iterable[int],
+    source: ModelSource = ModelSource.SIMILAR_TEST,
+) -> tuple[SurrogateModel, ...]:
+    """Fit one OLS model per order from one factorisation of [1 | features].
+
+    The order-T model regresses ``targets`` on an intercept and the first T
+    columns of the (n, P) ``features``. Only the columns up to the largest
+    order are factored. Each model is bit-identical to the one this
+    function returns for that order alone. Models come back in the order of
+    ``orders``.
+
+    Raises:
+        ValueError: ``features`` is not 2-D, ``targets`` does not match its
+            rows, or an order is outside 1..P.
+        NonFiniteOutcome: a used feature or a target is not finite.
+        TooFewRows: n <= T + 1 for an order T.
+        RankDeficient: for an order T, some |R_ii| of the design prefix
+            [1 | Y_1..Y_T] is at most RANK_RTOL times the prefix's largest
+            column norm.
+
+    When several orders fail, the error is that of the smallest one.
+    """
+    x = np.asarray(features, dtype=float)
+    y = np.asarray(targets, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"features must be 2-D, got shape {x.shape}")
+    n, n_columns = x.shape
+    if y.shape != (n,):
+        raise ValueError(f"targets shape {y.shape} does not match {n} rows")
+    orders = [operator.index(order) for order in orders]
+    if not orders or min(orders) < 1 or max(orders) > n_columns:
+        raise ValueError(f"orders {orders} must lie in 1..{n_columns}")
+    top = max(orders)
+    x = x[:, :top]
+    if not np.isfinite(x).all() or not np.isfinite(y).all():
+        raise NonFiniteOutcome("features and targets must be finite")
+
+    # The smallest order fails first on rows alone; this also keeps n >= 3.
+    _require_rows(n, min(orders))
+
+    # Orders with n <= T + 1 fail below, so no column past n - 2 is needed.
+    coef, qty, rss = _factor(x, y, min(top, n - 2) + 1)
+    models = {}
+    for order in sorted(set(orders)):
+        _require_rows(n, order)
+        if order >= len(qty):
+            raise RankDeficient(
+                f"design columns 0..{len(qty)} of order {order} are collinear "
+                f"at relative tolerance {RANK_RTOL}"
+            )
+        beta = np.einsum("i,ij->j", qty[: order + 1], coef[: order + 1, : order + 1])
+        # rss[0] is the total sum of squares: the residual after the intercept.
+        order_rss, tss = float(rss[order]), float(rss[0])
+        r_squared = 1.0 if tss == 0.0 else min(max(1.0 - order_rss / tss, 0.0), 1.0)
+        models[order] = SurrogateModel(
+            order=order,
+            intercept=float(beta[0]),
+            coefficients=tuple(beta[1:].tolist()),
+            source=source,
+            diagnostics=FitDiagnostics(
+                n_train=n,
+                r_squared=r_squared,
+                residual_variance=order_rss / (n - order - 1),
+            ),
+        )
+    return tuple(models[order] for order in orders)
+
+
 def fit_least_squares(
     features: np.ndarray,
     targets: np.ndarray,
@@ -96,98 +225,76 @@ def fit_least_squares(
 ) -> SurrogateModel:
     """Fit intercept + coefficients by OLS on an (n, T) feature matrix.
 
-    Solves the least-squares problem through a column-pivoted QR
-    decomposition of the design matrix [1 | features]; the normal equations
-    are never formed.
+    This is the one-order case of :func:`fit_nested`: the design
+    [1 | features] is factored by Gram-Schmidt applied twice per column and
+    the normal equations are never formed. The model equals the order-T
+    model of any nested fit over a feature matrix whose first T columns are
+    ``features``, bit for bit.
 
     Raises:
         TooFewRows: n <= T + 1.
-        RankDeficient: design column rank < T + 1 at the documented
-            tolerance (RANK_RTOL times the largest design column norm).
+        RankDeficient: the design is rank deficient at the documented
+            tolerance (some |R_ii| at most RANK_RTOL times the largest
+            design column norm).
     """
     x = np.asarray(features, dtype=float)
-    y = np.asarray(targets, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {x.shape}")
-    n, order = x.shape
-    if y.shape != (n,):
-        raise ValueError(f"targets shape {y.shape} does not match {n} rows")
-    if not np.isfinite(x).all() or not np.isfinite(y).all():
-        raise NonFiniteOutcome("features and targets must be finite")
-    if n <= order + 1:
-        raise TooFewRows(f"need more than {order + 1} rows to fit order {order}, got {n}")
-
-    design = np.empty((n, order + 1), dtype=float)
-    design[:, 0] = 1.0
-    design[:, 1:] = x
-
-    q, r, pivot = scipy.linalg.qr(design, mode="economic", pivoting=True)
-    tol = RANK_RTOL * float(np.linalg.norm(design, axis=0).max())
-    rank = int(np.sum(np.abs(np.diag(r)) > tol))
-    if rank < order + 1:
-        raise RankDeficient(
-            f"design matrix rank {rank} < {order + 1}; columns are collinear"
-        )
-    beta = np.empty(order + 1, dtype=float)
-    beta[pivot] = scipy.linalg.solve_triangular(r, q.T @ y)
-
-    residuals = y - design @ beta
-    rss = float(residuals @ residuals)
-    centered = y - y.mean()
-    tss = float(centered @ centered)
-    r_squared = 1.0 if tss == 0.0 else min(max(1.0 - rss / tss, 0.0), 1.0)
-    diagnostics = FitDiagnostics(
-        n_train=n,
-        r_squared=r_squared,
-        residual_variance=max(rss, 0.0) / (n - order - 1),
-    )
-    return SurrogateModel(
-        order=order,
-        intercept=float(beta[0]),
-        coefficients=tuple(beta[1:].tolist()),
-        source=source,
-        diagnostics=diagnostics,
-    )
+    return fit_nested(x, targets, [x.shape[1]], source)[0]
 
 
-def fit_pretest(panel: OutcomePanel, order: int) -> SurrogateModel:
+def _as_orders(order: int | Iterable[int]) -> tuple[list[int], bool]:
+    """The orders to fit, and whether a single model was asked for."""
+    if isinstance(order, Iterable):
+        return [operator.index(o) for o in order], False
+    return [operator.index(order)], True
+
+
+def fit_pretest(panel: OutcomePanel, order: int | Iterable[int]):
     """Fit on the panel's own pre-allocation window.
 
     The pre-period days (-P..-1) are remapped to pseudo post-allocation
     days 1..P. The target is each user's mean over the whole pseudo window
     and the features are its first ``order`` days. All arms are pooled:
     the pre-period predates randomization, so pooling is valid.
+
+    ``order`` is one order, which returns one model, or an iterable of
+    orders, which returns a tuple of models from one factorisation (see
+    :func:`fit_nested`); each equals its single-order fit bit for bit.
     """
     pre_days = [d for d in panel.days if d < 0]
     if not pre_days:
         raise MissingPrePeriod(
             f"panel {panel.experiment_id!r} has no pre-allocation days"
         )
-    if order < 1:
-        raise ValueError(f"order must be positive, got {order}")
-    if order > len(pre_days):
+    orders, single = _as_orders(order)
+    if not orders or min(orders) < 1:
+        raise ValueError(f"orders must be positive, got {orders}")
+    if max(orders) > len(pre_days):
         raise MissingPrePeriod(
-            f"order {order} exceeds the {len(pre_days)}-day pre-period"
+            f"order {max(orders)} exceeds the {len(pre_days)}-day pre-period"
         )
     full = window(panel, pre_days[0], pre_days[-1])
-    features = full[:, :order]
-    targets = full.mean(axis=1)
-    return fit_least_squares(features, targets, source=ModelSource.PRE_TEST)
+    models = fit_nested(full, full.mean(axis=1), orders, ModelSource.PRE_TEST)
+    return models[0] if single else models
 
 
-def fit_similar(donor: OutcomePanel, order: int) -> SurrogateModel:
+def fit_similar(donor: OutcomePanel, order: int | Iterable[int]):
     """Fit on a donor experiment's post-allocation data.
 
     The target is the donor users' long-term mean (days 1..horizon) and
     the features are their first ``order`` days. All donor arms are pooled.
+    ``order`` is one order or an iterable of orders, as in
+    :func:`fit_pretest`.
     """
-    if order < 1:
-        raise ValueError(f"order must be positive, got {order}")
-    if order > donor.horizon:
-        raise OutOfRange(f"order {order} exceeds donor horizon {donor.horizon}")
-    targets = window(donor, 1, donor.horizon).mean(axis=1)
-    features = window(donor, 1, order)
-    return fit_least_squares(features, targets, source=ModelSource.SIMILAR_TEST)
+    orders, single = _as_orders(order)
+    if not orders or min(orders) < 1:
+        raise ValueError(f"orders must be positive, got {orders}")
+    if max(orders) > donor.horizon:
+        raise OutOfRange(f"order {max(orders)} exceeds donor horizon {donor.horizon}")
+    full = window(donor, 1, donor.horizon)
+    models = fit_nested(full, full.mean(axis=1), orders, ModelSource.SIMILAR_TEST)
+    return models[0] if single else models
 
 
 def running_mean_model(order: int) -> SurrogateModel:

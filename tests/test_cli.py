@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import surrokit
 from surrokit import (
     direct_effect,
     estimate_to_record,
@@ -223,6 +227,29 @@ class TestAnalyze:
         # two arms, five orders, direct plus surrogate
         assert len(records) == 2 * 5 * 2
 
+    def test_pretest_sweep_is_identical_across_jobs_and_matches_the_library(self, tmp_path):
+        out_dir = simulate_toy(tmp_path)
+        for jobs in ("1", "2"):
+            assert main(["analyze", "--panel-dir", str(out_dir), "--regime", "pretest",
+                         "--horizon", "5", "--sweep-T", "--jobs", jobs,
+                         "--out", str(tmp_path / f"jobs{jobs}")]) == 0
+        serial = read_bytes_by_name(tmp_path / "jobs1", "*.estimates.json")
+        assert serial == read_bytes_by_name(tmp_path / "jobs2", "*.estimates.json")
+        assert len(serial) == 2
+
+        for panel_path in sorted(out_dir.glob("*.csv")):
+            panel = load_panel(panel_path, horizon=5)
+            expected = []
+            for arm in sorted(a.name for a in panel.treatment_arms):
+                for order in range(1, 6):
+                    expected.append(estimate_to_record(direct_effect(panel, arm, order)))
+                    expected.append(estimate_to_record(
+                        surrogate_effect(fit_pretest(panel, order), panel, arm)
+                    ))
+            expected.sort(key=lambda r: (r["kind"], r["T"], r["arm"]))
+            records = json.loads(serial[f"{panel_path.stem}.estimates.json"])
+            assert records == json.loads(json.dumps(expected))
+
     def test_panel_dir_mode(self, tmp_path):
         out_dir = simulate_toy(tmp_path)
         est_dir = tmp_path / "estimates"
@@ -352,3 +379,11 @@ class TestManifest:
     def test_log_env_var_accepted(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SURROKIT_LOG", "DEBUG")
         simulate_toy(tmp_path)
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(surrokit.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = "import surrokit.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -124,8 +124,9 @@ class TestLoadPanel:
             load_text("")
 
 
-# Text fields that need CSV quoting: commas, both quote kinds, non-ASCII.
-FIELD_TEXT = st.text(alphabet=list('ab, "\'é中ß;'), max_size=6)
+# Text fields that need CSV quoting: commas, both quote kinds, a bare
+# carriage return, non-ASCII.
+FIELD_TEXT = st.text(alphabet=list('ab, "\'é中ß;\r'), max_size=6)
 
 
 @st.composite
@@ -158,6 +159,13 @@ class TestRoundTrip:
         reloaded = load_text(text, horizon=panel.horizon)
         assert reloaded == panel
         assert panel_to_csv_text(reloaded) == text
+
+    def test_carriage_return_fields_round_trip(self):
+        arms = [ArmLabel("c\r", True), ArmLabel("t\r1", False)]
+        panel = OutcomePanel.from_matrix("e\r", ["a\rb", "u2"], arms, [1], [[1.0], [2.0]], 1)
+        text = panel_to_csv_text(panel)
+        assert text.split("\n")[1] == '"e\r","a\rb","c\r",true,1,1.0'
+        assert load_text(text, horizon=1) == panel
 
     def test_round_trip_with_pre_period(self):
         rng = np.random.default_rng(7)
@@ -192,6 +200,19 @@ class TestConstruction:
         assert via_matrix.matrix.dtype == float
         assert not via_matrix.matrix.flags.writeable
         assert via_matrix != build_panel([[1.0, 2.0], [3.0, 5.0]], [CONTROL, T1])
+
+    def test_from_matrix_leaves_the_callers_array_alone(self):
+        matrix = np.zeros((2, 1))
+        panel = OutcomePanel.from_matrix("exp", ["u0", "u1"], [CONTROL, T1], [1], matrix, 1)
+        assert matrix.flags.writeable
+        matrix[0, 0] = 5.0
+        assert panel.matrix[0, 0] == 0.0
+        assert not panel.matrix.flags.writeable
+        view = matrix.view()
+        view.setflags(write=False)
+        panel = OutcomePanel.from_matrix("exp", ["u0", "u1"], [CONTROL, T1], [1], view, 1)
+        matrix[1, 0] = 7.0
+        assert panel.matrix[1, 0] == 0.0
 
     def test_duplicate_user_id(self):
         with pytest.raises(DuplicateObservation):
@@ -244,6 +265,11 @@ class TestConstruction:
         by_arm = [int(panel.arm_mask(a).sum()) for a in panel.arm_labels]
         assert sum(by_arm) == panel.n_users
         assert sorted(by_arm) == [2, 3, 4]
+        for label in panel.arm_labels:
+            expected = [a.name == label.name for a in panel.arms]
+            assert panel.arm_mask(label).tolist() == expected
+            assert panel.arm_mask(label.name).tolist() == expected
+        assert not panel.arm_mask("absent").any()
 
 
 class TestWindow:

@@ -11,6 +11,7 @@ from surrokit import (
     TooFewRows,
     direct_effect,
     fit_least_squares,
+    fit_nested,
     fit_pretest,
     fit_similar,
     model_from_dict,
@@ -127,6 +128,71 @@ class TestFitLeastSquares:
             shuffled.intercept + probe @ np.array(shuffled.coefficients),
             rtol=1e-12,
         )
+
+
+class TestFitNested:
+    """One factorisation serves every order; each order equals its own fit."""
+
+    def test_pretest_sweep_equals_single_order_fits(self):
+        config = SimConfig(users_per_arm=100, ar1_rho=0.4, seed=111)
+        panel = simulate_experiment(config, 0).panel
+        orders = range(1, 64)
+        swept = fit_pretest(panel, orders)
+        assert len(swept) == 63
+        for order, model in zip(orders, swept):
+            assert model == fit_pretest(panel, order)
+            assert model.order == order
+
+    def test_similar_sweep_equals_single_order_fits(self):
+        config = SimConfig(users_per_arm=100, pre_period=0, ar1_rho=0.4, seed=112)
+        donor = simulate_experiment(config, 0).panel
+        swept = fit_similar(donor, range(1, 64))
+        for order, model in zip(range(1, 64), swept):
+            assert model == fit_similar(donor, order)
+
+    def test_least_squares_is_the_one_order_case(self):
+        rng = np.random.default_rng(12)
+        features = rng.standard_normal((40, 9))
+        targets = rng.standard_normal(40)
+        swept = fit_nested(features, targets, range(1, 10))
+        for order, model in enumerate(swept, start=1):
+            assert model == fit_least_squares(features[:, :order], targets)
+
+    def test_models_follow_the_requested_order(self):
+        rng = np.random.default_rng(13)
+        features = rng.standard_normal((30, 5))
+        targets = rng.standard_normal(30)
+        models = fit_nested(features, targets, [4, 1, 4, 2])
+        assert [m.order for m in models] == [4, 1, 4, 2]
+        assert models[0] == models[2] == fit_nested(features, targets, [4])[0]
+
+    def test_collinear_column_fails_from_its_order_on(self):
+        rng = np.random.default_rng(14)
+        features = rng.standard_normal((30, 6))
+        features[:, 3] = features[:, 0] - 2.0 * features[:, 1]  # column of order 4
+        targets = rng.standard_normal(30)
+        below = fit_nested(features, targets, range(1, 4))
+        assert below == fit_nested(features[:, :3], targets, range(1, 4))
+        for orders in ([4], [5], range(1, 7), [6, 2]):
+            with pytest.raises(RankDeficient):
+                fit_nested(features, targets, orders)
+
+    def test_smallest_failing_order_decides_the_error(self):
+        rng = np.random.default_rng(15)
+        features = rng.standard_normal((6, 5))
+        features[:, 1] = features[:, 0]
+        targets = rng.standard_normal(6)
+        assert fit_nested(features, targets, [1])[0].order == 1
+        with pytest.raises(RankDeficient):
+            fit_nested(features, targets, [5, 2])  # order 2 fails first
+        with pytest.raises(TooFewRows):
+            fit_nested(features, targets, [1, 5])  # 6 rows cannot fit order 5
+
+    @pytest.mark.parametrize("orders", [[], [0], [1, 7], [-1]])
+    def test_orders_outside_the_features_are_rejected(self, orders):
+        rng = np.random.default_rng(16)
+        with pytest.raises(ValueError):
+            fit_nested(rng.standard_normal((20, 6)), rng.standard_normal(20), orders)
 
 
 class TestFitPretest:
