@@ -1,20 +1,23 @@
 """Command-line pipeline: simulate corpora, analyze panels, evaluate decisions.
 
-Subcommands::
+Subcommands, each with only the flags it reads::
 
-    surrokit simulate --config cfg.json --out-dir corpus/
-    surrokit analyze --panel exp.csv --regime pretest --T 14 --out exp.estimates.json
-    surrokit analyze --panel-dir corpus/ --regime running-mean --out estimates/
-    surrokit evaluate --estimates estimates/ --out report.json
+    surrokit simulate --config cfg.json --out-dir corpus/ [--seed N] [--jobs N]
+    surrokit analyze (--panel exp.csv | --panel-dir corpus/) --regime REGIME
+        [--donor donor.csv] [--T 14 | --sweep-T] [--horizon 63] --out PATH [--jobs N]
+    surrokit evaluate --estimates estimates/ --out report.json [--alpha 0.05]
+        [--long-cycle-days 56] [--short-cycle-days 14]
 
-Numeric outputs are pure functions of the input files and flags: floats are
-serialized with full round-trip precision, directory scans are sorted, and
-worker pools merge results in deterministic order. Every run ends by
-atomically writing a manifest recording the command, inputs, outputs, and
+``--T`` and ``--sweep-T`` exclude each other. Numeric outputs are pure
+functions of the input files and flags: floats are serialized with full
+round-trip precision, directory scans are sorted, and worker pools merge
+results in deterministic order. Every run ends by atomically writing a
+manifest recording the command, the values it read, its inputs, outputs, and
 tool version. Exit codes: 0 success, 2 usage, 3 data validation failure,
 4 numerical failure.
 
-Set SURROKIT_LOG (e.g. DEBUG, INFO) to control log verbosity.
+Set SURROKIT_LOG to a logging level name (DEBUG, INFO, WARNING, ...) to
+control log verbosity; an unknown name is a usage error.
 """
 
 from __future__ import annotations
@@ -49,13 +52,7 @@ from .evaluation import (
 )
 from .panel import DEFAULT_HORIZON, load_panel, write_panel
 from .simulator import load_config, simulate_experiment
-from .surrogate import (
-    fit_pretest,
-    fit_similar,
-    model_from_dict,
-    model_to_dict,
-    running_mean_model,
-)
+from .surrogate import fit_pretest, fit_similar, running_mean_model
 
 logger = logging.getLogger("surrokit")
 
@@ -127,8 +124,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "config_path": str(args.config),
             "out_dir": str(out_dir),
             "seed": config.seed,
-            "alpha": None,
-            "T": None,
             "horizon": config.horizon,
             "outputs": sorted(f"{eid}.csv" for eid, _ in results) + ["ground_truth.json"],
         },
@@ -138,37 +133,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 # --- analyze ---
 
-def _panel_records(
-    panel_path: str,
-    regime: str,
-    t_values: list[int],
-    horizon: int,
-    donor_models: dict[int, dict] | None,
-    sweep: bool,
-) -> list[dict]:
+def _analyze_one(task: tuple) -> str:
+    """Write one panel's direct and surrogate records.
+
+    ``models`` is None for the pretest regime, whose models are fitted on
+    each panel's own pre-period; otherwise every panel shares them.
+    """
+    panel_path, out_path, horizon, direct_days, orders, models = task
     panel = load_panel(panel_path, horizon=horizon)
     arms = sorted(arm.name for arm in panel.treatment_arms)
     records = []
-    direct_horizons = list(range(1, horizon + 1)) if sweep else [horizon]
-    for days in direct_horizons:
-        for arm in arms:
-            records.append(estimate_to_record(direct_effect(panel, arm, days)))
-    if regime == "pretest":
-        models = fit_pretest(panel, t_values)
-    elif regime == "similar":
-        models = [model_from_dict(donor_models[order]) for order in t_values]
-    else:
-        models = [running_mean_model(order) for order in t_values]
+    for days in direct_days:
+        records += [estimate_to_record(direct_effect(panel, arm, days)) for arm in arms]
+    if models is None:
+        models = fit_pretest(panel, orders)
     for model in models:
-        for arm in arms:
-            records.append(estimate_to_record(surrogate_effect(model, panel, arm)))
+        records += [estimate_to_record(surrogate_effect(model, panel, arm)) for arm in arms]
     records.sort(key=lambda r: (r["kind"], r["T"], r["arm"]))
-    return records
-
-
-def _analyze_one(task: tuple) -> str:
-    panel_path, out_path, regime, t_values, horizon, donor_models, sweep = task
-    records = _panel_records(panel_path, regime, t_values, horizon, donor_models, sweep)
     _write_atomic(Path(out_path), _dump_json(records))
     return str(out_path)
 
@@ -176,20 +157,18 @@ def _analyze_one(task: tuple) -> str:
 def cmd_analyze(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     horizon = args.horizon
-    t_values = list(range(1, horizon + 1)) if args.sweep_T else [args.T]
-
-    donor_models: dict[int, dict] | None = None
+    orders = list(range(1, horizon + 1)) if args.sweep_T else [args.T]
+    direct_days = orders if args.sweep_T else [horizon]
     if args.regime == "similar":
-        donor = load_panel(args.donor, horizon=horizon)
-        donor_models = {
-            model.order: model_to_dict(model) for model in fit_similar(donor, t_values)
-        }
+        models = fit_similar(load_panel(args.donor, horizon=horizon), orders)
+    elif args.regime == "running-mean":
+        models = tuple(running_mean_model(order) for order in orders)
+    else:
+        models = None
 
     if args.panel is not None:
         out_path = Path(args.out)
-        tasks = [
-            (args.panel, str(out_path), args.regime, t_values, horizon, donor_models, args.sweep_T)
-        ]
+        targets = [(args.panel, out_path)]
         manifest_path = out_path.with_name(out_path.name + ".manifest.json")
         inputs = {"panel_path": args.panel}
     else:
@@ -198,21 +177,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             raise DataValidationError(f"no panel CSVs found in {args.panel_dir}")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        tasks = [
-            (
-                str(path),
-                str(out_dir / f"{path.stem}.estimates.json"),
-                args.regime,
-                t_values,
-                horizon,
-                donor_models,
-                args.sweep_T,
-            )
-            for path in panel_files
-        ]
+        targets = [(str(path), out_dir / f"{path.stem}.estimates.json") for path in panel_files]
         manifest_path = out_dir / "manifest.json"
         inputs = {"panel_dir": args.panel_dir}
 
+    tasks = [
+        (panel_path, str(out_path), horizon, direct_days, orders, models)
+        for panel_path, out_path in targets
+    ]
     outputs = _run_pool(_analyze_one, tasks, args.jobs)
     logger.info("analyzed %d panel(s) under regime %s", len(outputs), args.regime)
 
@@ -226,8 +198,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "regime": args.regime,
             "sweep_T": args.sweep_T,
             "out": str(args.out),
-            "seed": args.seed,
-            "alpha": args.alpha,
             "T": args.T,
             "horizon": horizon,
             "outputs": sorted(Path(p).name for p in outputs),
@@ -338,10 +308,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         {
             "estimates_dir": args.estimates,
             "out": str(out_path),
-            "seed": args.seed,
             "alpha": args.alpha,
-            "T": None,
-            "horizon": args.horizon,
             "outputs": [out_path.name, scaled_path.name],
         },
     )
@@ -350,14 +317,26 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 # --- argument parsing ---
 
+DEFAULT_T = 14
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _significance_level(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="override the RNG seed")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes")
-    common.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
-                        help="two-sided significance level")
-    common.add_argument("--horizon", type=int, default=DEFAULT_HORIZON,
-                        help="long-term horizon in days")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
 
     parser = argparse.ArgumentParser(
         prog="surrokit",
@@ -366,13 +345,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"surrokit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", parents=[common],
+    p_sim = sub.add_parser("simulate", parents=[jobs],
                            help="generate a synthetic experiment corpus")
     p_sim.add_argument("--config", required=True, help="SimConfig JSON file")
     p_sim.add_argument("--out-dir", required=True, help="corpus output directory")
+    p_sim.add_argument("--seed", type=int, default=None,
+                       help="override the config's RNG seed")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_an = sub.add_parser("analyze", parents=[common],
+    p_an = sub.add_parser("analyze", parents=[jobs],
                           help="estimate direct and surrogate effects")
     panel_group = p_an.add_mutually_exclusive_group(required=True)
     panel_group.add_argument("--panel", help="one panel CSV")
@@ -381,18 +362,23 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="surrogate training regime")
     p_an.add_argument("--donor", default=None,
                       help="donor panel CSV (required for --regime similar)")
-    p_an.add_argument("--T", type=int, default=14, help="surrogate model order")
-    p_an.add_argument("--sweep-T", action="store_true",
-                      help="emit records for every T in 1..horizon")
+    order_group = p_an.add_mutually_exclusive_group()
+    order_group.add_argument("--T", type=_positive_int, default=None,
+                             help=f"surrogate model order (default {DEFAULT_T})")
+    order_group.add_argument("--sweep-T", action="store_true",
+                             help="emit records for every T in 1..horizon")
+    p_an.add_argument("--horizon", type=_positive_int, default=DEFAULT_HORIZON,
+                      help="long-term horizon in days")
     p_an.add_argument("--out", required=True,
                       help="output estimates file (--panel) or directory (--panel-dir)")
     p_an.set_defaults(func=cmd_analyze)
 
-    p_ev = sub.add_parser("evaluate", parents=[common],
-                          help="decision-agreement report from estimate files")
+    p_ev = sub.add_parser("evaluate", help="decision-agreement report from estimate files")
     p_ev.add_argument("--estimates", required=True,
                       help="directory of *.estimates.json files")
     p_ev.add_argument("--out", required=True, help="report JSON path")
+    p_ev.add_argument("--alpha", type=_significance_level, default=DEFAULT_ALPHA,
+                      help="two-sided significance level")
     p_ev.add_argument("--long-cycle-days", type=float, default=56.0,
                       help="long testing cycle length for capacity figures")
     p_ev.add_argument("--short-cycle-days", type=float, default=14.0,
@@ -401,32 +387,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_usage(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    if not 0.0 < args.alpha < 1.0:
-        parser.error(f"--alpha must be in (0, 1), got {args.alpha}")
-    if args.horizon < 1:
-        parser.error(f"--horizon must be positive, got {args.horizon}")
-    if args.jobs < 1:
-        parser.error(f"--jobs must be positive, got {args.jobs}")
-    if args.command == "analyze":
-        if args.T < 1:
-            parser.error(f"--T must be positive, got {args.T}")
-        if not args.sweep_T and args.T > args.horizon:
-            parser.error(f"--T {args.T} exceeds --horizon {args.horizon}")
-        if args.regime == "similar" and args.donor is None:
-            parser.error("--regime similar requires --donor")
-        if args.regime != "similar" and args.donor is not None:
-            parser.error("--donor is only valid with --regime similar")
+def _validate_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    # --T defaults to None rather than DEFAULT_T: argparse treats an option
+    # whose value is its default as absent, so "--sweep-T --T 14" would
+    # otherwise slip past the exclusive group.
+    if not args.sweep_T and args.T is None:
+        args.T = DEFAULT_T
+    if not args.sweep_T and args.T > args.horizon:
+        parser.error(f"--T {args.T} exceeds --horizon {args.horizon}")
+    if args.regime == "similar" and args.donor is None:
+        parser.error("--regime similar requires --donor")
+    if args.regime != "similar" and args.donor is not None:
+        parser.error("--donor is only valid with --regime similar")
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("SURROKIT_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = (os.environ.get("SURROKIT_LOG") or "WARNING").upper()
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"surrokit: unknown SURROKIT_LOG level {level!r}", file=sys.stderr)
+        return EXIT_USAGE
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _validate_usage(parser, args)
+    if args.command == "analyze":
+        _validate_analyze(parser, args)
     try:
         return args.func(args)
     except DataValidationError as exc:

@@ -94,6 +94,10 @@ class EffectEstimate:
     ci_95: tuple[float, float]
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.point) and math.isfinite(self.std_error)):
+            raise ValueError(
+                f"point and std_error must be finite, got {self.point} and {self.std_error}"
+            )
         if not self.std_error > 0.0:
             raise ValueError(f"std_error must be positive, got {self.std_error}")
         if not 0.0 <= self.p_value <= 1.0:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import IO, Iterator
@@ -74,6 +75,11 @@ class SimConfig:
             if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
                 kind = "an integer" if integral else "a number"
                 raise InvalidConfig(f"{field.name} must be {kind}, got {value!r}")
+            # An infinite tail df is legal: it requests Gaussian effects. The
+            # float_info bound also rejects NaN and an int too large for a float.
+            gaussian = field.name == "effect_tail_df" and value == math.inf
+            if not (integral or gaussian or abs(value) <= sys.float_info.max):
+                raise InvalidConfig(f"{field.name} must be finite, got {value!r}")
         if self.n_experiments < 1:
             raise InvalidConfig(f"n_experiments must be positive, got {self.n_experiments}")
         if self.arms_per_experiment < 1:
@@ -90,8 +96,6 @@ class SimConfig:
             raise InvalidConfig("standard deviations must be nonnegative")
         if not 0.0 <= self.ar1_rho < 1.0:
             raise InvalidConfig(f"ar1_rho must be in [0, 1), got {self.ar1_rho}")
-        if not math.isfinite(self.effect_scale):
-            raise InvalidConfig("effect_scale must be finite")
         if not self.effect_tail_df > 0:
             raise InvalidConfig(f"effect_tail_df must be positive, got {self.effect_tail_df}")
         if not 0.0 <= self.novelty_floor <= 1.0:
@@ -254,10 +258,10 @@ def load_config(source: str | Path | IO[str]) -> SimConfig:
             return load_config(handle)
     try:
         payload = json.load(source)
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"config is not valid JSON: {exc}") from None
     except UnicodeDecodeError as exc:
         raise InvalidConfig(f"config is not valid UTF-8: {exc}") from None
+    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
+        raise InvalidConfig(f"config is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise InvalidConfig("config JSON must be an object")
     return config_from_dict(payload)

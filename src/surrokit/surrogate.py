@@ -317,7 +317,7 @@ def predict(model: SurrogateModel, panel: OutcomePanel) -> np.ndarray:
 
 
 def model_to_dict(model: SurrogateModel) -> dict:
-    """Flat JSON-compatible representation for CLI round-tripping."""
+    """Flat JSON-compatible representation; :func:`model_from_dict` inverts it."""
     d = model.diagnostics
     return {
         "order": model.order,

@@ -8,11 +8,16 @@ import pytest
 
 import surrokit
 from surrokit import (
+    ArmLabel,
+    EstimatorKind,
+    ModelSource,
+    build_estimate,
     direct_effect,
     estimate_to_record,
     fit_pretest,
     fit_similar,
     load_panel,
+    running_mean_model,
     surrogate_effect,
 )
 from surrokit.cli import main
@@ -100,8 +105,15 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "content",
-        [json.dumps({"users_per_arm": 2.5}).encode(), b'{"seed": 1, "note": "\xff"}'],
-        ids=["fractional-users", "non-utf8"],
+        [
+            json.dumps({"users_per_arm": 2.5}).encode(),
+            b'{"seed": 1, "note": "\xff"}',
+            b'{"arms_per_experiment": Infinity}',
+            b'{"effect_scale": 1' + b"0" * 400 + b"}",
+            b'{"seed": 1' + b"0" * 5000 + b"}",
+        ],
+        ids=["fractional-users", "non-utf8", "infinite-arms", "huge-int-scale",
+             "over-digit-limit"],
     )
     def test_malformed_config_exits_3_without_traceback(self, tmp_path, capsys, content):
         config_path = tmp_path / "config.json"
@@ -110,6 +122,38 @@ class TestSimulate:
                      "--out-dir", str(tmp_path / "x")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("surrokit:") and "Traceback" not in err
+
+    def test_nan_config_field_exits_3_naming_the_field(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"baseline_sd": NaN}')
+        assert main(["simulate", "--config", str(config_path),
+                     "--out-dir", str(tmp_path / "x")]) == 3
+        assert "baseline_sd must be finite" in capsys.readouterr().err
+
+
+PANEL_ARGS = ["--panel", "p.csv", "--regime", "pretest", "--out", "o.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", "c.json", "--out-dir", "o", "--horizon", "5"],
+        ["simulate", "--config", "c.json", "--out-dir", "o", "--alpha", "0.3"],
+        ["analyze", *PANEL_ARGS, "--seed", "5"],
+        ["analyze", *PANEL_ARGS, "--alpha", "0.5"],
+        ["analyze", *PANEL_ARGS, "--sweep-T", "--T", "3"],
+        # 14 is the default order: the exclusion must not depend on the value
+        ["analyze", *PANEL_ARGS, "--sweep-T", "--T", "14"],
+        ["evaluate", "--estimates", "e", "--out", "r.json", "--seed", "9"],
+        ["evaluate", "--estimates", "e", "--out", "r.json", "--jobs", "7"],
+        ["evaluate", "--estimates", "e", "--out", "r.json", "--horizon", "3"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+)
+def test_flag_of_another_subcommand_is_usage_error(argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
 
 
 class TestAnalyzeUsage:
@@ -228,27 +272,38 @@ class TestAnalyze:
         assert len(records) == 2 * 5 * 2
 
     def test_pretest_sweep_is_identical_across_jobs_and_matches_the_library(self, tmp_path):
+        # Also the similar and running-mean sweeps, whose models are built
+        # once and sent to the --jobs 2 workers as objects.
         out_dir = simulate_toy(tmp_path)
-        for jobs in ("1", "2"):
-            assert main(["analyze", "--panel-dir", str(out_dir), "--regime", "pretest",
-                         "--horizon", "5", "--sweep-T", "--jobs", jobs,
-                         "--out", str(tmp_path / f"jobs{jobs}")]) == 0
-        serial = read_bytes_by_name(tmp_path / "jobs1", "*.estimates.json")
-        assert serial == read_bytes_by_name(tmp_path / "jobs2", "*.estimates.json")
-        assert len(serial) == 2
+        donor_path = out_dir / "sim-00000.csv"
+        donor = load_panel(donor_path, horizon=5)
+        library_model = {
+            "pretest": fit_pretest,
+            "similar": lambda panel, order: fit_similar(donor, order),
+            "running-mean": lambda panel, order: running_mean_model(order),
+        }
+        for regime, model_for in library_model.items():
+            donor_args = ["--donor", str(donor_path)] if regime == "similar" else []
+            for jobs in ("1", "2"):
+                assert main(["analyze", "--panel-dir", str(out_dir), "--regime", regime,
+                             *donor_args, "--horizon", "5", "--sweep-T", "--jobs", jobs,
+                             "--out", str(tmp_path / f"{regime}-jobs{jobs}")]) == 0
+            serial = read_bytes_by_name(tmp_path / f"{regime}-jobs1", "*.estimates.json")
+            assert serial == read_bytes_by_name(tmp_path / f"{regime}-jobs2", "*.estimates.json")
+            assert len(serial) == 2
 
-        for panel_path in sorted(out_dir.glob("*.csv")):
-            panel = load_panel(panel_path, horizon=5)
-            expected = []
-            for arm in sorted(a.name for a in panel.treatment_arms):
-                for order in range(1, 6):
-                    expected.append(estimate_to_record(direct_effect(panel, arm, order)))
-                    expected.append(estimate_to_record(
-                        surrogate_effect(fit_pretest(panel, order), panel, arm)
-                    ))
-            expected.sort(key=lambda r: (r["kind"], r["T"], r["arm"]))
-            records = json.loads(serial[f"{panel_path.stem}.estimates.json"])
-            assert records == json.loads(json.dumps(expected))
+            for panel_path in sorted(out_dir.glob("*.csv")):
+                panel = load_panel(panel_path, horizon=5)
+                expected = []
+                for arm in sorted(a.name for a in panel.treatment_arms):
+                    for order in range(1, 6):
+                        expected.append(estimate_to_record(direct_effect(panel, arm, order)))
+                        expected.append(estimate_to_record(
+                            surrogate_effect(model_for(panel, order), panel, arm)
+                        ))
+                expected.sort(key=lambda r: (r["kind"], r["T"], r["arm"]))
+                records = json.loads(serial[f"{panel_path.stem}.estimates.json"])
+                assert records == json.loads(json.dumps(expected))
 
     def test_panel_dir_mode(self, tmp_path):
         out_dir = simulate_toy(tmp_path)
@@ -304,8 +359,6 @@ class TestEvaluate:
         assert len(lines) == 1 + report["n_pairs"]
 
     def test_hand_fixture_metrics(self, tmp_path):
-        from surrokit import ArmLabel, EstimatorKind, ModelSource, build_estimate
-
         est_dir = tmp_path / "estimates"
         est_dir.mkdir()
         # three arms: (+,+), (+,ns), (ns,ns) by construction
@@ -332,8 +385,6 @@ class TestEvaluate:
         assert report["capacity"]["extra_experiments_needed"] == 1.0
 
     def test_key_mismatch_exits_3(self, tmp_path):
-        from surrokit import ArmLabel, EstimatorKind, ModelSource, build_estimate
-
         est_dir = tmp_path / "estimates"
         est_dir.mkdir()
         label = ArmLabel("t1", False)
@@ -345,6 +396,24 @@ class TestEvaluate:
         (est_dir / "e1.estimates.json").write_text(json.dumps(records))
         assert main(["evaluate", "--estimates", str(est_dir),
                      "--out", str(tmp_path / "report.json")]) == 3
+
+    @pytest.mark.parametrize("field", ["point", "std_error"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_estimate_exits_3(self, tmp_path, capsys, field, value):
+        est_dir = tmp_path / "estimates"
+        est_dir.mkdir()
+        label = ArmLabel("t1", False)
+        records = [
+            estimate_to_record(build_estimate("e1", label, EstimatorKind.direct(5), 1.0, 1.0)),
+            estimate_to_record(build_estimate(
+                "e1", label, EstimatorKind.surrogate(2, ModelSource.PRE_TEST), 1.0, 1.0)),
+        ]
+        records[1][field] = value  # json.dumps writes Infinity / NaN
+        (est_dir / "e1.estimates.json").write_text(json.dumps(records))
+        assert main(["evaluate", "--estimates", str(est_dir),
+                     "--out", str(tmp_path / "report.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("surrokit:") and "Traceback" not in err
 
     def test_empty_estimates_dir_exits_3(self, tmp_path):
         est_dir = tmp_path / "estimates"
@@ -379,6 +448,42 @@ class TestManifest:
     def test_log_env_var_accepted(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SURROKIT_LOG", "DEBUG")
         simulate_toy(tmp_path)
+
+    def test_each_manifest_records_only_what_its_command_read(self, tmp_path):
+        common = {"command", "tool_version", "duration_seconds", "outputs"}
+        out_dir = simulate_toy(tmp_path)
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert set(manifest) == common | {"config_path", "out_dir", "seed", "horizon"}
+
+        analyzed = common | {"donor_path", "regime", "sweep_T", "out", "T", "horizon"}
+        est_path = tmp_path / "est.json"
+        assert main(["analyze", "--panel", str(out_dir / "sim-00000.csv"),
+                     "--regime", "pretest", "--T", "2", "--horizon", "5",
+                     "--out", str(est_path)]) == 0
+        manifest = json.loads(est_path.with_name("est.json.manifest.json").read_text())
+        assert set(manifest) == analyzed | {"panel_path"}
+        assert manifest["T"] == 2
+
+        sweep_dir = tmp_path / "sweep"
+        assert main(["analyze", "--panel-dir", str(out_dir), "--regime", "pretest",
+                     "--sweep-T", "--horizon", "5", "--out", str(sweep_dir)]) == 0
+        manifest = json.loads((sweep_dir / "manifest.json").read_text())
+        assert set(manifest) == analyzed | {"panel_dir"}
+        assert manifest["T"] is None
+
+        est_dir = tmp_path / "estimates"
+        assert main(["analyze", "--panel-dir", str(out_dir), "--regime", "pretest",
+                     "--T", "2", "--horizon", "5", "--out", str(est_dir)]) == 0
+        report_path = tmp_path / "report.json"
+        assert main(["evaluate", "--estimates", str(est_dir), "--out", str(report_path)]) == 0
+        manifest = json.loads(report_path.with_name("report.json.manifest.json").read_text())
+        assert set(manifest) == common | {"estimates_dir", "out", "alpha"}
+
+    def test_unknown_log_level_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SURROKIT_LOG", "verbose")
+        assert main(["evaluate", "--estimates", str(tmp_path),
+                     "--out", str(tmp_path / "report.json")]) == 2
+        assert capsys.readouterr().err == "surrokit: unknown SURROKIT_LOG level 'VERBOSE'\n"
 
 
 def test_cli_import_loads_no_scipy():

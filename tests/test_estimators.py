@@ -7,6 +7,7 @@ from surrokit import (
     ControlAsTreatment,
     DegenerateGroup,
     DegenerateVarianceWarning,
+    EffectEstimate,
     MissingDay,
     SE_FLOOR,
     SignificanceClass,
@@ -201,6 +202,17 @@ class TestEstimateInvariants:
     def test_invalid_se_rejected(self):
         with pytest.raises(ValueError):
             toy_estimate(1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "point, std_error",
+        [(math.inf, 1.0), (-math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)],
+    )
+    def test_non_finite_point_or_se_rejected(self, point, std_error):
+        with pytest.raises(ValueError):
+            toy_estimate(point, std_error)
+        with pytest.raises(ValueError):
+            EffectEstimate("e", ARM, EstimatorKind.direct(63), point, std_error,
+                           0.0, 1.0, (-math.inf, math.inf))
 
 
 class TestRecords:

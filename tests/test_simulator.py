@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -150,6 +151,17 @@ class TestCorpus:
         assert forward == list(reversed(backward))
 
 
+# Every float field rejects NaN and both infinities, except the tail df's
+# +inf, which requests Gaussian effects.
+NON_FINITE_OVERRIDES = [
+    {field.name: value}
+    for field in dataclasses.fields(SimConfig)
+    if field.type == "float"
+    for value in (math.nan, math.inf, -math.inf)
+    if not (field.name == "effect_tail_df" and value == math.inf)
+]
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "overrides",
@@ -176,6 +188,8 @@ class TestValidation:
             {"users_per_arm": True},
             {"baseline_mean": "1"},
             {"effect_scale": None},
+            *NON_FINITE_OVERRIDES,
+            {"baseline_mean": 10**400},
         ],
     )
     def test_invalid_config(self, overrides):
