@@ -26,6 +26,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -246,12 +247,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     out_path = Path(args.out)
     scaled_path = out_path.with_name(out_path.stem + "_scaled_values.csv")
-    _write_atomic(
-        scaled_path,
-        "scaled_difference\n"
-        + "".join(repr(v) + "\n" for v in diff_summary.scaled_values.tolist()),
-    )
-
     gain = capacity_gain(args.long_cycle_days, args.short_cycle_days)
     extra = (
         extra_experiments_needed(metrics.recall)
@@ -298,6 +293,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         },
         "scaled_values_path": scaled_path.name,
     }
+    # Every check has passed: a failed run leaves no file behind.
+    _write_atomic(
+        scaled_path,
+        "scaled_difference\n"
+        + "".join(repr(v) + "\n" for v in diff_summary.scaled_values.tolist()),
+    )
     _write_atomic(out_path, _dump_json(report))
     logger.info("evaluated %d decision pairs", len(pairs))
 
@@ -324,6 +325,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _cycle_days(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {value}")
     return value
 
 
@@ -379,9 +387,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("--out", required=True, help="report JSON path")
     p_ev.add_argument("--alpha", type=_significance_level, default=DEFAULT_ALPHA,
                       help="two-sided significance level")
-    p_ev.add_argument("--long-cycle-days", type=float, default=56.0,
+    p_ev.add_argument("--long-cycle-days", type=_cycle_days, default=56.0,
                       help="long testing cycle length for capacity figures")
-    p_ev.add_argument("--short-cycle-days", type=float, default=14.0,
+    p_ev.add_argument("--short-cycle-days", type=_cycle_days, default=14.0,
                       help="short testing cycle length for capacity figures")
     p_ev.set_defaults(func=cmd_evaluate)
     return parser

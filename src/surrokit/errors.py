@@ -100,7 +100,7 @@ class ZeroVariance(NumericalError):
 
 
 class InvalidCycle(DataValidationError):
-    """Cycle lengths must be positive with long >= short."""
+    """Cycle lengths must be finite and positive with long >= short."""
 
 
 class InvalidRecall(DataValidationError):

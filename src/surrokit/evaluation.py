@@ -19,6 +19,7 @@ experimentation capacity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,8 +239,10 @@ def capacity_gain(long_cycle: float, short_cycle: float) -> float:
     long/short as many experiments into the same calendar time, a gain of
     long/short - 1.
     """
-    if long_cycle <= 0 or short_cycle <= 0:
-        raise InvalidCycle("cycle lengths must be positive")
+    if not (0 < long_cycle < math.inf and 0 < short_cycle < math.inf):
+        raise InvalidCycle(
+            f"cycle lengths must be finite and positive, got {long_cycle} and {short_cycle}"
+        )
     if long_cycle < short_cycle:
         raise InvalidCycle(
             f"long cycle {long_cycle} must be at least short cycle {short_cycle}"

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import csv
 import io
-import math
+import re
+import warnings
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -38,6 +39,14 @@ from .errors import (
 DEFAULT_HORIZON = 63
 
 COLUMNS = ("experiment_id", "user_id", "arm", "is_control", "day", "outcome")
+
+# Body rows per np.loadtxt call. A chunk's str objects (four per row) are
+# freed before the next chunk is read; parsed whole, a README-shape panel
+# keeps 302k of them alive at once.
+CHUNK = 1024
+# csv.reader's default field_size_limit; loadtxt has none of its own.
+FIELD_LIMIT = 131072
+_ROW = np.dtype([(name, object) for name in COLUMNS[:4]] + [("day", np.int64), ("outcome", float)])
 
 
 def days_in_range(d_min: int, d_max: int) -> list[int]:
@@ -211,29 +220,38 @@ def window(panel: OutcomePanel, from_day: int, to_day: int) -> np.ndarray:
     return panel.matrix[:, lo:hi]
 
 
-def _parse_row(row: list[str], lineno: int) -> tuple:
-    if len(row) != len(COLUMNS):
-        raise MalformedRow(
-            f"line {lineno}: expected {len(COLUMNS)} fields, got {len(row)}"
-        )
-    exp_id, user_id, arm_name, is_control_s, day_s, outcome_s = row
-    if is_control_s not in ("true", "false"):
-        raise MalformedRow(
-            f"line {lineno}: is_control must be 'true' or 'false', got {is_control_s!r}"
-        )
-    try:
-        day = int(day_s)
-    except ValueError:
-        raise MalformedRow(f"line {lineno}: unparseable day {day_s!r}") from None
-    if day == 0:
-        raise MalformedRow(f"line {lineno}: day 0 is not a usable day index")
-    try:
-        outcome = float(outcome_s)
-    except ValueError:
-        raise MalformedRow(f"line {lineno}: unparseable outcome {outcome_s!r}") from None
-    if not math.isfinite(outcome):
-        raise NonFiniteOutcome(f"line {lineno}: outcome {outcome_s!r} is not finite")
-    return exp_id, user_id, arm_name, is_control_s == "true", day, outcome
+def _code_text(chunk: np.ndarray, tables: list[dict], offset: int) -> np.ndarray:
+    """The (n, 4) integer codes of a chunk's text columns.
+
+    Each run of rows with equal text fields costs one lookup per column in
+    ``tables``, which map a value to its code and the row where it first
+    appears (``offset`` plus its index in the chunk).
+    """
+    columns = [chunk[name] for name in COLUMNS[:4]]
+    change = np.arange(len(chunk)) == 0  # a run starts at row 0 and wherever a field changes
+    for values in columns:
+        change[1:] |= values[1:] != values[:-1]
+    starts = np.flatnonzero(change).tolist()
+    codes = np.empty((len(starts), 4), dtype=np.int32)
+    for i, start in enumerate(starts):
+        for k, (values, table) in enumerate(zip(columns, tables)):
+            if len(values[start]) > FIELD_LIMIT:
+                raise MalformedRow(
+                    f"line {offset + start + 2}: field larger than field limit ({FIELD_LIMIT})"
+                )
+            codes[i, k] = table.setdefault(values[start], (len(table), offset + start))[0]
+    return np.repeat(codes, np.diff(starts + [len(chunk)]), axis=0)
+
+
+def _malformed(exc: ValueError, offset: int) -> MalformedRow:
+    """loadtxt's error for a chunk that follows ``offset`` rows, naming the file line."""
+    text = str(exc)
+    at = re.search(r" at row (\d+)(, column \d+)?", text)
+    if at is None:
+        return MalformedRow(f"a row after line {offset + 1}: {text}")
+    # numpy counts rows from 0 in conversion errors and from 1 in field-count errors.
+    row = offset + int(at[1]) - (at[2] is None)
+    return MalformedRow(f"line {row + 2}: {text[:at.start()]}{at[2] or ''}")
 
 
 def load_panel(
@@ -242,13 +260,22 @@ def load_panel(
 ) -> OutcomePanel:
     """Load and validate a panel from long-format CSV text.
 
+    ``csv.reader`` reads the header and ``np.loadtxt`` the body, at most
+    ``CHUNK`` rows per call on the same handle. Each chunk keeps only its
+    days, its outcomes and integer codes for its text fields, so one
+    chunk's strings are alive at a time. Whole-array checks follow and one
+    scatter fills the matrix; users and arms keep their order of first
+    appearance. Errors name the file line, counting the header as line 1
+    and one line per data record (blank lines are skipped and not counted).
+
     Args:
         source: path or open text stream positioned at the header row.
         horizon: day count treated as "long-term" for this panel.
 
     Raises:
-        MalformedRow: the text is not UTF-8 or not CSV, or the header or a
-            field cannot be parsed.
+        MalformedRow: the text is not UTF-8 or not CSV, a text field is
+            longer than ``FIELD_LIMIT`` characters, or the header or a field
+            cannot be parsed.
         DuplicateObservation: two rows share the same (user, day).
         MissingDay: a user lacks a day present in the declared range.
         NoControlArm: no row is labelled as control.
@@ -259,71 +286,103 @@ def load_panel(
             return load_panel(handle, horizon)
 
     reader = csv.reader(source)
-    experiment_id: str | None = None
-    labels: dict[str, ArmLabel] = {}
-    users: dict[str, tuple[ArmLabel, dict[int, float]]] = {}
     try:
         header = next(reader, None)
-        if header is None:
-            raise MalformedRow("empty input: missing header row")
-        if tuple(header) != COLUMNS:
-            raise MalformedRow(f"bad header {header!r}; expected {list(COLUMNS)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            exp_id, user_id, arm_name, is_control, day, outcome = _parse_row(row, lineno)
-            if experiment_id is None:
-                experiment_id = exp_id
-            elif exp_id != experiment_id:
-                raise MalformedRow(
-                    f"line {lineno}: experiment_id {exp_id!r} conflicts with "
-                    f"{experiment_id!r}; one file holds one experiment"
-                )
-            label = labels.get(arm_name)
-            if label is None:
-                label = labels[arm_name] = ArmLabel(arm_name, is_control)
-            elif label.is_control != is_control:
-                raise ArmLabelConflict(
-                    f"line {lineno}: arm {arm_name!r} changes is_control"
-                )
-            user = users.get(user_id)
-            if user is None:
-                user = users[user_id] = (label, {})
-            elif user[0] is not label:
-                raise ArmLabelConflict(
-                    f"line {lineno}: user {user_id!r} assigned to both "
-                    f"{user[0].name!r} and {arm_name!r}"
-                )
-            per_user = user[1]
-            if day in per_user:
-                raise DuplicateObservation(
-                    f"line {lineno}: duplicate observation for user {user_id!r} day {day}"
-                )
-            per_user[day] = outcome
     except UnicodeDecodeError as exc:
         raise MalformedRow(f"panel is not valid UTF-8: {exc}") from None
     except csv.Error as exc:
         raise MalformedRow(f"line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise MalformedRow("empty input: missing header row")
+    if tuple(header) != COLUMNS:
+        raise MalformedRow(f"bad header {header!r}; expected {list(COLUMNS)}")
 
-    if experiment_id is None:
+    tables: list[dict] = [{}, {}, {}, {}]
+    parts: tuple[list, list, list] = ([], [], [])  # codes, days, outcomes per chunk
+    n_rows = 0
+    with warnings.catch_warnings():
+        # loadtxt warns when a call finds no rows and when max_rows skips a blank line.
+        warnings.filterwarnings("ignore", r".*contained no data", UserWarning)
+        while True:
+            try:
+                chunk = np.loadtxt(source, dtype=_ROW, delimiter=",", quotechar='"',
+                                   comments=None, max_rows=CHUNK, ndmin=1)
+            except UnicodeDecodeError as exc:
+                # The text layer decodes ahead in blocks: only a lower bound on the line is known.
+                raise MalformedRow(
+                    f"panel is not valid UTF-8 at or after line {n_rows + 2}: {exc.reason}"
+                ) from None
+            except ValueError as exc:
+                raise _malformed(exc, n_rows) from None
+            # Copies, so that no view keeps the chunk's str objects alive.
+            parts[0].append(_code_text(chunk, tables, n_rows))
+            parts[1].append(chunk["day"].copy())
+            parts[2].append(chunk["outcome"].copy())
+            n_rows += len(chunk)
+            if len(chunk) < CHUNK:
+                break
+    if not n_rows:
         raise MalformedRow("no data rows")
 
-    d_min = min(min(per_user) for _, per_user in users.values())
-    d_max = max(max(per_user) for _, per_user in users.values())
+    joined = []
+    for part in parts:  # free each part's chunks once it is joined
+        joined.append(np.concatenate(part))
+        part.clear()
+    codes, day, outcome = joined
+    experiment, user, arm, flag = codes.T
+    experiment_ids, user_ids, arm_names, tokens = (list(table) for table in tables)
+    user_arm = arm[[row for _, row in tables[1].values()]]
+    arm_flag = flag[[row for _, row in tables[2].values()]]
+
+    valid_flag = np.array([token in ("true", "false") for token in tokens])
+    checks = (
+        (MalformedRow, ~valid_flag[flag],
+         lambda row: f"is_control must be 'true' or 'false', got {tokens[flag[row]]!r}"),
+        (MalformedRow, day == 0, lambda row: "day 0 is not a usable day index"),
+        (NonFiniteOutcome, ~np.isfinite(outcome),
+         lambda row: f"outcome {outcome[row]} is not finite"),
+        (MalformedRow, experiment != 0,
+         lambda row: f"experiment_id {experiment_ids[experiment[row]]!r} conflicts with "
+                     f"{experiment_ids[0]!r}; one file holds one experiment"),
+        (ArmLabelConflict, flag != arm_flag[arm],
+         lambda row: f"arm {arm_names[arm[row]]!r} changes is_control"),
+        (ArmLabelConflict, arm != user_arm[user],
+         lambda row: f"user {user_ids[user[row]]!r} assigned to both "
+                     f"{arm_names[user_arm[user[row]]]!r} and {arm_names[arm[row]]!r}"),
+    )
+    for error, bad, message in checks:
+        rows = np.flatnonzero(bad)
+        if rows.size:
+            raise error(f"line {rows[0] + 2}: {message(rows[0])}")
+
+    d_min, d_max = int(day.min()), int(day.max())
+    straddles = d_min < 0 < d_max
     # Count the range before listing it: one stray huge day must not allocate it.
-    n_days = d_max - d_min + 1 - (d_min < 0 < d_max)
-    for user_id, (_, per_user) in users.items():
-        if len(per_user) != n_days:
-            missing = next(d for d in range(d_min, d_max + 1) if d and d not in per_user)
-            raise MissingDay(
-                f"user {user_id!r} lacks day {missing} "
-                f"inside declared range [{d_min}, {d_max}]"
+    n_days = d_max - d_min + 1 - straddles
+    n_cells = len(user_ids) * n_days
+    if n_cells <= n_rows:
+        cell = user * np.int64(n_days) + (day - d_min - (straddles & (day > 0)))
+        repeated = np.flatnonzero(np.bincount(cell, minlength=n_cells)[cell] > 1)
+        if repeated.size:
+            row = np.flatnonzero(cell == cell[repeated[0]])[1]
+            raise DuplicateObservation(
+                f"line {row + 2}: duplicate observation for user "
+                f"{user_ids[user[row]]!r} day {day[row]}"
             )
-    days = days_in_range(d_min, d_max)
-    matrix = np.array([[per_user[d] for d in days] for _, per_user in users.values()])
+    if n_cells != n_rows:  # no cell repeats, so some user lacks a day
+        k = int(np.argmax(np.bincount(user) < n_days))
+        present = set(day[user == k].tolist())
+        missing = next(d for d in range(d_min, d_max + 1) if d and d not in present)
+        raise MissingDay(
+            f"user {user_ids[k]!r} lacks day {missing} inside declared range [{d_min}, {d_max}]"
+        )
+    matrix = np.empty((len(user_ids), n_days))
+    matrix.reshape(-1)[cell] = outcome
     matrix.setflags(write=False)
-    arms = tuple(label for label, _ in users.values())
-    return OutcomePanel(experiment_id, tuple(users), arms, tuple(days), matrix, horizon)
+    labels = [ArmLabel(name, tokens[k] == "true") for name, k in zip(arm_names, arm_flag)]
+    arms = tuple(labels[k] for k in user_arm)
+    days = tuple(days_in_range(d_min, d_max))
+    return OutcomePanel(experiment_ids[0], tuple(user_ids), arms, days, matrix, horizon)
 
 
 def write_panel(panel: OutcomePanel, dest: str | Path | IO[str]) -> None:

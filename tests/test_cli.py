@@ -193,16 +193,19 @@ class TestAnalyzeUsage:
                      "--T", "1", "--horizon", "1", "--out", str(tmp_path / "o.json")])
         err = capsys.readouterr().err
         assert err.startswith("surrokit:") and "Traceback" not in err
-        return code
+        return code, err
 
     def test_non_utf8_panel_exits_3(self, tmp_path, capsys):
         content = (HEADER + "e1,u1,control,true,1,1.0\ne1,u2,t\xff,false,1,2.0\n").encode("latin-1")
-        assert self.analyze_bytes_exit(tmp_path, capsys, content) == 3
+        code, err = self.analyze_bytes_exit(tmp_path, capsys, content)
+        assert code == 3 and "not valid UTF-8" in err
 
     def test_oversized_panel_field_exits_3(self, tmp_path, capsys):
+        # A complete two-arm panel, so the 200 KiB user id is its only fault.
         big = "x" * (200 * 1024)
-        content = (HEADER + f'e1,"{big}",control,true,1,1.0\n').encode()
-        assert self.analyze_bytes_exit(tmp_path, capsys, content) == 3
+        rows = f'e1,"{big}",control,true,1,1.0\ne1,u2,t1,false,1,2.0\n'
+        code, err = self.analyze_bytes_exit(tmp_path, capsys, (HEADER + rows).encode())
+        assert code == 3 and "field larger than field limit (131072)" in err
 
 
 class TestAnalyze:
@@ -414,6 +417,26 @@ class TestEvaluate:
                      "--out", str(tmp_path / "report.json")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("surrokit:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--long-cycle-days", "--short-cycle-days"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-7"])
+    def test_non_finite_or_non_positive_cycle_is_usage_error(self, tmp_path, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["evaluate", "--estimates", str(tmp_path), "--out", str(tmp_path / "r.json"),
+                  f"{flag}={value}"])  # "=" keeps argparse from reading "-inf" as a flag
+        assert excinfo.value.code == 2
+
+    def test_failed_evaluate_writes_nothing(self, tmp_path):
+        out_dir = simulate_toy(tmp_path)
+        est_dir = tmp_path / "estimates"
+        assert main(["analyze", "--panel-dir", str(out_dir), "--regime", "running-mean",
+                     "--T", "5", "--horizon", "5", "--out", str(est_dir)]) == 0
+        report_dir = tmp_path / "report"
+        report_dir.mkdir()
+        assert main(["evaluate", "--estimates", str(est_dir),
+                     "--out", str(report_dir / "report.json"),
+                     "--long-cycle-days", "7", "--short-cycle-days", "14"]) == 3
+        assert list(report_dir.iterdir()) == []
 
     def test_empty_estimates_dir_exits_3(self, tmp_path):
         est_dir = tmp_path / "estimates"

@@ -229,6 +229,13 @@ class TestThroughput:
         with pytest.raises(InvalidCycle):
             capacity_gain(14, 56)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cycles(self, bad):
+        with pytest.raises(InvalidCycle):
+            capacity_gain(bad, 14)
+        with pytest.raises(InvalidCycle):
+            capacity_gain(56, bad)
+
     def test_recall_sixty_five_percent(self):
         assert extra_experiments_needed(0.65) == pytest.approx(0.5384615384615384, rel=1e-12)
 

@@ -1,5 +1,7 @@
 import io
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,13 +19,16 @@ from surrokit import (
     NoTreatmentArm,
     OutcomePanel,
     OutOfRange,
+    SimConfig,
     days_in_range,
     direct_effect,
     load_panel,
     panel_to_csv_text,
+    simulate_experiment,
     window,
     write_panel,
 )
+from surrokit.panel import CHUNK, FIELD_LIMIT
 
 from conftest import CONTROL, T1, build_panel
 
@@ -122,6 +127,153 @@ class TestLoadPanel:
     def test_empty_file(self):
         with pytest.raises(MalformedRow):
             load_text("")
+
+    def test_header_only_file_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MalformedRow, match="^no data rows$"):
+                load_text(MINIMAL_CSV.splitlines(keepends=True)[0])
+            with pytest.raises(MalformedRow, match="^no data rows$"):
+                load_text(MINIMAL_CSV.splitlines(keepends=True)[0] + "\n\n")
+
+    def test_crlf_and_blank_lines(self):
+        expected = OutcomePanel.from_matrix(
+            "e1", ["u1", "u2"], [ArmLabel("control", True), ArmLabel("t1", False)],
+            [1, 2, 3], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], horizon=3,
+        )
+        lines = MINIMAL_CSV.splitlines(keepends=True)
+        spaced = lines[0] + "\n" + "".join(line + "\n" for line in lines[1:]) + "\n\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_text(MINIMAL_CSV.replace("\n", "\r\n"), horizon=3) == expected
+            assert load_text(spaced, horizon=3) == expected
+            assert load_text(spaced.replace("\n", "\r\n"), horizon=3) == expected
+
+    def test_quoted_separators_in_ids(self, tmp_path):
+        text = (
+            "experiment_id,user_id,arm,is_control,day,outcome\n"
+            '"e,1","a,""b""",c,true,1,1.5\n'
+            '"e,1","x\ny","t\r1",false,1,-2.0\n'
+        )
+        expected = OutcomePanel.from_matrix(
+            "e,1", ['a,"b"', "x\ny"], [ArmLabel("c", True), ArmLabel("t\r1", False)],
+            [1], [[1.5], [-2.0]], horizon=1,
+        )
+        assert load_text(text, horizon=1) == expected
+        # A file is read with newline="", so its lines also break at the quoted "\r".
+        path = tmp_path / "panel.csv"
+        path.write_bytes(text.encode())
+        assert load_panel(path, horizon=1) == expected
+
+    def test_ids_differing_by_a_trailing_nul_stay_distinct(self):
+        text = MINIMAL_CSV.replace("e1,u2,t1", "e1,u1\x00,t1")
+        panel = load_text(text, horizon=3)
+        assert panel.user_ids == ("u1", "u1\x00")
+        assert panel.arm_mask("t1").tolist() == [False, True]
+
+    def test_interleaved_rows_load_like_the_sorted_file(self):
+        rng = np.random.default_rng(4)
+        days = [-2, -1, 1, 2, 3]
+        panel = build_panel(rng.standard_normal((4, 5)), [CONTROL, T1, CONTROL, T1], days=days)
+        lines = panel_to_csv_text(panel).splitlines(keepends=True)
+        body = np.array(lines[1:]).reshape(4, 5)
+        # day-major order, each day's users in the original order, days descending
+        interleaved = lines[0] + "".join(body[:, ::-1].T.ravel())
+        assert load_text(interleaved, horizon=panel.horizon) == panel
+
+    @pytest.mark.parametrize("length, loads", [(FIELD_LIMIT, True), (FIELD_LIMIT + 1, False)])
+    def test_field_limit(self, length, loads):
+        long_id = "u" * length
+        text = MINIMAL_CSV.replace("e1,u2,", f"e1,{long_id},")
+        if loads:
+            assert load_text(text, horizon=3).user_ids == ("u1", long_id)
+        else:
+            with pytest.raises(MalformedRow, match="^line 5: field larger than field limit"):
+                load_text(text, horizon=3)
+
+    @pytest.mark.parametrize("day, outcome", [("1_0", "1.0"), ("10", "1_0.5")])
+    def test_underscore_digits_rejected(self, day, outcome):
+        with pytest.raises(MalformedRow, match="^line 8: could not convert"):
+            load_text(MINIMAL_CSV + f"e1,u2,t1,false,{day},{outcome}\n")
+
+
+def long_panel_lines():
+    """CSV lines of a panel with more rows than one parse chunk."""
+    n_days = CHUNK // 8 + 1
+    rng = np.random.default_rng(8)
+    panel = build_panel(rng.standard_normal((10, n_days)), [CONTROL] * 5 + [T1] * 5)
+    lines = panel_to_csv_text(panel).splitlines(keepends=True)
+    assert len(lines) > CHUNK + 100
+    return panel, lines
+
+
+class TestLoadPanelPastFirstChunk:
+    @pytest.mark.parametrize(
+        "index, row, error, message",
+        [
+            (CHUNK + 40, "exp,u8,t1,false,x,1.0\n", MalformedRow, "could not convert string 'x'"),
+            (CHUNK + 1, "exp,u8,t1,false,5\n", MalformedRow, "requires 6 columns but 5"),
+            (CHUNK + 2, "exp,u8,t1,false,5,1.0,9\n", MalformedRow, "requires 6 columns but 7"),
+            (CHUNK + 40, "exp,u8,t1,False,5,1.0\n", MalformedRow, "is_control must be"),
+            (CHUNK + 40, "exp,u8,t1,false,0,1.0\n", MalformedRow, "day 0"),
+            (CHUNK + 40, "exp,u8,t1,false,5,inf\n", NonFiniteOutcome, "outcome inf"),
+            (CHUNK + 40, "exp,u8,control,false,5,1.0\n", ArmLabelConflict, "arm 'control'"),
+            (CHUNK + 40, "exp,u8,control,true,5,1.0\n", ArmLabelConflict, "user 'u8'"),
+            (CHUNK + 40, "exp,u2,control,true,5,1.0\n", DuplicateObservation, "user 'u2' day 5"),
+        ],
+        ids=["bad-day", "five-fields", "seven-fields", "bad-flag", "day-zero",
+             "infinite-outcome", "arm-flag", "user-arm", "duplicate"],
+    )
+    def test_bad_row_names_its_line(self, index, row, error, message):
+        _, lines = long_panel_lines()
+        lines.insert(index, row)  # lines[index] is line index + 1
+        with pytest.raises(error, match=f"^line {index + 1}: .*{message}"):
+            load_text("".join(lines))
+
+    def test_changed_day_is_a_duplicate_on_its_line(self):
+        _, lines = long_panel_lines()
+        index = CHUNK + 60
+        fields = lines[index].split(",")
+        lines[index] = ",".join(fields[:4] + [str(int(fields[4]) - 1), fields[5]])
+        with pytest.raises(DuplicateObservation, match=f"^line {index + 1}: "):
+            load_text("".join(lines))
+
+    def test_exact_chunk_multiple_loads_without_warnings(self):
+        matrix = np.arange(CHUNK, dtype=float).reshape(8, CHUNK // 8)
+        panel = build_panel(matrix, [CONTROL, T1] * 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_text(panel_to_csv_text(panel), horizon=panel.horizon) == panel
+
+    def test_non_utf8_byte_after_the_first_chunk(self, tmp_path):
+        _, lines = long_panel_lines()
+        data = "".join(lines).encode()
+        late = len(data) - 50
+        assert data[:late].count(b"\n") > CHUNK + 1
+        path = tmp_path / "panel.csv"
+        path.write_bytes(data[:late] + b"\xff" + data[late:])
+        with pytest.raises(MalformedRow, match="not valid UTF-8"):
+            load_panel(path)
+
+
+def test_readme_shape_load_peak_memory(tmp_path):
+    """A chunked parse keeps the loader's traced peak near the panel's own size.
+
+    The panel holds 600 x 126 outcomes (0.6 MB); a whole-file loadtxt parse
+    of its CSV peaks above 20 MiB.
+    """
+    config = SimConfig(arms_per_experiment=2, users_per_arm=200, horizon=63, pre_period=63, seed=3)
+    panel = simulate_experiment(config, 0).panel
+    path = tmp_path / "panel.csv"
+    write_panel(panel, path)
+    tracemalloc.start()
+    try:
+        loaded = load_panel(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == panel
+    assert peak <= 8 * 2**20
 
 
 # Text fields that need CSV quoting: commas, both quote kinds, a bare
