@@ -246,7 +246,8 @@ def _code_text(chunk: np.ndarray, tables: list[dict], offset: int) -> np.ndarray
 def _malformed(exc: ValueError, offset: int) -> MalformedRow:
     """loadtxt's error for a chunk that follows ``offset`` rows, naming the file line."""
     text = str(exc)
-    at = re.search(r" at row (\d+)(, column \d+)?", text)
+    # The last match is numpy's own suffix: a quoted bad field comes before it.
+    at = max(re.finditer(r" at row (\d+)(, column \d+)?", text), key=re.Match.start, default=None)
     if at is None:
         return MalformedRow(f"a row after line {offset + 1}: {text}")
     # numpy counts rows from 0 in conversion errors and from 1 in field-count errors.
@@ -303,6 +304,9 @@ def load_panel(
     with warnings.catch_warnings():
         # loadtxt warns when a call finds no rows and when max_rows skips a blank line.
         warnings.filterwarnings("ignore", r".*contained no data", UserWarning)
+        # numpy before 2.0 only warns when it truncates a day like 1.5; as an
+        # error, loadtxt reports it as a ValueError naming the row.
+        warnings.filterwarnings("error", r".*integer via a float", DeprecationWarning)
         while True:
             try:
                 chunk = np.loadtxt(source, dtype=_ROW, delimiter=",", quotechar='"',

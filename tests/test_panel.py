@@ -212,6 +212,10 @@ class TestLoadPanelPastFirstChunk:
         "index, row, error, message",
         [
             (CHUNK + 40, "exp,u8,t1,false,x,1.0\n", MalformedRow, "could not convert string 'x'"),
+            (CHUNK + 40, "exp,u8,t1,false,1.5,1.0\n", MalformedRow, "could not convert string '1.5'"),
+            (CHUNK + 40, "exp,u8,t1,false,1e3,1.0\n", MalformedRow, "could not convert string '1e3'"),
+            (CHUNK + 40, "exp,u8,t1,false,x at row 3,1.0\n", MalformedRow,
+             "could not convert string 'x at row 3' to int64, column 5"),
             (CHUNK + 1, "exp,u8,t1,false,5\n", MalformedRow, "requires 6 columns but 5"),
             (CHUNK + 2, "exp,u8,t1,false,5,1.0,9\n", MalformedRow, "requires 6 columns but 7"),
             (CHUNK + 40, "exp,u8,t1,False,5,1.0\n", MalformedRow, "is_control must be"),
@@ -221,7 +225,7 @@ class TestLoadPanelPastFirstChunk:
             (CHUNK + 40, "exp,u8,control,true,5,1.0\n", ArmLabelConflict, "user 'u8'"),
             (CHUNK + 40, "exp,u2,control,true,5,1.0\n", DuplicateObservation, "user 'u2' day 5"),
         ],
-        ids=["bad-day", "five-fields", "seven-fields", "bad-flag", "day-zero",
+        ids=["bad-day", "fractional-day", "exponent-day", "row-text-in-day", "five-fields", "seven-fields", "bad-flag", "day-zero",
              "infinite-outcome", "arm-flag", "user-arm", "duplicate"],
     )
     def test_bad_row_names_its_line(self, index, row, error, message):

@@ -2,9 +2,10 @@
 
 The panel is the README corpus shape: a control and 2 treatment arms of 200
 users each, 63 pre-allocation and 63 post-allocation days (600 users x 126
-days, about 3.8 MB of CSV), simulated from ``--seed``. Each round writes the
-panel to a file with ``write_panel`` and loads it back with ``load_panel``,
-so the two layers interleave and share the same drift in host load. After
+days, about 3.8 MB of CSV), simulated from seed ``SEED``. Each of the
+``ROUNDS`` rounds writes the panel to a file with ``write_panel`` and loads
+it back with ``load_panel``, so the two layers interleave and share the
+same drift in host load. After
 the timed rounds, one more write and one more load run under ``tracemalloc``
 to record each call's peak of traced Python allocations.
 
@@ -36,6 +37,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+ROUNDS = 9
+SEED = 1
 CONFIG = {
     "arms_per_experiment": 2,
     "users_per_arm": 200,
@@ -73,22 +76,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--src", type=Path, default=REPO / "src",
                         help="directory holding the surrokit package to measure")
     parser.add_argument("--label", default="change", help="name of the measured tree")
-    parser.add_argument("--rounds", type=int, default=9, help="timed write/load rounds (>= 7)")
-    parser.add_argument("--seed", type=int, default=1, help="simulator seed of the panel")
     args = parser.parse_args(argv)
-    if args.rounds < 7:
-        parser.error("--rounds must be at least 7")
 
     src = args.src.resolve()
     sys.path.insert(0, str(src))
     import numpy as np
     import surrokit as sk
 
-    panel = sk.simulate_experiment(sk.SimConfig(seed=args.seed, **CONFIG), 0).panel
+    panel = sk.simulate_experiment(sk.SimConfig(seed=SEED, **CONFIG), 0).panel
     write_s, load_s = [], []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "panel.csv"
-        for _ in range(args.rounds):
+        for _ in range(ROUNDS):
             start = time.perf_counter()
             sk.write_panel(panel, path)
             write_s.append(time.perf_counter() - start)
@@ -104,8 +103,8 @@ def main(argv: list[str] | None = None) -> int:
     run = {
         "label": args.label,
         "commit": _commit(src),
-        "seed": args.seed,
-        "rounds": args.rounds,
+        "seed": SEED,
+        "rounds": ROUNDS,
         "panel": {"users": panel.n_users, "days": len(panel.days), "csv_bytes": csv_bytes},
         "write_panel": {**_summary(write_s), "tracemalloc_peak_mib": write_peak},
         "load_panel": {**_summary(load_s), "tracemalloc_peak_mib": load_peak},
