@@ -304,8 +304,8 @@ def load_panel(
     with warnings.catch_warnings():
         # loadtxt warns when a call finds no rows and when max_rows skips a blank line.
         warnings.filterwarnings("ignore", r".*contained no data", UserWarning)
-        # numpy before 2.0 only warns when it truncates a day like 1.5; as an
-        # error, loadtxt reports it as a ValueError naming the row.
+        # Older numpy releases (1.23 on) only warn when they truncate a day
+        # like 1.5; as an error, loadtxt reports it as a ValueError naming the row.
         warnings.filterwarnings("error", r".*integer via a float", DeprecationWarning)
         while True:
             try:
