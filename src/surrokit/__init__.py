@@ -39,7 +39,6 @@ from .estimators import (
     EffectEstimate,
     EstimatorKind,
     SignificanceClass,
-    build_estimate,
     direct_effect,
     estimate_to_record,
     mean_difference_effect,

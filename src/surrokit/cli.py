@@ -14,7 +14,8 @@ round-trip precision, directory scans are sorted, and worker pools merge
 results in deterministic order. Every run ends by atomically writing a
 manifest recording the command, the values it read, its inputs, outputs, and
 tool version. Exit codes: 0 success, 2 usage, 3 data validation failure,
-4 numerical failure.
+4 numerical failure, including a statistic that overflows; no output file
+holds a NaN or infinity.
 
 Set SURROKIT_LOG to a logging level name (DEBUG, INFO, WARNING, ...) to
 control log verbosity; an unknown name is a usage error.
@@ -32,6 +33,8 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .errors import DataValidationError, NumericalError, SurrokitError
@@ -66,7 +69,8 @@ REGIMES = ("pretest", "similar", "running-mean")
 
 
 def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Strict JSON text: a NaN or infinity raises ValueError instead of being written."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -293,13 +297,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         },
         "scaled_values_path": scaled_path.name,
     }
+    try:
+        report_text = _dump_json(report)
+    except ValueError as exc:  # a statistic overflowed to NaN or infinity
+        raise NumericalError(f"report statistic is not finite: {exc}") from None
     # Every check has passed: a failed run leaves no file behind.
     _write_atomic(
         scaled_path,
         "scaled_difference\n"
         + "".join(repr(v) + "\n" for v in diff_summary.scaled_values.tolist()),
     )
-    _write_atomic(out_path, _dump_json(report))
+    _write_atomic(out_path, report_text)
     logger.info("evaluated %d decision pairs", len(pairs))
 
     _write_manifest(
@@ -420,7 +428,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "analyze":
         _validate_analyze(parser, args)
     try:
-        return args.func(args)
+        # Every statistic is checked for finiteness before it is written, so
+        # numpy's overflow warnings would only repeat the error line.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except DataValidationError as exc:
         print(f"surrokit: data validation error: {exc}", file=sys.stderr)
         return EXIT_DATA

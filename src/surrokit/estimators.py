@@ -21,6 +21,7 @@ from .errors import (
     DegenerateGroup,
     DegenerateVarianceWarning,
     MissingDay,
+    NumericalError,
     OutOfRange,
     UnknownArm,
 )
@@ -49,39 +50,41 @@ class SignificanceClass(Enum):
 class EstimatorKind:
     """Which estimator produced an estimate.
 
-    ``method`` is "direct" or "surrogate"; ``days`` is the measurement
-    horizon for direct estimates and the model order for surrogate ones;
-    ``source`` is the surrogate training source (None for direct).
+    Stores ``days``, the measurement horizon for direct estimates and the
+    model order for surrogate ones, and ``source``, the surrogate training
+    source (None for direct). ``method`` is derived: "direct" iff there is
+    no source, else "surrogate".
     """
 
-    method: str
     days: int
     source: ModelSource | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in ("direct", "surrogate"):
-            raise ValueError(f"unknown estimator method {self.method!r}")
-        if (self.source is None) != (self.method == "direct"):
-            raise ValueError("source must be set iff the estimator is surrogate")
         if self.days < 1:
             raise ValueError(f"days must be positive, got {self.days}")
 
+    @property
+    def method(self) -> str:
+        return "direct" if self.source is None else "surrogate"
+
     @classmethod
     def direct(cls, horizon: int) -> "EstimatorKind":
-        return cls("direct", horizon)
+        return cls(horizon)
 
     @classmethod
     def surrogate(cls, order: int, source: ModelSource) -> "EstimatorKind":
-        return cls("surrogate", order, source)
+        return cls(order, source)
 
 
 @dataclass(frozen=True)
 class EffectEstimate:
-    """A point estimate with its normal-theory inference summary.
+    """A point estimate and its standard error, with derived inference.
 
-    Derived fields are locked to the point and standard error:
-    z = point / std_error, p = 2 * (1 - Phi(|z|)), and the 95% confidence
-    interval is point +/- Z_CRIT_95 * std_error.
+    Stores the point and standard error; everything else derives from
+    them: z = point / std_error, p = 2 * (1 - Phi(|z|)), and the 95%
+    confidence interval is point +/- Z_CRIT_95 * std_error. The point and
+    standard error must be finite with a positive standard error, and the
+    z statistic and interval bounds must not overflow.
     """
 
     experiment_id: str
@@ -89,49 +92,28 @@ class EffectEstimate:
     kind: EstimatorKind
     point: float
     std_error: float
-    z_stat: float
-    p_value: float
-    ci_95: tuple[float, float]
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.point) and math.isfinite(self.std_error)):
-            raise ValueError(
-                f"point and std_error must be finite, got {self.point} and {self.std_error}"
-            )
         if not self.std_error > 0.0:
             raise ValueError(f"std_error must be positive, got {self.std_error}")
-        if not 0.0 <= self.p_value <= 1.0:
-            raise ValueError(f"p_value {self.p_value} outside [0, 1]")
-        low, high = self.ci_95
-        if not low <= self.point <= high:
-            raise ValueError("confidence interval must contain the point estimate")
+        if not all(map(math.isfinite, (self.point, self.std_error, self.z_stat, *self.ci_95))):
+            raise ValueError(
+                f"point {self.point}, std_error {self.std_error}, their z statistic and "
+                f"95% interval must be finite"
+            )
 
+    @property
+    def z_stat(self) -> float:
+        return self.point / self.std_error
 
-def _normal_two_sided_p(z: float) -> float:
-    return math.erfc(abs(z) / math.sqrt(2.0))
+    @property
+    def p_value(self) -> float:
+        return math.erfc(abs(self.z_stat) / math.sqrt(2.0))
 
-
-def build_estimate(
-    experiment_id: str,
-    arm: ArmLabel,
-    kind: EstimatorKind,
-    point: float,
-    std_error: float,
-) -> EffectEstimate:
-    """Assemble an estimate, deriving z, p, and the 95% interval."""
-    if not std_error > 0.0:
-        raise ValueError(f"std_error must be positive, got {std_error}")
-    z = point / std_error
-    return EffectEstimate(
-        experiment_id=experiment_id,
-        arm=arm,
-        kind=kind,
-        point=point,
-        std_error=std_error,
-        z_stat=z,
-        p_value=_normal_two_sided_p(z),
-        ci_95=(point - Z_CRIT_95 * std_error, point + Z_CRIT_95 * std_error),
-    )
+    @property
+    def ci_95(self) -> tuple[float, float]:
+        half_width = Z_CRIT_95 * self.std_error
+        return self.point - half_width, self.point + half_width
 
 
 def welch_se(group_a: np.ndarray, group_b: np.ndarray) -> float:
@@ -167,11 +149,18 @@ def mean_difference_effect(
     arm: ArmLabel,
     kind: EstimatorKind,
 ) -> EffectEstimate:
-    """Difference in group means with a Welch standard error."""
+    """Difference in group means with a Welch standard error.
+
+    Raises NumericalError when the point, the standard error, the z
+    statistic or a 95% interval bound is not finite (an overflow).
+    """
     t = np.asarray(treated, dtype=float)
     c = np.asarray(control, dtype=float)
-    point = float(t.mean() - c.mean())
-    return build_estimate(experiment_id, arm, kind, point, welch_se(t, c))
+    point, se = float(t.mean() - c.mean()), welch_se(t, c)
+    try:
+        return EffectEstimate(experiment_id, arm, kind, point, se)
+    except ValueError as exc:  # the point, the SE or a statistic derived from them overflowed
+        raise NumericalError(f"effect of arm {arm.name!r} in {experiment_id!r}: {exc}") from None
 
 
 def _resolve_treatment_arm(panel: OutcomePanel, arm: ArmLabel | str) -> ArmLabel:
@@ -262,19 +251,15 @@ def record_to_estimate(record: dict) -> EffectEstimate:
     """Rebuild an estimate from its JSON record.
 
     Records only exist for treatment arms, so the arm label is re-created
-    with ``is_control=False``. Derived statistics are recomputed from the
-    point and standard error, which reproduces the stored values exactly.
+    with ``is_control=False``. Only the point and standard error are read:
+    the derived statistics they determine reproduce the stored values
+    exactly.
     """
-    kind_str = str(record["kind"])
-    if kind_str == "direct":
-        kind = EstimatorKind.direct(int(record["T"]))
-    elif kind_str.startswith("surrogate:"):
-        kind = EstimatorKind.surrogate(
-            int(record["T"]), ModelSource(kind_str.split(":", 1)[1])
-        )
-    else:
-        raise ValueError(f"unknown estimate kind {kind_str!r}")
-    return build_estimate(
+    method, colon, source = str(record["kind"]).partition(":")
+    if (method, colon) not in (("direct", ""), ("surrogate", ":")):
+        raise ValueError(f"unknown estimate kind {record['kind']!r}")
+    kind = EstimatorKind(int(record["T"]), ModelSource(source) if colon else None)
+    return EffectEstimate(
         str(record["experiment_id"]),
         ArmLabel(str(record["arm"]), is_control=False),
         kind,

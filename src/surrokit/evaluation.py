@@ -102,15 +102,19 @@ class LaunchMetrics:
 class DistributionSummary:
     """Summary of values rescaled by a reference standard deviation.
 
-    Statistics describe the scaled values. ``excess_kurtosis`` uses the
+    Stores the scaled values and their statistics; the count
+    ``n`` is derived from ``scaled_values``. ``excess_kurtosis`` uses the
     bias-corrected sample estimator and is None for fewer than 4 values.
     """
 
-    n: int
     mean: float
     std_dev: float
     excess_kurtosis: float | None
     scaled_values: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.scaled_values.size
 
 
 def classify_pairs(
@@ -224,7 +228,6 @@ def scaled_distribution(
     scaled.setflags(write=False)
     kurt = excess_kurtosis(scaled) if scaled.size >= 4 else None
     return DistributionSummary(
-        n=int(scaled.size),
         mean=float(scaled.mean()),
         std_dev=float(scaled.std(ddof=1)) if scaled.size >= 2 else 0.0,
         excess_kurtosis=kurt,

@@ -67,8 +67,11 @@ class OutcomePanel:
     """A complete outcome panel for one experiment.
 
     Row ``i`` of the read-only ``matrix`` holds user ``user_ids[i]`` in arm
-    ``arms[i]``; column ``j`` is day ``days[j]``. Build panels with
-    :meth:`from_matrix` or :func:`load_panel`. Invariants enforced at
+    ``arms[i]``; column ``j`` is day ``days[j]``. The constructor stores
+    ``user_ids``, ``arms`` and ``days`` as tuples and ``matrix`` as a
+    private read-only contiguous float copy, so later writes to the
+    caller's array do not reach the panel. :meth:`from_matrix` and
+    :func:`load_panel` build panels the same way. Invariants enforced at
     construction:
 
     * the matrix has one row per user and one column per day;
@@ -77,7 +80,8 @@ class OutcomePanel:
     * exactly one distinct arm label is marked as control, and at least
       one other arm exists.
 
-    Panels compare by value and are safe to share across concurrent readers.
+    Panels compare and hash by value and are safe to share across
+    concurrent readers.
     """
 
     experiment_id: str
@@ -88,6 +92,12 @@ class OutcomePanel:
     horizon: int = DEFAULT_HORIZON
 
     def __post_init__(self) -> None:
+        matrix = np.array(self.matrix, dtype=float, order="C")
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "user_ids", tuple(self.user_ids))
+        object.__setattr__(self, "arms", tuple(self.arms))
+        object.__setattr__(self, "days", tuple(int(d) for d in self.days))
         n_users = len(self.user_ids)
         if self.horizon < 1:
             raise OutOfRange(f"horizon must be positive, got {self.horizon}")
@@ -142,6 +152,9 @@ class OutcomePanel:
             and np.array_equal(self.matrix, other.matrix)
         )
 
+    def __hash__(self) -> int:
+        return hash((self.experiment_id, self.user_ids, self.arms, self.days, self.horizon))
+
     @property
     def day_range(self) -> tuple[int, int]:
         """First and last usable day index."""
@@ -188,15 +201,12 @@ class OutcomePanel:
     ) -> "OutcomePanel":
         """Build a panel from an (n_users, n_days) matrix.
 
-        ``days`` gives the column day indices in ascending order. The panel
-        holds a read-only contiguous float copy of the matrix, so the
-        caller's array stays writeable and later writes to it do not reach
-        the panel.
+        ``days`` gives the column day indices in ascending order. Like the
+        constructor, the panel holds a read-only contiguous float copy of
+        the matrix, so the caller's array stays writeable and later writes
+        to it do not reach the panel.
         """
-        matrix = np.array(matrix, dtype=float, order="C")
-        matrix.setflags(write=False)
-        days = tuple(int(d) for d in days)
-        return cls(experiment_id, tuple(user_ids), tuple(arms), days, matrix, horizon)
+        return cls(experiment_id, user_ids, arms, days, matrix, horizon)
 
 
 def window(panel: OutcomePanel, from_day: int, to_day: int) -> np.ndarray:
@@ -382,11 +392,10 @@ def load_panel(
         )
     matrix = np.empty((len(user_ids), n_days))
     matrix.reshape(-1)[cell] = outcome
-    matrix.setflags(write=False)
     labels = [ArmLabel(name, tokens[k] == "true") for name, k in zip(arm_names, arm_flag)]
-    arms = tuple(labels[k] for k in user_arm)
-    days = tuple(days_in_range(d_min, d_max))
-    return OutcomePanel(experiment_ids[0], tuple(user_ids), arms, days, matrix, horizon)
+    arms = [labels[k] for k in user_arm]
+    days = days_in_range(d_min, d_max)
+    return OutcomePanel(experiment_ids[0], user_ids, arms, days, matrix, horizon)
 
 
 def write_panel(panel: OutcomePanel, dest: str | Path | IO[str]) -> None:

@@ -35,6 +35,7 @@ import numpy as np
 from .errors import (
     MissingPrePeriod,
     NonFiniteOutcome,
+    NumericalError,
     OutOfRange,
     RankDeficient,
     TooFewRows,
@@ -73,9 +74,13 @@ class FitDiagnostics:
 
 @dataclass(frozen=True)
 class SurrogateModel:
-    """An order-T linear predictor of the long-term outcome mean."""
+    """An order-T linear predictor of the long-term outcome mean.
 
-    order: int
+    Stores the intercept, the coefficients b_1..b_T, the training source and
+    the fit diagnostics; the order T is derived as the coefficient count,
+    which must be at least 1.
+    """
+
     intercept: float
     coefficients: tuple[float, ...]
     source: ModelSource
@@ -83,18 +88,18 @@ class SurrogateModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-        if self.order < 1:
-            raise ValueError(f"order must be positive, got {self.order}")
-        if len(self.coefficients) != self.order:
-            raise ValueError(
-                f"{len(self.coefficients)} coefficients for order {self.order}"
-            )
+        if not self.coefficients:
+            raise ValueError("a surrogate model needs at least one coefficient")
         if self.source is ModelSource.RUNNING_MEAN:
             equal_weight = 1.0 / self.order
             if self.intercept != 0.0 or any(
                 c != equal_weight for c in self.coefficients
             ):
                 raise ValueError("running-mean models must have b0=0, b_t=1/T")
+
+    @property
+    def order(self) -> int:
+        return len(self.coefficients)
 
 
 def _factor(x: np.ndarray, y: np.ndarray, width: int):
@@ -166,6 +171,7 @@ def fit_nested(
             rows, or an order is outside 1..P.
         NonFiniteOutcome: a used feature or a target is not finite.
         TooFewRows: n <= T + 1 for an order T.
+        NumericalError: the targets' total sum of squares is not finite.
         RankDeficient: for an order T, some |R_ii| of the design prefix
             [1 | Y_1..Y_T] is at most RANK_RTOL times the prefix's largest
             column norm.
@@ -192,6 +198,10 @@ def fit_nested(
 
     # Orders with n <= T + 1 fail below, so no column past n - 2 is needed.
     coef, qty, rss = _factor(x, y, min(top, n - 2) + 1)
+    # rss[0] is the total sum of squares: the residual after the intercept.
+    tss = float(rss[0])
+    if not math.isfinite(tss):
+        raise NumericalError(f"the targets' total sum of squares overflows ({tss})")
     models = {}
     for order in sorted(set(orders)):
         _require_rows(n, order)
@@ -201,11 +211,9 @@ def fit_nested(
                 f"at relative tolerance {RANK_RTOL}"
             )
         beta = np.einsum("i,ij->j", qty[: order + 1], coef[: order + 1, : order + 1])
-        # rss[0] is the total sum of squares: the residual after the intercept.
-        order_rss, tss = float(rss[order]), float(rss[0])
+        order_rss = float(rss[order])
         r_squared = 1.0 if tss == 0.0 else min(max(1.0 - order_rss / tss, 0.0), 1.0)
         models[order] = SurrogateModel(
-            order=order,
             intercept=float(beta[0]),
             coefficients=tuple(beta[1:].tolist()),
             source=source,
@@ -302,7 +310,6 @@ def running_mean_model(order: int) -> SurrogateModel:
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
     return SurrogateModel(
-        order=order,
         intercept=0.0,
         coefficients=(1.0 / order,) * order,
         source=ModelSource.RUNNING_MEAN,
@@ -333,11 +340,14 @@ def model_to_dict(model: SurrogateModel) -> dict:
 
 
 def model_from_dict(payload: dict) -> SurrogateModel:
+    """Rebuild a model; the payload's ``"order"`` must match its coefficient count."""
     diag = payload["diagnostics"]
+    coefficients = tuple(float(c) for c in payload["coefficients"])
+    if int(payload["order"]) != len(coefficients):
+        raise ValueError(f"{len(coefficients)} coefficients for order {payload['order']}")
     return SurrogateModel(
-        order=int(payload["order"]),
         intercept=float(payload["intercept"]),
-        coefficients=tuple(float(c) for c in payload["coefficients"]),
+        coefficients=coefficients,
         source=ModelSource(payload["source"]),
         diagnostics=FitDiagnostics(
             n_train=int(diag["n_train"]),

@@ -5,13 +5,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import surrokit
 from surrokit import (
     ArmLabel,
+    EffectEstimate,
     EstimatorKind,
     ModelSource,
-    build_estimate,
     direct_effect,
     estimate_to_record,
     fit_pretest,
@@ -369,9 +371,9 @@ class TestEvaluate:
         records = []
         for arm, (z_direct, z_surrogate) in z_pairs.items():
             label = ArmLabel(arm, False)
-            records.append(estimate_to_record(build_estimate(
+            records.append(estimate_to_record(EffectEstimate(
                 "e1", label, EstimatorKind.direct(5), z_direct, 1.0)))
-            records.append(estimate_to_record(build_estimate(
+            records.append(estimate_to_record(EffectEstimate(
                 "e1", label, EstimatorKind.surrogate(2, ModelSource.PRE_TEST),
                 z_surrogate, 1.0)))
         (est_dir / "e1.estimates.json").write_text(json.dumps(records))
@@ -392,8 +394,8 @@ class TestEvaluate:
         est_dir.mkdir()
         label = ArmLabel("t1", False)
         records = [
-            estimate_to_record(build_estimate("e1", label, EstimatorKind.direct(5), 1.0, 1.0)),
-            estimate_to_record(build_estimate(
+            estimate_to_record(EffectEstimate("e1", label, EstimatorKind.direct(5), 1.0, 1.0)),
+            estimate_to_record(EffectEstimate(
                 "e2", label, EstimatorKind.surrogate(2, ModelSource.PRE_TEST), 1.0, 1.0)),
         ]
         (est_dir / "e1.estimates.json").write_text(json.dumps(records))
@@ -407,8 +409,8 @@ class TestEvaluate:
         est_dir.mkdir()
         label = ArmLabel("t1", False)
         records = [
-            estimate_to_record(build_estimate("e1", label, EstimatorKind.direct(5), 1.0, 1.0)),
-            estimate_to_record(build_estimate(
+            estimate_to_record(EffectEstimate("e1", label, EstimatorKind.direct(5), 1.0, 1.0)),
+            estimate_to_record(EffectEstimate(
                 "e1", label, EstimatorKind.surrogate(2, ModelSource.PRE_TEST), 1.0, 1.0)),
         ]
         records[1][field] = value  # json.dumps writes Infinity / NaN
@@ -450,6 +452,140 @@ class TestEvaluate:
         (est_dir / "bad.estimates.json").write_text("{not json")
         assert main(["evaluate", "--estimates", str(est_dir),
                      "--out", str(tmp_path / "report.json")]) == 3
+
+
+def base_outcome(user, day):
+    return user + 0.25 * day * (user + 1) + (day % 3) / 3
+
+
+def small_panel_text(value=base_outcome):
+    """Four users in two arms over days -3..-1 and 1..3; outcome ``value(user, day)``."""
+    rows = [HEADER]
+    for user in range(4):
+        arm = "control,true" if user % 2 == 0 else "t1,false"
+        rows += [f"e,u{user},{arm},{day},{value(user, day)!r}\n" for day in (-3, -2, -1, 1, 2, 3)]
+    return "".join(rows)
+
+
+def assert_one_line_numerical_error(capsys, out_dir):
+    err = capsys.readouterr().err
+    assert err.startswith("surrokit: numerical error:") and len(err.splitlines()) == 1, err
+    assert list(out_dir.iterdir()) == []
+
+
+class TestOverflow:
+    """A statistic that overflows exits 4 with one line and writes no file."""
+
+    CASES = {
+        "post-day-pretest": ((1, 2, 1e200), "pretest"),
+        "post-day-running-mean": ((1, 2, 1e200), "running-mean"),
+        "pre-day-pretest": ((1, -2, -1.3e307), "pretest"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_overflowing_outcome_exits_4(self, tmp_path, capsys, case):
+        (bad_user, bad_day, bad_value), regime = self.CASES[case]
+        panel_path = tmp_path / "panel.csv"
+        panel_path.write_text(small_panel_text(
+            lambda user, day: bad_value if (user, day) == (bad_user, bad_day)
+            else base_outcome(user, day)))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["analyze", "--panel", str(panel_path), "--regime", regime, "--T", "1",
+                     "--horizon", "3", "--out", str(out_dir / "o.json")]) == 4
+        assert_one_line_numerical_error(capsys, out_dir)
+
+    @pytest.mark.filterwarnings("ignore::surrokit.errors.DegenerateVarianceWarning")
+    def test_overflowing_z_of_constant_arms_exits_4(self, tmp_path, capsys):
+        panel_path = tmp_path / "panel.csv"
+        panel_path.write_text(small_panel_text(lambda user, day: 0.0 if user % 2 == 0 else 1e297))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["analyze", "--panel", str(panel_path), "--regime", "running-mean",
+                     "--T", "1", "--horizon", "3", "--out", str(out_dir / "o.json")]) == 4
+        assert_one_line_numerical_error(capsys, out_dir)
+
+    def test_overflow_prints_no_numpy_warning(self, tmp_path):
+        panel_path = tmp_path / "panel.csv"
+        panel_path.write_text(small_panel_text(
+            lambda user, day: 1e200 if user == day == 1 else base_outcome(user, day)))
+        result = subprocess.run(
+            [sys.executable, "-m", "surrokit.cli", "analyze", "--panel", str(panel_path),
+             "--regime", "running-mean", "--T", "1", "--horizon", "3",
+             "--out", str(tmp_path / "o.json")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(surrokit.__file__).parents[1])},
+        )
+        assert result.returncode == 4
+        assert result.stderr.startswith("surrokit: numerical error:")
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+
+    def test_overflowing_report_statistic_exits_4(self, tmp_path, capsys):
+        est_dir = tmp_path / "estimates"
+        est_dir.mkdir()
+        label = ArmLabel("t1", False)
+        for i in range(1, 7):
+            records = [
+                estimate_to_record(EffectEstimate(f"e{i}", label, EstimatorKind.direct(63),
+                                                  float(i), 1.0)),
+                estimate_to_record(EffectEstimate(
+                    f"e{i}", label, EstimatorKind.surrogate(14, ModelSource.PRE_TEST),
+                    i * 1e80, 1.0)),
+            ]
+            (est_dir / f"e{i}.estimates.json").write_text(json.dumps(records))
+        report_dir = tmp_path / "report"
+        report_dir.mkdir()
+        assert main(["evaluate", "--estimates", str(est_dir),
+                     "--out", str(report_dir / "report.json")]) == 4
+        assert_one_line_numerical_error(capsys, report_dir)
+
+
+# Tokens spliced into a valid panel: CSV structure, a non-UTF-8 byte, a
+# number that is not finite, numbers whose statistics overflow, and zero.
+CORRUPTIONS = [",", '"', "\r", "\n", "\xff", "nan", "1e200", "1e308", "-1e308", "0"]
+
+
+@st.composite
+def corrupted_panels(draw):
+    """A small valid panel with one or two tokens spliced into its bytes.
+
+    A splice either replaces a span of up to 12 bytes at any offset
+    (inserting when the span is empty) or replaces the day or outcome field
+    of a data line, where a numeric token keeps the CSV well formed.
+    """
+    data = small_panel_text().encode()
+    for _ in range(draw(st.integers(1, 2))):
+        token = draw(st.sampled_from(CORRUPTIONS)).encode("latin-1")
+        if draw(st.booleans()):
+            start = draw(st.integers(0, len(data)))
+            end = min(len(data), start + draw(st.integers(0, 12)))
+            data = data[:start] + token + data[end:]
+        else:
+            lines = data.split(b"\n")
+            line = draw(st.sampled_from(range(1, len(lines) - 1)))
+            fields = lines[line].split(b",")
+            fields[draw(st.sampled_from([-1, -2][: len(fields)]))] = token
+            lines[line] = b",".join(fields)
+            data = b"\n".join(lines)
+    return data
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=corrupted_panels(), regime=st.sampled_from(["pretest", "running-mean", "similar"]),
+       order=st.sampled_from([["--T", "1"], ["--T", "3"], ["--sweep-T"]]))
+def test_corrupted_panel_exits_0_3_or_4(tmp_path, content, regime, order):
+    panel_path, out_path = tmp_path / "panel.csv", tmp_path / "o.json"
+    panel_path.write_bytes(content)
+    out_path.unlink(missing_ok=True)
+    donor = ["--donor", str(tmp_path / "donor.csv")] if regime == "similar" else []
+    (tmp_path / "donor.csv").write_text(small_panel_text())
+    code = main(["analyze", "--panel", str(panel_path), "--regime", regime, *donor, *order,
+                 "--horizon", "3", "--out", str(out_path)])
+    assert code in (0, 3, 4)
+    assert out_path.exists() == (code == 0)
+    if code == 0:
+        json.loads(out_path.read_text(), parse_constant=pytest.fail)  # no NaN or Infinity
 
 
 class TestManifest:

@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from surrokit import (
     ControlAsTreatment,
@@ -17,11 +20,12 @@ from surrokit import (
     ArmLabel,
     EstimatorKind,
     ModelSource,
-    build_estimate,
+    NumericalError,
     direct_effect,
     estimate_to_record,
     fit_pretest,
     fit_similar,
+    mean_difference_effect,
     record_to_estimate,
     running_mean_model,
     simulate_experiment,
@@ -36,7 +40,7 @@ ARM = ArmLabel("t1", False)
 
 
 def toy_estimate(point, std_error):
-    return build_estimate("e", ARM, EstimatorKind.direct(63), point, std_error)
+    return EffectEstimate("e", ARM, EstimatorKind.direct(63), point, std_error)
 
 
 class TestWelchSE:
@@ -210,9 +214,27 @@ class TestEstimateInvariants:
     def test_non_finite_point_or_se_rejected(self, point, std_error):
         with pytest.raises(ValueError):
             toy_estimate(point, std_error)
-        with pytest.raises(ValueError):
-            EffectEstimate("e", ARM, EstimatorKind.direct(63), point, std_error,
-                           0.0, 1.0, (-math.inf, math.inf))
+
+    @pytest.mark.parametrize(
+        "point, std_error",
+        [(1e297, SE_FLOOR), (-1e300, 1e-10), (1.7e308, 1e307), (-1.7e308, 1e307)],
+        ids=["z", "negative-z", "ci-high", "ci-low"],
+    )
+    def test_overflowing_z_or_interval_rejected(self, point, std_error):
+        with pytest.raises(ValueError, match="must be finite"):
+            toy_estimate(point, std_error)
+
+    def test_overflowing_effect_is_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="must be finite"), np.errstate(over="ignore"):
+            mean_difference_effect([0.0, 1e200], [0.0, 1.0], experiment_id="e", arm=ARM,
+                                   kind=EstimatorKind.direct(63))
+
+    def test_method_derives_from_source(self):
+        assert EstimatorKind.direct(5) == EstimatorKind(5)
+        assert EstimatorKind.direct(5).method == "direct"
+        kind = EstimatorKind.surrogate(5, ModelSource.PRE_TEST)
+        assert kind == EstimatorKind(5, ModelSource.PRE_TEST)
+        assert kind.method == "surrogate"
 
 
 class TestRecords:
@@ -233,6 +255,37 @@ class TestRecords:
         for estimate in (direct, surrogate):
             rebuilt = record_to_estimate(estimate_to_record(estimate))
             assert rebuilt == estimate
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        experiment_id=st.text(max_size=8),
+        arm=st.text(max_size=8),
+        days=st.integers(1, 63),
+        source=st.none() | st.sampled_from(ModelSource),
+        point=st.floats(allow_nan=False, allow_infinity=False),
+        std_error=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_record_round_trip_is_the_identity(
+        self, experiment_id, arm, days, source, point, std_error
+    ):
+        try:
+            estimate = EffectEstimate(experiment_id, ArmLabel(arm, False),
+                                      EstimatorKind(days, source), point, std_error)
+        except ValueError:
+            # Only an overflowing z statistic or interval bound is refused.
+            low, high = point - Z_CRIT_95 * std_error, point + Z_CRIT_95 * std_error
+            assert not all(map(math.isfinite, (point / std_error, low, high)))
+            reject()
+        text = json.dumps(estimate_to_record(estimate))
+        rebuilt = record_to_estimate(json.loads(text))
+        assert rebuilt == estimate
+        assert json.dumps(estimate_to_record(rebuilt)) == text
+
+    @pytest.mark.parametrize("kind", ["direct:", "surrogate", "surrogate:", "surrogate:x", "x"])
+    def test_unknown_kind_rejected(self, kind):
+        record = {**estimate_to_record(toy_estimate(1.0, 0.5)), "kind": kind}
+        with pytest.raises(ValueError):
+            record_to_estimate(record)
 
     def test_surrogate_kind_embeds_source(self):
         config = SimConfig(users_per_arm=30, seed=207)

@@ -8,6 +8,7 @@ from surrokit import (
     ArmLabel,
     ConfusionMatrix3,
     DecisionPair,
+    EffectEstimate,
     EmptyInput,
     EstimatorKind,
     InvalidCycle,
@@ -16,7 +17,6 @@ from surrokit import (
     SignificanceClass,
     SimConfig,
     ZeroVariance,
-    build_estimate,
     capacity_gain,
     classify_pairs,
     confusion,
@@ -37,7 +37,7 @@ NEG = SignificanceClass.SIG_NEGATIVE
 
 def estimate_with_z(experiment_id, arm, z, kind=None):
     kind = kind or EstimatorKind.direct(63)
-    return build_estimate(experiment_id, ArmLabel(arm, False), kind, float(z), 1.0)
+    return EffectEstimate(experiment_id, ArmLabel(arm, False), kind, float(z), 1.0)
 
 
 def pair(direct_class, surrogate_class, experiment_id="e", arm="t1"):

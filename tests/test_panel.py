@@ -357,6 +357,19 @@ class TestConstruction:
         assert not via_matrix.matrix.flags.writeable
         assert via_matrix != build_panel([[1.0, 2.0], [3.0, 5.0]], [CONTROL, T1])
 
+    def test_direct_construction_normalises_like_from_matrix(self):
+        matrix = np.array([[1.0, 2.0], [3.0, 4.0]])
+        direct = OutcomePanel("e", ["u0", "u1"], [CONTROL, T1], [1, 2], matrix, horizon=2)
+        matrix[0, 0] = 9.0
+        assert direct.matrix[0, 0] == 1.0 and not direct.matrix.flags.writeable
+        assert (direct.user_ids, direct.arms, direct.days) == (("u0", "u1"), (CONTROL, T1), (1, 2))
+        via_matrix = OutcomePanel.from_matrix(
+            "e", ("u0", "u1"), (CONTROL, T1), (1, 2), [[1, 2], [3, 4]], horizon=2
+        )
+        assert direct == via_matrix
+        assert hash(direct) == hash(via_matrix)
+        assert len({direct, via_matrix}) == 1
+
     def test_from_matrix_leaves_the_callers_array_alone(self):
         matrix = np.zeros((2, 1))
         panel = OutcomePanel.from_matrix("exp", ["u0", "u1"], [CONTROL, T1], [1], matrix, 1)

@@ -5,6 +5,7 @@ from surrokit import (
     FitDiagnostics,
     MissingPrePeriod,
     ModelSource,
+    NumericalError,
     RankDeficient,
     SimConfig,
     SurrogateModel,
@@ -28,7 +29,6 @@ from conftest import CONTROL, T1, build_panel, random_two_arm_panel
 
 def manual_model(intercept, coefficients, source=ModelSource.SIMILAR_TEST):
     return SurrogateModel(
-        order=len(coefficients),
         intercept=intercept,
         coefficients=tuple(coefficients),
         source=source,
@@ -132,6 +132,12 @@ class TestFitLeastSquares:
 
 class TestFitNested:
     """One factorisation serves every order; each order equals its own fit."""
+
+    def test_overflowing_total_sum_of_squares_is_a_numerical_error(self):
+        features = np.random.default_rng(3).standard_normal((8, 2))
+        targets = np.array([1e200, -1e200, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        with pytest.raises(NumericalError, match="total sum of squares"):
+            fit_nested(features, targets, [1, 2])
 
     def test_pretest_sweep_equals_single_order_fits(self):
         config = SimConfig(users_per_arm=100, ar1_rho=0.4, seed=111)
@@ -297,6 +303,11 @@ class TestRunningMean:
         with pytest.raises(ValueError):
             running_mean_model(0)
 
+    def test_order_is_the_coefficient_count(self):
+        assert manual_model(0.5, [1.0, 2.0, 3.0]).order == 3
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            manual_model(0.5, [])
+
     def test_tampered_running_mean_rejected(self):
         with pytest.raises(ValueError):
             manual_model(1.0, [0.5, 0.5], source=ModelSource.RUNNING_MEAN)
@@ -332,11 +343,10 @@ class TestSerialization:
         assert model_from_dict(model_to_dict(model)) == model
 
     def test_coefficient_length_enforced(self):
-        with pytest.raises(ValueError):
-            SurrogateModel(
-                order=2,
-                intercept=0.0,
-                coefficients=(1.0,),
-                source=ModelSource.SIMILAR_TEST,
-                diagnostics=FitDiagnostics(0, 0.0, 0.0),
-            )
+        # The order is derived from the coefficients; a payload is outside
+        # input, so its stated order must still agree with them.
+        payload = model_to_dict(manual_model(0.0, [1.0, 2.0]))
+        assert model_from_dict(payload).order == 2
+        payload["order"] = 3
+        with pytest.raises(ValueError, match="2 coefficients for order 3"):
+            model_from_dict(payload)
