@@ -15,7 +15,7 @@ results in deterministic order. Every run ends by atomically writing a
 manifest recording the command, the values it read, its inputs, outputs, and
 tool version. Exit codes: 0 success, 2 usage, 3 data validation failure,
 4 numerical failure, including a statistic that overflows; no output file
-holds a NaN or infinity.
+holds a NaN or infinity. A warning prints as one ``surrokit: warning:`` line.
 
 Set SURROKIT_LOG to a logging level name (DEBUG, INFO, WARNING, ...) to
 control log verbosity; an unknown name is a usage error.
@@ -31,6 +31,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -74,6 +75,7 @@ def _dump_json(payload) -> str:
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
@@ -181,7 +183,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if not panel_files:
             raise DataValidationError(f"no panel CSVs found in {args.panel_dir}")
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         targets = [(str(path), out_dir / f"{path.stem}.estimates.json") for path in panel_files]
         manifest_path = out_dir / "manifest.json"
         inputs = {"panel_dir": args.panel_dir}
@@ -417,6 +418,11 @@ def _validate_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace)
         parser.error("--donor is only valid with --regime similar")
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    # One write per line, so lines from concurrent pool workers do not interleave.
+    sys.stderr.write(f"surrokit: warning: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     level = (os.environ.get("SURROKIT_LOG") or "WARNING").upper()
     if not isinstance(logging.getLevelName(level), int):
@@ -429,8 +435,10 @@ def main(argv: list[str] | None = None) -> int:
         _validate_analyze(parser, args)
     try:
         # Every statistic is checked for finiteness before it is written, so
-        # numpy's overflow warnings would only repeat the error line.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # numpy's overflow warnings would only repeat the error line. Other
+        # warnings print as one line, also from the forked pool workers.
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.showwarning = _print_warning
             return args.func(args)
     except DataValidationError as exc:
         print(f"surrokit: data validation error: {exc}", file=sys.stderr)

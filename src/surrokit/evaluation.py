@@ -30,6 +30,7 @@ from .errors import (
     InvalidCycle,
     InvalidRecall,
     KeyMismatch,
+    NumericalError,
     ZeroVariance,
 )
 from .estimators import DEFAULT_ALPHA, EffectEstimate, SignificanceClass, z_test
@@ -194,6 +195,8 @@ def excess_kurtosis(values: np.ndarray) -> float:
 
     Uses the standard small-sample correction
     G2 = ((n-1) / ((n-2)(n-3))) * ((n+1) g2 + 6) with g2 = m4/m2^2 - 3.
+    Raises NumericalError when the fourth central moment m4 overflows,
+    which m2 overflowing implies.
     """
     x = np.asarray(values, dtype=float)
     n = x.size
@@ -203,7 +206,10 @@ def excess_kurtosis(values: np.ndarray) -> float:
     m2 = float(np.mean(centered**2))
     if m2 == 0.0:
         raise ZeroVariance("excess kurtosis undefined for constant values")
-    g2 = float(np.mean(centered**4)) / (m2 * m2) - 3.0
+    m4 = float(np.mean(centered**4))
+    if not math.isfinite(m4):
+        raise NumericalError(f"excess kurtosis overflows: fourth central moment is {m4}")
+    g2 = m4 / (m2 * m2) - 3.0
     return (n - 1) / ((n - 2) * (n - 3)) * ((n + 1) * g2 + 6.0)
 
 

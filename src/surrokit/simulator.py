@@ -17,9 +17,12 @@ where
 The ground-truth long-term effect of arm a is tau_a times the average of
 g(t) over days 1..horizon.
 
-Randomness is counter-based: every (experiment, user) pair owns a Philox
-substream derived from the master seed, so corpora are reproducible across
-runs and independent of how generation is scheduled across workers.
+Randomness is counter-based. Experiment ``index`` owns one Philox keyed by
+the uint64 pair (seed, index); each stream restarts it at counter
+[0, 0, word, tag] with an empty buffer: word 0 with tag 1 for the effect
+draws, word u with tag 2 for user u's block of normals. Every
+(experiment, user) pair thus owns a substream, so corpora are reproducible
+across runs and independent of how generation is scheduled across workers.
 """
 
 from __future__ import annotations
@@ -145,14 +148,6 @@ def corpus_treatment_arms(config: SimConfig) -> int:
     return int(math.floor(config.n_experiments * float(config.arms_per_experiment) + 1e-9))
 
 
-def _substream(config: SimConfig, index: int, word: int, tag: int) -> np.random.Generator:
-    bitgen = np.random.Philox(
-        key=[config.seed & _MASK64, index & _MASK64],
-        counter=[0, 0, word & _MASK64, tag],
-    )
-    return np.random.Generator(bitgen)
-
-
 def simulate_experiment(config: SimConfig, index: int) -> SimulatedExperiment:
     """Generate one experiment; deterministic in (config, index)."""
     if index < 0 or index >= config.n_experiments:
@@ -168,28 +163,39 @@ def simulate_experiment(config: SimConfig, index: int) -> SimulatedExperiment:
     all_days = pre_days + post_days
     n_days = len(all_days)
 
-    effect_rng = _substream(config, index, 0, _EFFECT_STREAM)
+    # One Philox per experiment, keyed by (seed, index) as uint64 (a plain
+    # list of ints would become float64 for seeds from 2^63). Its fresh state
+    # has an empty buffer (buffer_pos 4, no spare uint32); assigning it back
+    # with the counter at [0, 0, u, tag] restarts exactly the stream a Philox
+    # built with that counter would give, without one generator per user.
+    key = np.array([config.seed, index & _MASK64], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key, counter=[0, 0, 0, _EFFECT_STREAM])
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
     if math.isinf(config.effect_tail_df):
-        draws = effect_rng.standard_normal(n_treat)
+        draws = rng.standard_normal(n_treat)
     else:
-        draws = effect_rng.standard_t(config.effect_tail_df, size=n_treat)
+        draws = rng.standard_t(config.effect_tail_df, size=n_treat)
     tau = config.effect_scale * draws
 
-    # One normal block per user from its own substream: first value feeds
-    # the baseline level, the rest drive the AR(1) chain.
+    # One normal block per user from its own stream: first value feeds the
+    # baseline level, the rest drive the AR(1) chain, which then holds the
+    # outcomes in place of its shocks.
     raw = np.empty((n_users, n_days + 1), dtype=float)
+    counter = state["state"]["counter"]
     for u in range(n_users):
-        raw[u] = _substream(config, index, u, _USER_STREAM).standard_normal(n_days + 1)
+        counter[2:] = (u, _USER_STREAM)
+        bitgen.state = state
+        rng.standard_normal(out=raw[u])
     baseline = config.baseline_mean + config.baseline_sd * raw[:, 0]
-    shocks = raw[:, 1:]
+    outcomes = raw[:, 1:]
 
-    noise = np.empty((n_users, n_days), dtype=float)
-    noise[:, 0] = config.noise_sd * shocks[:, 0]
+    outcomes[:, 0] *= config.noise_sd
     innovation_sd = config.noise_sd * math.sqrt(1.0 - config.ar1_rho**2)
     for t in range(1, n_days):
-        noise[:, t] = config.ar1_rho * noise[:, t - 1] + innovation_sd * shocks[:, t]
+        outcomes[:, t] = config.ar1_rho * outcomes[:, t - 1] + innovation_sd * outcomes[:, t]
+    outcomes += baseline[:, None]
 
-    outcomes = baseline[:, None] + noise
     profile = novelty_profile(np.array(post_days), config.novelty_floor, config.novelty_halflife)
     post_offset = len(pre_days)
     for arm_index in range(n_treat):

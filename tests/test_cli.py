@@ -227,6 +227,15 @@ class TestAnalyze:
                 direct[arm]["std_error"], rel=1e-12
             )
 
+    def test_out_in_missing_directory_is_created(self, tmp_path):
+        out_dir = simulate_toy(tmp_path)
+        out_path = tmp_path / "missing" / "a.json"
+        assert main(["analyze", "--panel", str(out_dir / "sim-00000.csv"),
+                     "--regime", "running-mean", "--T", "5", "--horizon", "5",
+                     "--out", str(out_path)]) == 0
+        assert sorted(p.name for p in out_path.parent.iterdir()) == [
+            "a.json", "a.json.manifest.json"]
+
     def test_pretest_matches_library_composition(self, tmp_path):
         out_dir = simulate_toy(tmp_path)
         panel_path = out_dir / "sim-00001.csv"
@@ -334,12 +343,12 @@ class TestAnalyze:
 
 
 class TestEvaluate:
-    def run_identity_pipeline(self, tmp_path):
+    def run_identity_pipeline(self, tmp_path, report_name="report.json"):
         out_dir = simulate_toy(tmp_path)
         est_dir = tmp_path / "estimates"
         assert main(["analyze", "--panel-dir", str(out_dir), "--regime", "running-mean",
                      "--T", "5", "--horizon", "5", "--out", str(est_dir)]) == 0
-        report_path = tmp_path / "report.json"
+        report_path = tmp_path / report_name
         assert main(["evaluate", "--estimates", str(est_dir),
                      "--out", str(report_path)]) == 0
         return json.loads(report_path.read_text()), report_path
@@ -351,6 +360,11 @@ class TestEvaluate:
         assert report["recall"] == 1.0
         assert report["n_pairs"] == 4
         assert report["false_launch_negatives"] == 0
+
+    def test_out_in_missing_directory_is_created(self, tmp_path):
+        _, report_path = self.run_identity_pipeline(tmp_path, "missing/r.json")
+        assert sorted(p.name for p in report_path.parent.iterdir()) == [
+            "r.json", "r.json.manifest.json", "r_scaled_values.csv"]
 
     def test_report_shape_and_scaled_values_file(self, tmp_path):
         report, report_path = self.run_identity_pipeline(tmp_path)
@@ -467,6 +481,14 @@ def small_panel_text(value=base_outcome):
     return "".join(rows)
 
 
+def run_cli(*args):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    return subprocess.run(
+        [sys.executable, "-m", "surrokit.cli", *map(str, args)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(surrokit.__file__).parents[1])},
+    )
+
+
 def assert_one_line_numerical_error(capsys, out_dir):
     err = capsys.readouterr().err
     assert err.startswith("surrokit: numerical error:") and len(err.splitlines()) == 1, err
@@ -509,16 +531,35 @@ class TestOverflow:
         panel_path = tmp_path / "panel.csv"
         panel_path.write_text(small_panel_text(
             lambda user, day: 1e200 if user == day == 1 else base_outcome(user, day)))
-        result = subprocess.run(
-            [sys.executable, "-m", "surrokit.cli", "analyze", "--panel", str(panel_path),
-             "--regime", "running-mean", "--T", "1", "--horizon", "3",
-             "--out", str(tmp_path / "o.json")],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(Path(surrokit.__file__).parents[1])},
-        )
+        result = run_cli("analyze", "--panel", panel_path, "--regime", "running-mean",
+                         "--T", 1, "--horizon", 3, "--out", tmp_path / "o.json")
         assert result.returncode == 4
         assert result.stderr.startswith("surrokit: numerical error:")
         assert len(result.stderr.splitlines()) == 1, result.stderr
+
+    def test_se_floor_warning_prints_one_line(self, tmp_path):
+        panel_path = tmp_path / "panel.csv"
+        panel_path.write_text(small_panel_text(lambda user, day: 0.0 if user % 2 == 0 else 1e297))
+        result = run_cli("analyze", "--panel", panel_path, "--regime", "running-mean",
+                         "--T", 1, "--horizon", 3, "--out", tmp_path / "o.json")
+        assert result.returncode == 4
+        lines = result.stderr.splitlines()
+        assert len(lines) == 2, result.stderr
+        assert lines[0].startswith("surrokit: warning: two-sample variance is degenerate")
+        assert lines[1].startswith("surrokit: numerical error:")
+
+    def test_se_floor_warning_prints_one_line_from_pool_workers(self, tmp_path):
+        panel_dir = tmp_path / "panels"
+        panel_dir.mkdir()
+        for name in ("a", "b"):
+            (panel_dir / f"{name}.csv").write_text(small_panel_text(lambda user, day: user % 2))
+        result = run_cli("analyze", "--panel-dir", panel_dir, "--regime", "running-mean",
+                         "--T", 1, "--horizon", 3, "--jobs", 2, "--out", tmp_path / "est")
+        assert result.returncode == 0, result.stderr
+        lines = result.stderr.splitlines()
+        assert lines, "no warning printed"
+        assert all(line.startswith("surrokit: warning: two-sample variance is degenerate")
+                   for line in lines), result.stderr
 
     def test_overflowing_report_statistic_exits_4(self, tmp_path, capsys):
         est_dir = tmp_path / "estimates"

@@ -14,6 +14,7 @@ from surrokit import (
     InvalidCycle,
     InvalidRecall,
     KeyMismatch,
+    NumericalError,
     SignificanceClass,
     SimConfig,
     ZeroVariance,
@@ -211,6 +212,13 @@ class TestScaledDistribution:
             assert excess_kurtosis(sample) == pytest.approx(
                 stats.kurtosis(sample, fisher=True, bias=False), rel=1e-12
             )
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_kurtosis_overflow_raises_instead_of_nan(self):
+        with pytest.raises(NumericalError):
+            excess_kurtosis([1e80, 2e80, 3e80, 4e80, 5e80])
+        with pytest.raises(NumericalError):
+            scaled_distribution([i * 1e80 for i in range(1, 7)], scale_by=range(1, 7))
 
 
 class TestThroughput:

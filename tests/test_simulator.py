@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from surrokit import (
     simulate_experiment,
     window,
 )
+from surrokit.cli import main
 
 from conftest import CONTROL, T1, build_panel
 
@@ -149,6 +153,91 @@ class TestCorpus:
         forward = [simulate_experiment(config, i).panel for i in range(3)]
         backward = [simulate_experiment(config, i).panel for i in (2, 1, 0)]
         assert forward == list(reversed(backward))
+
+
+def reference_experiment(config, index):
+    """Rebuild an experiment from one fresh Philox per stream, formulas written out.
+
+    Stream contract: key = uint64 [seed, index]; the effect draws read
+    counter [0, 0, 0, 1], user u's block of normals counter [0, 0, u, 2].
+    Integral ``arms_per_experiment`` only.
+    """
+    key = np.array([config.seed, index], dtype=np.uint64)
+
+    def stream(word, tag):
+        return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, word, tag]))
+
+    n_treat = int(config.arms_per_experiment)
+    if math.isinf(config.effect_tail_df):
+        draws = stream(0, 1).standard_normal(n_treat)
+    else:
+        draws = stream(0, 1).standard_t(config.effect_tail_df, size=n_treat)
+    tau = [config.effect_scale * d for d in draws]
+    t = np.arange(1, config.horizon + 1, dtype=float)
+    floor = config.novelty_floor
+    g = floor + (1.0 - floor) * np.exp2(-(t - 1.0) / config.novelty_halflife)
+    innovation_sd = config.noise_sd * math.sqrt(1.0 - config.ar1_rho**2)
+    rows = []
+    for u in range(config.users_per_arm * (n_treat + 1)):
+        block = stream(u, 2).standard_normal(config.pre_period + config.horizon + 1)
+        level = config.baseline_mean + config.baseline_sd * block[0]
+        noise = config.noise_sd * block[1]
+        row = [level + noise]
+        for shock in block[2:]:
+            noise = config.ar1_rho * noise + innovation_sd * shock
+            row.append(level + noise)
+        arm = u // config.users_per_arm
+        for day in range(config.horizon):
+            if arm > 0:
+                row[config.pre_period + day] += tau[arm - 1] * g[day]
+        rows.append(row)
+    true_effects = {f"t{j + 1}": float(tau[j] * g.mean()) for j in range(n_treat)}
+    return np.array(rows), true_effects
+
+
+class TestStreamContract:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"noise_sd": 0.0},
+            {"pre_period": 0},
+            {"effect_tail_df": math.inf},
+            {"ar1_rho": 0.9},
+        ],
+        ids=["no-noise", "no-pre-period", "gaussian-effects", "rho-0.9"],
+    )
+    def test_matches_one_philox_per_stream(self, overrides):
+        base = dict(n_experiments=2, arms_per_experiment=2, users_per_arm=3, horizon=6,
+                    pre_period=4, novelty_floor=0.5, novelty_halflife=2.0, seed=4321)
+        config = SimConfig(**{**base, **overrides})
+        experiment = simulate_experiment(config, 1)
+        matrix, true_effects = reference_experiment(config, 1)
+        assert np.array_equal(experiment.panel.matrix, matrix)
+        assert experiment.true_effects == true_effects
+
+    def test_seeds_from_two_to_the_63_do_not_collide(self):
+        def panel(seed):
+            config = SimConfig(users_per_arm=3, horizon=4, pre_period=2, seed=seed)
+            return simulate_experiment(config, 0).panel
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert panel(0) != panel(2**64 - 1)
+            assert panel(2**63 + 1) != panel(2**63 + 1000)
+
+    def test_small_corpus_bytes_are_pinned(self, tmp_path):
+        config = {"n_experiments": 3, "arms_per_experiment": 1.5, "users_per_arm": 4,
+                  "horizon": 6, "pre_period": 3, "seed": 2024}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        out_dir = tmp_path / "corpus"
+        assert main(["simulate", "--config", str(tmp_path / "config.json"),
+                     "--out-dir", str(out_dir)]) == 0
+        digest = hashlib.sha256()
+        for path in sorted(out_dir.glob("*.csv")) + [out_dir / "ground_truth.json"]:
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == (
+            "3bfc83613ee390ac931fce008ad0676a5c7e91210207addc0412bc2e72a3327a"
+        )
 
 
 # Every float field rejects NaN and both infinities, except the tail df's
