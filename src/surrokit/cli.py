@@ -146,8 +146,8 @@ def _analyze_one(task: tuple) -> str:
     ``models`` is None for the pretest regime, whose models are fitted on
     each panel's own pre-period; otherwise every panel shares them.
     """
-    panel_path, out_path, horizon, direct_days, orders, models = task
-    panel = load_panel(panel_path, horizon=horizon)
+    panel_path, out_path, direct_days, orders, models = task
+    panel = load_panel(panel_path)
     arms = sorted(arm.name for arm in panel.treatment_arms)
     records = []
     for days in direct_days:
@@ -167,7 +167,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     orders = list(range(1, horizon + 1)) if args.sweep_T else [args.T]
     direct_days = orders if args.sweep_T else [horizon]
     if args.regime == "similar":
-        models = fit_similar(load_panel(args.donor, horizon=horizon), orders)
+        models = fit_similar(load_panel(args.donor), orders, horizon)
     elif args.regime == "running-mean":
         models = tuple(running_mean_model(order) for order in orders)
     else:
@@ -188,7 +188,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         inputs = {"panel_dir": args.panel_dir}
 
     tasks = [
-        (panel_path, str(out_path), horizon, direct_days, orders, models)
+        (panel_path, str(out_path), direct_days, orders, models)
         for panel_path, out_path in targets
     ]
     outputs = _run_pool(_analyze_one, tasks, args.jobs)
@@ -227,9 +227,22 @@ def _load_estimates(estimates_dir: str) -> tuple[list, list]:
             for record in records:
                 estimate = record_to_estimate(record)
                 (direct if estimate.kind.method == "direct" else surrogate).append(estimate)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        # OverflowError: a JSON integer past the float range.
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataValidationError(f"bad estimates file {path.name}: {exc}") from None
     return direct, surrogate
+
+
+def _summary(values: list[float], scale_by: list[float]):
+    """``scaled_distribution``, or None where its scale is undefined.
+
+    The scale is undefined for fewer than 2 values or a zero sample
+    standard deviation, as on a corpus of one arm or of equal points.
+    """
+    reference = np.asarray(scale_by, dtype=float)
+    if reference.size < 2 or reference.std(ddof=1) == 0.0:
+        return None
+    return scaled_distribution(values, reference)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -246,9 +259,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     surrogate_points = [by_key_surrogate[k] for k in keys]
     differences = [s - d for s, d in zip(surrogate_points, direct_points)]
 
-    direct_summary = scaled_distribution(direct_points)
-    surrogate_summary = scaled_distribution(surrogate_points, scale_by=direct_points)
-    diff_summary = scaled_distribution(differences)
+    summaries = {
+        "direct": _summary(direct_points, direct_points),
+        "surrogate": _summary(surrogate_points, direct_points),
+        "differences": _summary(differences, differences),
+    }
 
     out_path = Path(args.out)
     scaled_path = out_path.with_name(out_path.stem + "_scaled_values.csv")
@@ -259,8 +274,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         else None
     )
 
-    def summarize(summary) -> dict:
-        return {
+    def summarize(summary) -> dict | None:
+        return None if summary is None else {
             "n": summary.n,
             "mean": summary.mean,
             "std_dev": summary.std_dev,
@@ -281,15 +296,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         },
         "false_launch_negatives": metrics.false_launch_negatives,
         "kurtosis": {
-            "direct": direct_summary.excess_kurtosis,
-            "surrogate": surrogate_summary.excess_kurtosis,
-            "differences": diff_summary.excess_kurtosis,
+            name: None if summary is None else summary.excess_kurtosis
+            for name, summary in summaries.items()
         },
-        "distributions": {
-            "direct": summarize(direct_summary),
-            "surrogate": summarize(surrogate_summary),
-            "differences": summarize(diff_summary),
-        },
+        "distributions": {name: summarize(summary) for name, summary in summaries.items()},
         "capacity": {
             "long_cycle_days": args.long_cycle_days,
             "short_cycle_days": args.short_cycle_days,
@@ -303,11 +313,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     except ValueError as exc:  # a statistic overflowed to NaN or infinity
         raise NumericalError(f"report statistic is not finite: {exc}") from None
     # Every check has passed: a failed run leaves no file behind.
-    _write_atomic(
-        scaled_path,
-        "scaled_difference\n"
-        + "".join(repr(v) + "\n" for v in diff_summary.scaled_values.tolist()),
-    )
+    differences_summary = summaries["differences"]
+    scaled = [] if differences_summary is None else differences_summary.scaled_values.tolist()
+    _write_atomic(scaled_path, "scaled_difference\n" + "".join(repr(v) + "\n" for v in scaled))
     _write_atomic(out_path, report_text)
     logger.info("evaluated %d decision pairs", len(pairs))
 

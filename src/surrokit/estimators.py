@@ -175,10 +175,26 @@ def _resolve_treatment_arm(panel: OutcomePanel, arm: ArmLabel | str) -> ArmLabel
     raise UnknownArm(f"no arm {name!r} in panel {panel.experiment_id!r}")
 
 
+def _arm_contrast(
+    panel: OutcomePanel, values: np.ndarray, label: ArmLabel, kind: EstimatorKind
+) -> EffectEstimate:
+    """The per-user ``values`` of arm ``label`` against those of the control arm."""
+    return mean_difference_effect(
+        values[panel.arm_mask(label)],
+        values[panel.arm_mask(panel.control_arm)],
+        experiment_id=panel.experiment_id,
+        arm=label,
+        kind=kind,
+    )
+
+
 def direct_effect(
     panel: OutcomePanel, arm: ArmLabel | str, horizon: int | None = None
 ) -> EffectEstimate:
-    """Difference in means of observed per-user horizon averages."""
+    """Difference in means of observed per-user averages over days 1..horizon.
+
+    ``horizon`` defaults to the panel's last day.
+    """
     label = _resolve_treatment_arm(panel, arm)
     days = panel.horizon if horizon is None else horizon
     try:
@@ -187,14 +203,7 @@ def direct_effect(
         raise MissingDay(
             f"panel {panel.experiment_id!r} lacks post-allocation days 1..{days}"
         ) from exc
-    means = win.mean(axis=1)
-    return mean_difference_effect(
-        means[panel.arm_mask(label)],
-        means[panel.arm_mask(panel.control_arm)],
-        experiment_id=panel.experiment_id,
-        arm=label,
-        kind=EstimatorKind.direct(days),
-    )
+    return _arm_contrast(panel, win.mean(axis=1), label, EstimatorKind.direct(days))
 
 
 def surrogate_effect(
@@ -206,14 +215,8 @@ def surrogate_effect(
     first-stage fitting uncertainty is propagated.
     """
     label = _resolve_treatment_arm(panel, arm)
-    predictions = predict(model, panel)
-    return mean_difference_effect(
-        predictions[panel.arm_mask(label)],
-        predictions[panel.arm_mask(panel.control_arm)],
-        experiment_id=panel.experiment_id,
-        arm=label,
-        kind=EstimatorKind.surrogate(model.order, model.source),
-    )
+    kind = EstimatorKind.surrogate(model.order, model.source)
+    return _arm_contrast(panel, predict(model, panel), label, kind)
 
 
 def z_test(estimate: EffectEstimate, alpha: float = DEFAULT_ALPHA) -> SignificanceClass:
@@ -247,21 +250,33 @@ def estimate_to_record(estimate: EffectEstimate) -> dict:
     }
 
 
+# Each field a record is read from: its Python types and JSON type name. A
+# bool is an int to Python but never a number here.
+_STRING, _NUMBER = (str, "string"), ((int, float), "number")
+_RECORD_TYPES = {"experiment_id": _STRING, "arm": _STRING, "kind": _STRING,
+                 "T": (int, "integer"), "point": _NUMBER, "std_error": _NUMBER}
+
+
 def record_to_estimate(record: dict) -> EffectEstimate:
     """Rebuild an estimate from its JSON record.
 
     Records only exist for treatment arms, so the arm label is re-created
     with ``is_control=False``. Only the point and standard error are read:
     the derived statistics they determine reproduce the stored values
-    exactly.
+    exactly. A field of another JSON type, such as ``"T": 14.5`` or
+    ``"point": "0.5"``, raises ValueError naming it; nothing is coerced.
     """
-    method, colon, source = str(record["kind"]).partition(":")
+    for name, (types, json_type) in _RECORD_TYPES.items():
+        value = record[name]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"estimate field {name!r} must be a JSON {json_type}, got {value!r}")
+    method, colon, source = record["kind"].partition(":")
     if (method, colon) not in (("direct", ""), ("surrogate", ":")):
         raise ValueError(f"unknown estimate kind {record['kind']!r}")
-    kind = EstimatorKind(int(record["T"]), ModelSource(source) if colon else None)
+    kind = EstimatorKind(record["T"], ModelSource(source) if colon else None)
     return EffectEstimate(
-        str(record["experiment_id"]),
-        ArmLabel(str(record["arm"]), is_control=False),
+        record["experiment_id"],
+        ArmLabel(record["arm"], is_control=False),
         kind,
         float(record["point"]),
         float(record["std_error"]),

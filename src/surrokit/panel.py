@@ -19,7 +19,6 @@ import warnings
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -80,6 +79,10 @@ class OutcomePanel:
     * exactly one distinct arm label is marked as control, and at least
       one other arm exists.
 
+    The panel stores what its CSV holds. ``arm_labels``, the distinct arm
+    labels in order of first appearance, is derived once at construction;
+    ``horizon`` is the last day.
+
     Panels compare and hash by value and are safe to share across
     concurrent readers.
     """
@@ -89,7 +92,6 @@ class OutcomePanel:
     arms: tuple[ArmLabel, ...]
     days: tuple[int, ...]
     matrix: np.ndarray
-    horizon: int = DEFAULT_HORIZON
 
     def __post_init__(self) -> None:
         matrix = np.array(self.matrix, dtype=float, order="C")
@@ -99,8 +101,6 @@ class OutcomePanel:
         object.__setattr__(self, "arms", tuple(self.arms))
         object.__setattr__(self, "days", tuple(int(d) for d in self.days))
         n_users = len(self.user_ids)
-        if self.horizon < 1:
-            raise OutOfRange(f"horizon must be positive, got {self.horizon}")
         if not self.days:
             raise OutOfRange(f"panel {self.experiment_id!r} has no usable days")
         d_min, d_max = self.day_range
@@ -126,7 +126,13 @@ class OutcomePanel:
             user = next(u for u, count in Counter(self.user_ids).items() if count > 1)
             raise DuplicateObservation(f"user {user!r} appears more than once")
 
-        labels = self.arm_labels
+        # One pass gives the distinct labels in order of first appearance and
+        # row i's index into them.
+        index: dict[ArmLabel, int] = {}
+        codes = np.array([index.setdefault(label, len(index)) for label in self.arms])
+        labels = tuple(index)
+        object.__setattr__(self, "arm_labels", labels)
+        object.__setattr__(self, "_arm_codes", codes)
         controls = [label.name for label in labels if label.is_control]
         if not controls:
             raise NoControlArm(f"panel {self.experiment_id!r} has no control arm")
@@ -148,22 +154,21 @@ class OutcomePanel:
             and self.user_ids == other.user_ids
             and self.arms == other.arms
             and self.days == other.days
-            and self.horizon == other.horizon
             and np.array_equal(self.matrix, other.matrix)
         )
 
     def __hash__(self) -> int:
-        return hash((self.experiment_id, self.user_ids, self.arms, self.days, self.horizon))
+        return hash((self.experiment_id, self.user_ids, self.arms, self.days))
 
     @property
     def day_range(self) -> tuple[int, int]:
         """First and last usable day index."""
         return self.days[0], self.days[-1]
 
-    @cached_property
-    def arm_labels(self) -> tuple[ArmLabel, ...]:
-        """Distinct arm labels in order of first appearance."""
-        return tuple(dict.fromkeys(self.arms))
+    @property
+    def horizon(self) -> int:
+        """The last day, where the default long-term window ends."""
+        return self.days[-1]
 
     @property
     def control_arm(self) -> ArmLabel:
@@ -176,12 +181,6 @@ class OutcomePanel:
     @property
     def n_users(self) -> int:
         return len(self.user_ids)
-
-    @cached_property
-    def _arm_codes(self) -> np.ndarray:
-        """Row i's index into ``arm_labels``."""
-        index = {label: k for k, label in enumerate(self.arm_labels)}
-        return np.array([index[label] for label in self.arms])
 
     def arm_mask(self, arm: ArmLabel | str) -> np.ndarray:
         """Boolean row mask selecting users in ``arm``."""
@@ -197,7 +196,6 @@ class OutcomePanel:
         arms: Iterable[ArmLabel],
         days: Iterable[int],
         matrix: np.ndarray,
-        horizon: int = DEFAULT_HORIZON,
     ) -> "OutcomePanel":
         """Build a panel from an (n_users, n_days) matrix.
 
@@ -206,7 +204,7 @@ class OutcomePanel:
         the matrix, so the caller's array stays writeable and later writes
         to it do not reach the panel.
         """
-        return cls(experiment_id, user_ids, arms, days, matrix, horizon)
+        return cls(experiment_id, user_ids, arms, days, matrix)
 
 
 def window(panel: OutcomePanel, from_day: int, to_day: int) -> np.ndarray:
@@ -265,10 +263,7 @@ def _malformed(exc: ValueError, offset: int) -> MalformedRow:
     return MalformedRow(f"line {row + 2}: {text[:at.start()]}{at[2] or ''}")
 
 
-def load_panel(
-    source: str | Path | IO[str],
-    horizon: int = DEFAULT_HORIZON,
-) -> OutcomePanel:
+def load_panel(source: str | Path | IO[str]) -> OutcomePanel:
     """Load and validate a panel from long-format CSV text.
 
     ``csv.reader`` reads the header and ``np.loadtxt`` the body, at most
@@ -281,7 +276,6 @@ def load_panel(
 
     Args:
         source: path or open text stream positioned at the header row.
-        horizon: day count treated as "long-term" for this panel.
 
     Raises:
         MalformedRow: the text is not UTF-8 or not CSV, a text field is
@@ -294,7 +288,7 @@ def load_panel(
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
-            return load_panel(handle, horizon)
+            return load_panel(handle)
 
     reader = csv.reader(source)
     try:
@@ -395,7 +389,7 @@ def load_panel(
     labels = [ArmLabel(name, tokens[k] == "true") for name, k in zip(arm_names, arm_flag)]
     arms = [labels[k] for k in user_arm]
     days = days_in_range(d_min, d_max)
-    return OutcomePanel(experiment_ids[0], user_ids, arms, days, matrix, horizon)
+    return OutcomePanel(experiment_ids[0], user_ids, arms, days, matrix)
 
 
 def write_panel(panel: OutcomePanel, dest: str | Path | IO[str]) -> None:

@@ -215,7 +215,6 @@ def simulate_experiment(config: SimConfig, index: int) -> SimulatedExperiment:
         arms=user_arms,
         days=all_days,
         matrix=outcomes,
-        horizon=config.horizon,
     )
     return SimulatedExperiment(panel=panel, true_effects=true_effects)
 

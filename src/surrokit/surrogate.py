@@ -287,20 +287,23 @@ def fit_pretest(panel: OutcomePanel, order: int | Iterable[int]):
     return models[0] if single else models
 
 
-def fit_similar(donor: OutcomePanel, order: int | Iterable[int]):
+def fit_similar(
+    donor: OutcomePanel, order: int | Iterable[int], horizon: int | None = None
+):
     """Fit on a donor experiment's post-allocation data.
 
-    The target is the donor users' long-term mean (days 1..horizon) and
-    the features are their first ``order`` days. All donor arms are pooled.
-    ``order`` is one order or an iterable of orders, as in
-    :func:`fit_pretest`.
+    The target is the donor users' long-term mean (days 1..horizon, where
+    ``horizon`` defaults to the donor's last day) and the features are
+    their first ``order`` days. All donor arms are pooled. ``order`` is one
+    order or an iterable of orders, as in :func:`fit_pretest`.
     """
     orders, single = _as_orders(order)
     if not orders or min(orders) < 1:
         raise ValueError(f"orders must be positive, got {orders}")
-    if max(orders) > donor.horizon:
-        raise OutOfRange(f"order {max(orders)} exceeds donor horizon {donor.horizon}")
-    full = window(donor, 1, donor.horizon)
+    days = donor.horizon if horizon is None else horizon
+    if max(orders) > days:
+        raise OutOfRange(f"order {max(orders)} exceeds donor horizon {days}")
+    full = window(donor, 1, days)
     models = fit_nested(full, full.mean(axis=1), orders, ModelSource.SIMILAR_TEST)
     return models[0] if single else models
 

@@ -12,20 +12,15 @@ T2 = ArmLabel("t2", False)
 DATA_DIR = Path(__file__).parent / "data"
 
 
-def build_panel(matrix, arms, days=None, experiment_id="exp", horizon=None):
+def build_panel(matrix, arms, days=None, experiment_id="exp"):
     """Panel from an (n_users, n_days) array; days default to 1..n_days."""
     matrix = np.asarray(matrix, dtype=float)
     if days is None:
         days = list(range(1, matrix.shape[1] + 1))
     else:
         days = list(days)
-    if horizon is None:
-        post = [d for d in days if d > 0]
-        horizon = max(post) if post else 1
     user_ids = [f"u{i}" for i in range(matrix.shape[0])]
-    return OutcomePanel.from_matrix(
-        experiment_id, user_ids, list(arms), days, matrix, horizon=horizon
-    )
+    return OutcomePanel.from_matrix(experiment_id, user_ids, list(arms), days, matrix)
 
 
 def random_two_arm_panel(rng, n_per_arm=5, days=None, loc=2.0, scale=1.0):

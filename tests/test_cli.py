@@ -14,12 +14,14 @@ from surrokit import (
     EffectEstimate,
     EstimatorKind,
     ModelSource,
+    SimConfig,
     direct_effect,
     estimate_to_record,
     fit_pretest,
     fit_similar,
     load_panel,
     running_mean_model,
+    simulate_experiment,
     surrogate_effect,
 )
 from surrokit.cli import main
@@ -72,6 +74,9 @@ class TestSimulate:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 99
+        # A horizon-5 corpus file loads back as the simulated panel, with no argument.
+        panel = simulate_experiment(SimConfig(**TOY_CONFIG), 0).panel
+        assert load_panel(out_dir / "sim-00000.csv") == panel
 
     def test_rerun_is_byte_identical(self, tmp_path):
         first = simulate_toy(tmp_path, "one")
@@ -244,7 +249,7 @@ class TestAnalyze:
                      "--T", "2", "--horizon", "5", "--out", str(out_path)]) == 0
         records = json.loads(out_path.read_text())
 
-        panel = load_panel(panel_path, horizon=5)
+        panel = load_panel(panel_path)
         model = fit_pretest(panel, 2)
         expected = []
         for arm in sorted(a.name for a in panel.treatment_arms):
@@ -254,22 +259,25 @@ class TestAnalyze:
         assert records == expected
 
     def test_similar_regime_uses_donor(self, tmp_path):
+        # At --horizon 4 the donor's days run past the horizon, so the
+        # model's target must come from the flag, not the donor's last day.
         out_dir = simulate_toy(tmp_path)
         out_path = tmp_path / "est.json"
-        assert main(["analyze", "--panel", str(out_dir / "sim-00000.csv"),
-                     "--regime", "similar", "--donor", str(out_dir / "sim-00001.csv"),
-                     "--T", "3", "--horizon", "5", "--out", str(out_path)]) == 0
-        records = json.loads(out_path.read_text())
+        panel = load_panel(out_dir / "sim-00000.csv")
+        donor = load_panel(out_dir / "sim-00001.csv")
+        for horizon in (5, 4):
+            assert main(["analyze", "--panel", str(out_dir / "sim-00000.csv"),
+                         "--regime", "similar", "--donor", str(out_dir / "sim-00001.csv"),
+                         "--T", "3", "--horizon", str(horizon), "--out", str(out_path)]) == 0
+            records = json.loads(out_path.read_text())
 
-        panel = load_panel(out_dir / "sim-00000.csv", horizon=5)
-        donor = load_panel(out_dir / "sim-00001.csv", horizon=5)
-        model = fit_similar(donor, 3)
-        expected = {
-            arm: estimate_to_record(surrogate_effect(model, panel, arm))["point"]
-            for arm in ("t1", "t2")
-        }
-        got = {r["arm"]: r["point"] for r in records if r["kind"] == "surrogate:similar"}
-        assert got == expected
+            model = fit_similar(donor, 3, horizon)
+            expected = {
+                arm: estimate_to_record(surrogate_effect(model, panel, arm))["point"]
+                for arm in ("t1", "t2")
+            }
+            got = {r["arm"]: r["point"] for r in records if r["kind"] == "surrogate:similar"}
+            assert got == expected
 
     def test_sweep_emits_every_order(self, tmp_path):
         out_dir = simulate_toy(tmp_path)
@@ -290,7 +298,7 @@ class TestAnalyze:
         # once and sent to the --jobs 2 workers as objects.
         out_dir = simulate_toy(tmp_path)
         donor_path = out_dir / "sim-00000.csv"
-        donor = load_panel(donor_path, horizon=5)
+        donor = load_panel(donor_path)
         library_model = {
             "pretest": fit_pretest,
             "similar": lambda panel, order: fit_similar(donor, order),
@@ -307,7 +315,7 @@ class TestAnalyze:
             assert len(serial) == 2
 
             for panel_path in sorted(out_dir.glob("*.csv")):
-                panel = load_panel(panel_path, horizon=5)
+                panel = load_panel(panel_path)
                 expected = []
                 for arm in sorted(a.name for a in panel.treatment_arms):
                     for order in range(1, 6):
@@ -403,6 +411,44 @@ class TestEvaluate:
         assert report["ns_rates"] == {"direct": 1 / 3, "surrogate": 2 / 3}
         assert report["capacity"]["extra_experiments_needed"] == 1.0
 
+    def test_one_arm_corpus_reports_null_distributions(self, tmp_path):
+        # One experiment with one treatment arm: one direct point, so no
+        # scale; the decision metrics are still defined.
+        out_dir = simulate_toy(tmp_path, n_experiments=1, arms_per_experiment=1)
+        est_dir = tmp_path / "estimates"
+        assert main(["analyze", "--panel-dir", str(out_dir), "--regime", "pretest",
+                     "--T", "2", "--horizon", "5", "--out", str(est_dir)]) == 0
+        report_path = tmp_path / "report.json"
+        assert main(["evaluate", "--estimates", str(est_dir), "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["n_pairs"] == 1 and sum(map(sum, report["confusion"])) == 1
+        undefined = {"direct": None, "surrogate": None, "differences": None}
+        assert report["kurtosis"] == report["distributions"] == undefined
+        scaled = report_path.with_name(report["scaled_values_path"])
+        assert scaled.read_text() == "scaled_difference\n"
+
+    def test_equal_direct_points_report_null_direct_and_surrogate(self, tmp_path):
+        est_dir = tmp_path / "estimates"
+        est_dir.mkdir()
+        records = []
+        for arm, surrogate_point in (("t1", 4.0), ("t2", 0.0), ("t3", 1.0)):
+            label = ArmLabel(arm, False)
+            records.append(estimate_to_record(EffectEstimate(
+                "e1", label, EstimatorKind.direct(5), 4.0, 1.0)))
+            records.append(estimate_to_record(EffectEstimate(
+                "e1", label, EstimatorKind.surrogate(2, ModelSource.PRE_TEST),
+                surrogate_point, 1.0)))
+        (est_dir / "e1.estimates.json").write_text(json.dumps(records))
+        report_path = tmp_path / "report.json"
+        assert main(["evaluate", "--estimates", str(est_dir), "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        for name in ("direct", "surrogate"):
+            assert report["kurtosis"][name] is None and report["distributions"][name] is None
+        assert report["distributions"]["differences"]["n"] == 3
+        assert report["recall"] == 1 / 3
+        scaled = report_path.with_name(report["scaled_values_path"])
+        assert len(scaled.read_text().splitlines()) == 1 + 3
+
     def test_key_mismatch_exits_3(self, tmp_path):
         est_dir = tmp_path / "estimates"
         est_dir.mkdir()
@@ -417,7 +463,8 @@ class TestEvaluate:
                      "--out", str(tmp_path / "report.json")]) == 3
 
     @pytest.mark.parametrize("field", ["point", "std_error"])
-    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"),
+                                       pytest.param(10**400, id="int-past-float-range")])
     def test_non_finite_estimate_exits_3(self, tmp_path, capsys, field, value):
         est_dir = tmp_path / "estimates"
         est_dir.mkdir()

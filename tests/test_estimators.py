@@ -88,7 +88,7 @@ class TestDirectEffect:
     def test_six_user_fixture_hand_welch(self):
         # control users with constant daily outcomes 1, 2, 3; treated 2, 4, 6
         rows = [np.full(3, v) for v in (1.0, 2.0, 3.0, 2.0, 4.0, 6.0)]
-        panel = build_panel(np.vstack(rows), [CONTROL] * 3 + [T1] * 3, horizon=3)
+        panel = build_panel(np.vstack(rows), [CONTROL] * 3 + [T1] * 3)
         estimate = direct_effect(panel, "t1")
         # hand computation: means 4 vs 2, s2 = 4 and 1, se = sqrt(4/3 + 1/3)
         assert estimate.point == 2.0
@@ -120,10 +120,10 @@ class TestDirectEffect:
         rng = np.random.default_rng(24)
         matrix = rng.standard_normal((8, 20))
         arms = [CONTROL] * 4 + [T1] * 4
-        base = direct_effect(build_panel(matrix, arms, horizon=20), "t1")
+        base = direct_effect(build_panel(matrix, arms), "t1")
         shifted_matrix = matrix.copy()
         shifted_matrix[4:] += 0.75
-        shifted = direct_effect(build_panel(shifted_matrix, arms, horizon=20), "t1")
+        shifted = direct_effect(build_panel(shifted_matrix, arms), "t1")
         assert shifted.point == pytest.approx(base.point + 0.75, rel=1e-12)
         assert shifted.std_error == pytest.approx(base.std_error, rel=1e-12)
 
@@ -285,6 +285,16 @@ class TestRecords:
     def test_unknown_kind_rejected(self, kind):
         record = {**estimate_to_record(toy_estimate(1.0, 0.5)), "kind": kind}
         with pytest.raises(ValueError):
+            record_to_estimate(record)
+
+    @pytest.mark.parametrize("field, value", [
+        ("T", 14.5), ("T", 14.0), ("T", True), ("T", "14"),
+        ("point", "0.5"), ("point", True), ("std_error", True), ("std_error", "1"),
+        ("experiment_id", 5), ("arm", 7), ("arm", False), ("kind", None),
+    ])
+    def test_field_of_another_json_type_is_refused(self, field, value):
+        record = {**estimate_to_record(toy_estimate(1.0, 0.5)), field: value}
+        with pytest.raises(ValueError, match=f"^estimate field '{field}' must be a JSON "):
             record_to_estimate(record)
 
     def test_surrogate_kind_embeds_source(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -42,13 +43,13 @@ e1,u2,t1,false,3,6.0
 """
 
 
-def load_text(text, horizon=63):
-    return load_panel(io.StringIO(text), horizon=horizon)
+def load_text(text):
+    return load_panel(io.StringIO(text))
 
 
 class TestLoadPanel:
     def test_minimal_complete_grid(self):
-        panel = load_text(MINIMAL_CSV, horizon=3)
+        panel = load_text(MINIMAL_CSV)
         assert panel.experiment_id == "e1"
         assert panel.day_range == (1, 3)
         assert panel.n_users == 2
@@ -62,15 +63,15 @@ class TestLoadPanel:
             line for line in MINIMAL_CSV.splitlines() if not line.startswith("e1,u2,t1,false,2")
         )
         with pytest.raises(MissingDay):
-            load_text(truncated, horizon=3)
+            load_text(truncated)
 
     def test_user_without_last_day_is_missing_day(self):
         truncated = MINIMAL_CSV.replace("e1,u2,t1,false,3,6.0\n", "")
         with pytest.raises(MissingDay, match="lacks day 3"):
-            load_text(truncated, horizon=3)
+            load_text(truncated)
 
     def test_four_user_fixture_arm_counts(self, fixture_dir):
-        panel = load_panel(fixture_dir / "four_users.csv", horizon=3)
+        panel = load_panel(fixture_dir / "four_users.csv")
         # hand count of the fixture rows: 2 control users, 2 t1 users
         assert panel.n_users == 4
         assert panel.arm_mask("control").sum() == 2
@@ -139,15 +140,15 @@ class TestLoadPanel:
     def test_crlf_and_blank_lines(self):
         expected = OutcomePanel.from_matrix(
             "e1", ["u1", "u2"], [ArmLabel("control", True), ArmLabel("t1", False)],
-            [1, 2, 3], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], horizon=3,
+            [1, 2, 3], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
         )
         lines = MINIMAL_CSV.splitlines(keepends=True)
         spaced = lines[0] + "\n" + "".join(line + "\n" for line in lines[1:]) + "\n\n"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert load_text(MINIMAL_CSV.replace("\n", "\r\n"), horizon=3) == expected
-            assert load_text(spaced, horizon=3) == expected
-            assert load_text(spaced.replace("\n", "\r\n"), horizon=3) == expected
+            assert load_text(MINIMAL_CSV.replace("\n", "\r\n")) == expected
+            assert load_text(spaced) == expected
+            assert load_text(spaced.replace("\n", "\r\n")) == expected
 
     def test_quoted_separators_in_ids(self, tmp_path):
         text = (
@@ -157,17 +158,17 @@ class TestLoadPanel:
         )
         expected = OutcomePanel.from_matrix(
             "e,1", ['a,"b"', "x\ny"], [ArmLabel("c", True), ArmLabel("t\r1", False)],
-            [1], [[1.5], [-2.0]], horizon=1,
+            [1], [[1.5], [-2.0]],
         )
-        assert load_text(text, horizon=1) == expected
+        assert load_text(text) == expected
         # A file is read with newline="", so its lines also break at the quoted "\r".
         path = tmp_path / "panel.csv"
         path.write_bytes(text.encode())
-        assert load_panel(path, horizon=1) == expected
+        assert load_panel(path) == expected
 
     def test_ids_differing_by_a_trailing_nul_stay_distinct(self):
         text = MINIMAL_CSV.replace("e1,u2,t1", "e1,u1\x00,t1")
-        panel = load_text(text, horizon=3)
+        panel = load_text(text)
         assert panel.user_ids == ("u1", "u1\x00")
         assert panel.arm_mask("t1").tolist() == [False, True]
 
@@ -179,17 +180,17 @@ class TestLoadPanel:
         body = np.array(lines[1:]).reshape(4, 5)
         # day-major order, each day's users in the original order, days descending
         interleaved = lines[0] + "".join(body[:, ::-1].T.ravel())
-        assert load_text(interleaved, horizon=panel.horizon) == panel
+        assert load_text(interleaved) == panel
 
     @pytest.mark.parametrize("length, loads", [(FIELD_LIMIT, True), (FIELD_LIMIT + 1, False)])
     def test_field_limit(self, length, loads):
         long_id = "u" * length
         text = MINIMAL_CSV.replace("e1,u2,", f"e1,{long_id},")
         if loads:
-            assert load_text(text, horizon=3).user_ids == ("u1", long_id)
+            assert load_text(text).user_ids == ("u1", long_id)
         else:
             with pytest.raises(MalformedRow, match="^line 5: field larger than field limit"):
-                load_text(text, horizon=3)
+                load_text(text)
 
     @pytest.mark.parametrize("day, outcome", [("1_0", "1.0"), ("10", "1_0.5")])
     def test_underscore_digits_rejected(self, day, outcome):
@@ -247,7 +248,7 @@ class TestLoadPanelPastFirstChunk:
         panel = build_panel(matrix, [CONTROL, T1] * 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert load_text(panel_to_csv_text(panel), horizon=panel.horizon) == panel
+            assert load_text(panel_to_csv_text(panel)) == panel
 
     def test_non_utf8_byte_after_the_first_chunk(self, tmp_path):
         _, lines = long_panel_lines()
@@ -303,7 +304,6 @@ def small_panels(draw):
         [labels[i % n_arms] for i in range(n_users)],
         days,
         np.array(rows, dtype=float).reshape(n_users, len(days)),
-        horizon=draw(st.integers(1, 63)),
     )
 
 
@@ -312,16 +312,16 @@ class TestRoundTrip:
     @given(small_panels())
     def test_round_trip_property(self, panel):
         text = panel_to_csv_text(panel)
-        reloaded = load_text(text, horizon=panel.horizon)
+        reloaded = load_text(text)
         assert reloaded == panel
         assert panel_to_csv_text(reloaded) == text
 
     def test_carriage_return_fields_round_trip(self):
         arms = [ArmLabel("c\r", True), ArmLabel("t\r1", False)]
-        panel = OutcomePanel.from_matrix("e\r", ["a\rb", "u2"], arms, [1], [[1.0], [2.0]], 1)
+        panel = OutcomePanel.from_matrix("e\r", ["a\rb", "u2"], arms, [1], [[1.0], [2.0]])
         text = panel_to_csv_text(panel)
         assert text.split("\n")[1] == '"e\r","a\rb","c\r",true,1,1.0'
-        assert load_text(text, horizon=1) == panel
+        assert load_text(text) == panel
 
     def test_round_trip_with_pre_period(self):
         rng = np.random.default_rng(7)
@@ -331,9 +331,8 @@ class TestRoundTrip:
             [CONTROL, CONTROL, T1, T1],
             days=days,
             experiment_id="round",
-            horizon=5,
         )
-        reloaded = load_text(panel_to_csv_text(panel), horizon=5)
+        reloaded = load_text(panel_to_csv_text(panel))
         assert reloaded == panel
 
     def test_round_trip_exact_floats(self, tmp_path):
@@ -341,17 +340,17 @@ class TestRoundTrip:
         panel = build_panel(rng.standard_normal((3, 4)) / 3.0, [CONTROL, T1, T1])
         path = tmp_path / "panel.csv"
         write_panel(panel, path)
-        assert load_panel(path, horizon=4) == panel
+        assert load_panel(path) == panel
 
 
 class TestConstruction:
     def test_from_matrix_normalises_to_direct_construction(self):
         via_matrix = OutcomePanel.from_matrix(
-            "exp", ["u0", "u1"], [CONTROL, T1], [1, 2], [[1, 2], [3, 4]], horizon=2
+            "exp", ["u0", "u1"], [CONTROL, T1], [1, 2], [[1, 2], [3, 4]]
         )
         matrix = np.array([[1.0, 2.0], [3.0, 4.0]])
         matrix.setflags(write=False)
-        direct = OutcomePanel("exp", ("u0", "u1"), (CONTROL, T1), (1, 2), matrix, horizon=2)
+        direct = OutcomePanel("exp", ("u0", "u1"), (CONTROL, T1), (1, 2), matrix)
         assert via_matrix == direct
         assert via_matrix.matrix.dtype == float
         assert not via_matrix.matrix.flags.writeable
@@ -359,12 +358,12 @@ class TestConstruction:
 
     def test_direct_construction_normalises_like_from_matrix(self):
         matrix = np.array([[1.0, 2.0], [3.0, 4.0]])
-        direct = OutcomePanel("e", ["u0", "u1"], [CONTROL, T1], [1, 2], matrix, horizon=2)
+        direct = OutcomePanel("e", ["u0", "u1"], [CONTROL, T1], [1, 2], matrix)
         matrix[0, 0] = 9.0
         assert direct.matrix[0, 0] == 1.0 and not direct.matrix.flags.writeable
         assert (direct.user_ids, direct.arms, direct.days) == (("u0", "u1"), (CONTROL, T1), (1, 2))
         via_matrix = OutcomePanel.from_matrix(
-            "e", ("u0", "u1"), (CONTROL, T1), (1, 2), [[1, 2], [3, 4]], horizon=2
+            "e", ("u0", "u1"), (CONTROL, T1), (1, 2), [[1, 2], [3, 4]]
         )
         assert direct == via_matrix
         assert hash(direct) == hash(via_matrix)
@@ -372,32 +371,39 @@ class TestConstruction:
 
     def test_from_matrix_leaves_the_callers_array_alone(self):
         matrix = np.zeros((2, 1))
-        panel = OutcomePanel.from_matrix("exp", ["u0", "u1"], [CONTROL, T1], [1], matrix, 1)
+        panel = OutcomePanel.from_matrix("exp", ["u0", "u1"], [CONTROL, T1], [1], matrix)
         assert matrix.flags.writeable
         matrix[0, 0] = 5.0
         assert panel.matrix[0, 0] == 0.0
         assert not panel.matrix.flags.writeable
         view = matrix.view()
         view.setflags(write=False)
-        panel = OutcomePanel.from_matrix("exp", ["u0", "u1"], [CONTROL, T1], [1], view, 1)
+        panel = OutcomePanel.from_matrix("exp", ["u0", "u1"], [CONTROL, T1], [1], view)
         matrix[1, 0] = 7.0
         assert panel.matrix[1, 0] == 0.0
+
+    def test_stores_only_what_its_file_holds(self):
+        names = [field.name for field in dataclasses.fields(OutcomePanel)]
+        assert names == ["experiment_id", "user_ids", "arms", "days", "matrix"]
+        panel = build_panel(np.zeros((2, 4)), [CONTROL, T1], days=[-1, 1, 2, 3])
+        assert panel.horizon == 3
+        assert panel.arm_labels == (CONTROL, T1)
 
     def test_duplicate_user_id(self):
         with pytest.raises(DuplicateObservation):
             OutcomePanel.from_matrix(
-                "exp", ["u0", "u0"], [CONTROL, T1], [1], [[1.0], [2.0]], horizon=1
+                "exp", ["u0", "u0"], [CONTROL, T1], [1], [[1.0], [2.0]]
             )
 
     def test_extra_day_outside_range(self):
         matrix = [[1.0, 5.0], [2.0, 6.0]]
         with pytest.raises(OutOfRange):
-            OutcomePanel.from_matrix("exp", ["u0", "u1"], [CONTROL, T1], [1], matrix, horizon=1)
+            OutcomePanel.from_matrix("exp", ["u0", "u1"], [CONTROL, T1], [1], matrix)
 
     def test_no_treatment_arm(self):
         with pytest.raises(NoTreatmentArm):
             OutcomePanel.from_matrix(
-                "exp", ["u0", "u1"], [CONTROL, CONTROL], [1], [[1.0], [2.0]], horizon=1
+                "exp", ["u0", "u1"], [CONTROL, CONTROL], [1], [[1.0], [2.0]]
             )
 
     @pytest.mark.parametrize(
@@ -413,7 +419,7 @@ class TestConstruction:
     )
     def test_matrix_must_match_days_and_users(self, days, matrix, error):
         with pytest.raises(error):
-            OutcomePanel.from_matrix("exp", ["u0", "u1"], [CONTROL, T1], days, matrix, horizon=1)
+            OutcomePanel.from_matrix("exp", ["u0", "u1"], [CONTROL, T1], days, matrix)
 
     @pytest.mark.parametrize(
         "arms, error",
@@ -425,7 +431,7 @@ class TestConstruction:
     )
     def test_arm_labels_validated(self, arms, error):
         with pytest.raises(error):
-            OutcomePanel.from_matrix("exp", ["u0", "u1"], arms, [1], [[1.0], [2.0]], horizon=1)
+            OutcomePanel.from_matrix("exp", ["u0", "u1"], arms, [1], [[1.0], [2.0]])
 
     def test_arm_partition(self):
         rng = np.random.default_rng(3)
@@ -496,7 +502,7 @@ class TestLongTermMean:
 
     def test_missing_day(self):
         days = list(range(-3, 0))  # pre-period only
-        panel = build_panel([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [CONTROL, T1], days=days, horizon=3)
+        panel = build_panel([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [CONTROL, T1], days=days)
         with pytest.raises(OutOfRange):
             window(panel, 1, panel.horizon)
         with pytest.raises(MissingDay):

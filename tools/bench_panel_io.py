@@ -92,12 +92,12 @@ def main(argv: list[str] | None = None) -> int:
             sk.write_panel(panel, path)
             write_s.append(time.perf_counter() - start)
             start = time.perf_counter()
-            loaded = sk.load_panel(path, horizon=panel.horizon)
+            loaded = sk.load_panel(path)
             load_s.append(time.perf_counter() - start)
             if loaded != panel:
                 raise SystemExit("load_panel did not reproduce the written panel")
         write_peak = _peak_mib(lambda: sk.write_panel(panel, path))
-        load_peak = _peak_mib(lambda: sk.load_panel(path, horizon=panel.horizon))
+        load_peak = _peak_mib(lambda: sk.load_panel(path))
         csv_bytes = path.stat().st_size
 
     run = {
