@@ -105,7 +105,8 @@ class DistributionSummary:
 
     Stores the scaled values and their statistics; the count
     ``n`` is derived from ``scaled_values``. ``excess_kurtosis`` uses the
-    bias-corrected sample estimator and is None for fewer than 4 values.
+    bias-corrected sample estimator and is None for fewer than 4 values or
+    constant ones.
     """
 
     mean: float
@@ -195,8 +196,9 @@ def excess_kurtosis(values: np.ndarray) -> float:
 
     Uses the standard small-sample correction
     G2 = ((n-1) / ((n-2)(n-3))) * ((n+1) g2 + 6) with g2 = m4/m2^2 - 3.
-    Raises NumericalError when the fourth central moment m4 overflows,
-    which m2 overflowing implies.
+    Raises ZeroVariance for constant values, whose mean can round away
+    from them, and NumericalError when the fourth central moment m4
+    overflows, which m2 overflowing implies.
     """
     x = np.asarray(values, dtype=float)
     n = x.size
@@ -204,7 +206,7 @@ def excess_kurtosis(values: np.ndarray) -> float:
         raise DegenerateGroup(f"excess kurtosis needs at least 4 values, got {n}")
     centered = x - x.mean()
     m2 = float(np.mean(centered**2))
-    if m2 == 0.0:
+    if m2 == 0.0 or x.min() == x.max():
         raise ZeroVariance("excess kurtosis undefined for constant values")
     m4 = float(np.mean(centered**4))
     if not math.isfinite(m4):
@@ -219,7 +221,8 @@ def scaled_distribution(
     """Divide values by the sample std of ``scale_by`` and summarize.
 
     ``scale_by`` defaults to the values themselves, in which case the
-    scaled values have sample standard deviation 1.
+    scaled values have sample standard deviation 1. Their excess kurtosis
+    is None for fewer than 4 values or constant ones.
     """
     x = np.asarray(values, dtype=float)
     reference = x if scale_by is None else np.asarray(scale_by, dtype=float)
@@ -232,7 +235,8 @@ def scaled_distribution(
         raise ZeroVariance("scaling vector has zero sample standard deviation")
     scaled = x / scale
     scaled.setflags(write=False)
-    kurt = excess_kurtosis(scaled) if scaled.size >= 4 else None
+    defined = scaled.size >= 4 and scaled.min() < scaled.max()
+    kurt = excess_kurtosis(scaled) if defined else None
     return DistributionSummary(
         mean=float(scaled.mean()),
         std_dev=float(scaled.std(ddof=1)) if scaled.size >= 2 else 0.0,

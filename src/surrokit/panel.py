@@ -19,6 +19,7 @@ import warnings
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -126,10 +127,15 @@ class OutcomePanel:
             user = next(u for u, count in Counter(self.user_ids).items() if count > 1)
             raise DuplicateObservation(f"user {user!r} appears more than once")
 
-        # One pass gives the distinct labels in order of first appearance and
-        # row i's index into them.
+        # One pass over runs of equal labels gives the distinct labels in order
+        # of first appearance and row i's index into them, hashing one label
+        # per run rather than per row.
         index: dict[ArmLabel, int] = {}
-        codes = np.array([index.setdefault(label, len(index)) for label in self.arms])
+        run_codes, run_lengths = [], []
+        for label, run in groupby(self.arms):
+            run_codes.append(index.setdefault(label, len(index)))
+            run_lengths.append(len(list(run)))
+        codes = np.repeat(run_codes, run_lengths)
         labels = tuple(index)
         object.__setattr__(self, "arm_labels", labels)
         object.__setattr__(self, "_arm_codes", codes)

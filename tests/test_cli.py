@@ -449,6 +449,27 @@ class TestEvaluate:
         scaled = report_path.with_name(report["scaled_values_path"])
         assert len(scaled.read_text().splitlines()) == 1 + 3
 
+    def test_constant_surrogate_points_report_null_kurtosis(self, tmp_path):
+        est_dir = tmp_path / "estimates"
+        est_dir.mkdir()
+        records = []
+        for k, direct_point in enumerate((1.0, 2.0, 3.5, -1.0, 0.5)):
+            label = ArmLabel(f"t{k + 1}", False)
+            records.append(estimate_to_record(EffectEstimate(
+                "e1", label, EstimatorKind.direct(5), direct_point, 1.0)))
+            records.append(estimate_to_record(EffectEstimate(
+                "e1", label, EstimatorKind.surrogate(2, ModelSource.PRE_TEST), 0.5, 1.0)))
+        (est_dir / "e1.estimates.json").write_text(json.dumps(records))
+        report_path = tmp_path / "report.json"
+        assert main(["evaluate", "--estimates", str(est_dir), "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        surrogate = report["distributions"]["surrogate"]
+        assert report["kurtosis"]["surrogate"] is None and surrogate["excess_kurtosis"] is None
+        assert surrogate["n"] == 5 and surrogate["std_dev"] == 0.0
+        for name in ("direct", "differences"):
+            assert report["kurtosis"][name] == report["distributions"][name]["excess_kurtosis"]
+            assert isinstance(report["kurtosis"][name], float)
+
     def test_key_mismatch_exits_3(self, tmp_path):
         est_dir = tmp_path / "estimates"
         est_dir.mkdir()

@@ -205,6 +205,21 @@ class TestScaledDistribution:
         with pytest.raises(ZeroVariance):
             scaled_distribution([1.0, 2.0], scale_by=[5.0, 5.0, 5.0])
 
+    def test_constant_scaled_values_have_no_kurtosis(self):
+        direct = [1.0, 2.0, 3.5, -1.0, 0.5]
+        summary = scaled_distribution([0.5] * 5, scale_by=direct)
+        assert summary.excess_kurtosis is None
+        assert summary.n == 5 and summary.std_dev == 0.0
+        assert summary.mean == 0.5 / float(np.std(direct, ddof=1))
+        assert scaled_distribution(direct).excess_kurtosis is not None
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_kurtosis_of_constant_values_raises(self, n):
+        # Six or seven copies of 0.1 have a mean that rounds away from 0.1.
+        with pytest.raises(ZeroVariance):
+            excess_kurtosis(np.full(n, 0.1))
+        assert scaled_distribution(np.full(n, 0.1), scale_by=[0.0, 1.0]).excess_kurtosis is None
+
     def test_kurtosis_matches_scipy_oracle(self):
         rng = np.random.default_rng(9)
         for sample in (rng.standard_normal(50), rng.exponential(1.0, 321),

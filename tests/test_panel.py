@@ -446,6 +446,21 @@ class TestConstruction:
             assert panel.arm_mask(label.name).tolist() == expected
         assert not panel.arm_mask("absent").any()
 
+        # Rows are coded by runs of one label: interleaved labels make runs
+        # of one row, and equal labels that are distinct objects share a run.
+        t2 = ArmLabel("t2", False)
+        interleaved = [CONTROL, T1] * 4 + [t2, CONTROL, t2]
+        distinct = [ArmLabel("t1", False), ArmLabel("control", True), ArmLabel("control", True),
+                    t2, ArmLabel("t1", False), ArmLabel("t1", False), ArmLabel("t2", False)]
+        for arms in (interleaved, distinct):
+            panel = build_panel(rng.standard_normal((len(arms), 3)), arms)
+            first_seen = list(dict.fromkeys(arms))
+            assert list(panel.arm_labels) == first_seen
+            for label in first_seen:
+                expected = [a.name == label.name for a in arms]
+                assert panel.arm_mask(label).tolist() == expected
+                assert panel.arm_mask(label.name).tolist() == expected
+
 
 class TestWindow:
     def test_single_day(self):

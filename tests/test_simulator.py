@@ -203,8 +203,11 @@ class TestStreamContract:
             {"pre_period": 0},
             {"effect_tail_df": math.inf},
             {"ar1_rho": 0.9},
+            {"seed": 2**64 - 1},
+            {"seed": 2**63},
         ],
-        ids=["no-noise", "no-pre-period", "gaussian-effects", "rho-0.9"],
+        ids=["no-noise", "no-pre-period", "gaussian-effects", "rho-0.9", "seed-2^64-1",
+             "seed-2^63"],
     )
     def test_matches_one_philox_per_stream(self, overrides):
         base = dict(n_experiments=2, arms_per_experiment=2, users_per_arm=3, horizon=6,
