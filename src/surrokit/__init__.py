@@ -56,6 +56,7 @@ from .evaluation import (
     capacity_gain,
     classify_pairs,
     confusion,
+    decision_report,
     excess_kurtosis,
     extra_experiments_needed,
     launch_metrics,

@@ -46,15 +46,7 @@ from .estimators import (
     record_to_estimate,
     surrogate_effect,
 )
-from .evaluation import (
-    CLASS_ORDER,
-    capacity_gain,
-    classify_pairs,
-    confusion,
-    extra_experiments_needed,
-    launch_metrics,
-    scaled_distribution,
-)
+from .evaluation import decision_report
 from .panel import DEFAULT_HORIZON, load_panel, write_panel
 from .simulator import load_config, simulate_experiment
 from .surrogate import fit_pretest, fit_similar, running_mean_model
@@ -233,91 +225,25 @@ def _load_estimates(estimates_dir: str) -> tuple[list, list]:
     return direct, surrogate
 
 
-def _summary(values: list[float], scale_by: list[float]):
-    """``scaled_distribution``, or None where its scale is undefined.
-
-    The scale is undefined for fewer than 2 values or a zero sample
-    standard deviation, as on a corpus of one arm or of equal points.
-    """
-    reference = np.asarray(scale_by, dtype=float)
-    if reference.size < 2 or reference.std(ddof=1) == 0.0:
-        return None
-    return scaled_distribution(values, reference)
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     direct, surrogate = _load_estimates(args.estimates)
-    pairs = classify_pairs(direct, surrogate, args.alpha)
-    matrix = confusion(pairs)
-    metrics = launch_metrics(matrix)
-
-    by_key_direct = {(e.experiment_id, e.arm.name): e.point for e in direct}
-    by_key_surrogate = {(e.experiment_id, e.arm.name): e.point for e in surrogate}
-    keys = sorted(by_key_direct)
-    direct_points = [by_key_direct[k] for k in keys]
-    surrogate_points = [by_key_surrogate[k] for k in keys]
-    differences = [s - d for s, d in zip(surrogate_points, direct_points)]
-
-    summaries = {
-        "direct": _summary(direct_points, direct_points),
-        "surrogate": _summary(surrogate_points, direct_points),
-        "differences": _summary(differences, differences),
-    }
-
+    report, scaled = decision_report(
+        direct, surrogate, args.alpha, args.long_cycle_days, args.short_cycle_days
+    )
     out_path = Path(args.out)
     scaled_path = out_path.with_name(out_path.stem + "_scaled_values.csv")
-    gain = capacity_gain(args.long_cycle_days, args.short_cycle_days)
-    extra = (
-        extra_experiments_needed(metrics.recall)
-        if metrics.recall is not None and metrics.recall > 0
-        else None
-    )
-
-    def summarize(summary) -> dict | None:
-        return None if summary is None else {
-            "n": summary.n,
-            "mean": summary.mean,
-            "std_dev": summary.std_dev,
-            "excess_kurtosis": summary.excess_kurtosis,
-        }
-
-    report = {
-        "alpha": args.alpha,
-        "n_pairs": len(pairs),
-        "class_order": [cls.value for cls in CLASS_ORDER],
-        "confusion": [list(row) for row in matrix.counts],
-        "precision": metrics.precision,
-        "recall": metrics.recall,
-        "agreement": metrics.agreement,
-        "ns_rates": {
-            "direct": metrics.direct_ns_rate,
-            "surrogate": metrics.surrogate_ns_rate,
-        },
-        "false_launch_negatives": metrics.false_launch_negatives,
-        "kurtosis": {
-            name: None if summary is None else summary.excess_kurtosis
-            for name, summary in summaries.items()
-        },
-        "distributions": {name: summarize(summary) for name, summary in summaries.items()},
-        "capacity": {
-            "long_cycle_days": args.long_cycle_days,
-            "short_cycle_days": args.short_cycle_days,
-            "capacity_gain": gain,
-            "extra_experiments_needed": extra,
-        },
-        "scaled_values_path": scaled_path.name,
-    }
+    report["scaled_values_path"] = scaled_path.name
     try:
         report_text = _dump_json(report)
     except ValueError as exc:  # a statistic overflowed to NaN or infinity
         raise NumericalError(f"report statistic is not finite: {exc}") from None
     # Every check has passed: a failed run leaves no file behind.
-    differences_summary = summaries["differences"]
-    scaled = [] if differences_summary is None else differences_summary.scaled_values.tolist()
-    _write_atomic(scaled_path, "scaled_difference\n" + "".join(repr(v) + "\n" for v in scaled))
+    _write_atomic(
+        scaled_path, "scaled_difference\n" + "".join(repr(v) + "\n" for v in scaled.tolist())
+    )
     _write_atomic(out_path, report_text)
-    logger.info("evaluated %d decision pairs", len(pairs))
+    logger.info("evaluated %d decision pairs", report["n_pairs"])
 
     _write_manifest(
         out_path.with_name(out_path.name + ".manifest.json"),

@@ -14,7 +14,8 @@ undefined marker, serialized as JSON null), never as NaN.
 Also provides the distribution diagnostics used to compare estimate
 spreads (scaling by a reference standard deviation, excess kurtosis) and
 the two throughput formulas relating testing-cycle length and recall to
-experimentation capacity.
+experimentation capacity. ``decision_report`` combines all of these into
+the report that ``surrokit evaluate`` writes.
 """
 
 from __future__ import annotations
@@ -105,8 +106,8 @@ class DistributionSummary:
 
     Stores the scaled values and their statistics; the count
     ``n`` is derived from ``scaled_values``. ``excess_kurtosis`` uses the
-    bias-corrected sample estimator and is None for fewer than 4 values or
-    constant ones.
+    bias-corrected sample estimator and is None where that is undefined:
+    fewer than 4 values, or zero variance.
     """
 
     mean: float
@@ -119,15 +120,12 @@ class DistributionSummary:
         return self.scaled_values.size
 
 
-def classify_pairs(
-    direct: list[EffectEstimate],
-    surrogate: list[EffectEstimate],
-    alpha: float = DEFAULT_ALPHA,
-) -> list[DecisionPair]:
-    """Pair up direct and surrogate estimates keyed by (experiment, arm).
+def _paired_estimates(
+    direct: list[EffectEstimate], surrogate: list[EffectEstimate]
+) -> dict[tuple[str, str], tuple[EffectEstimate, EffectEstimate]]:
+    """``{(experiment, arm): (direct, surrogate)}`` in direct-list order.
 
-    Both lists must cover exactly the same keys, once each. Output order
-    follows the direct list.
+    Both lists must cover exactly the same keys, once each.
     """
 
     def keyed(estimates: list[EffectEstimate], label: str) -> dict:
@@ -148,14 +146,22 @@ def classify_pairs(
             f"estimate keys differ; missing surrogate for {missing[:5]}, "
             f"missing direct for {extra[:5]}"
         )
+    return {key: (est, surrogate_by_key[key]) for key, est in direct_by_key.items()}
+
+
+def classify_pairs(
+    direct: list[EffectEstimate],
+    surrogate: list[EffectEstimate],
+    alpha: float = DEFAULT_ALPHA,
+) -> list[DecisionPair]:
+    """Pair up direct and surrogate estimates keyed by (experiment, arm).
+
+    Both lists must cover exactly the same keys, once each. Output order
+    follows the direct list.
+    """
     return [
-        DecisionPair(
-            experiment_id=est.experiment_id,
-            arm=est.arm.name,
-            direct_class=z_test(est, alpha),
-            surrogate_class=z_test(surrogate_by_key[key], alpha),
-        )
-        for key, est in direct_by_key.items()
+        DecisionPair(experiment_id, arm, z_test(d, alpha), z_test(s, alpha))
+        for (experiment_id, arm), (d, s) in _paired_estimates(direct, surrogate).items()
     ]
 
 
@@ -197,8 +203,9 @@ def excess_kurtosis(values: np.ndarray) -> float:
     Uses the standard small-sample correction
     G2 = ((n-1) / ((n-2)(n-3))) * ((n+1) g2 + 6) with g2 = m4/m2^2 - 3.
     Raises ZeroVariance for constant values, whose mean can round away
-    from them, and NumericalError when the fourth central moment m4
-    overflows, which m2 overflowing implies.
+    from them, and for values whose second central moment m2, or m2
+    squared, underflows to 0; NumericalError when the fourth central
+    moment m4 overflows, which m2 overflowing implies.
     """
     x = np.asarray(values, dtype=float)
     n = x.size
@@ -206,8 +213,8 @@ def excess_kurtosis(values: np.ndarray) -> float:
         raise DegenerateGroup(f"excess kurtosis needs at least 4 values, got {n}")
     centered = x - x.mean()
     m2 = float(np.mean(centered**2))
-    if m2 == 0.0 or x.min() == x.max():
-        raise ZeroVariance("excess kurtosis undefined for constant values")
+    if m2 * m2 == 0.0 or x.min() == x.max():
+        raise ZeroVariance("excess kurtosis undefined: constant values or underflowing variance")
     m4 = float(np.mean(centered**4))
     if not math.isfinite(m4):
         raise NumericalError(f"excess kurtosis overflows: fourth central moment is {m4}")
@@ -221,8 +228,11 @@ def scaled_distribution(
     """Divide values by the sample std of ``scale_by`` and summarize.
 
     ``scale_by`` defaults to the values themselves, in which case the
-    scaled values have sample standard deviation 1. Their excess kurtosis
-    is None for fewer than 4 values or constant ones.
+    scaled values have sample standard deviation 1. Raises ZeroVariance
+    when the scale is undefined: fewer than 2 values in ``scale_by`` or a
+    zero sample standard deviation. The excess kurtosis is None exactly
+    when ``excess_kurtosis`` finds it undefined: fewer than 4 values, or
+    values that are constant or whose variance underflows to zero.
     """
     x = np.asarray(values, dtype=float)
     reference = x if scale_by is None else np.asarray(scale_by, dtype=float)
@@ -235,8 +245,10 @@ def scaled_distribution(
         raise ZeroVariance("scaling vector has zero sample standard deviation")
     scaled = x / scale
     scaled.setflags(write=False)
-    defined = scaled.size >= 4 and scaled.min() < scaled.max()
-    kurt = excess_kurtosis(scaled) if defined else None
+    try:
+        kurt = excess_kurtosis(scaled)
+    except (DegenerateGroup, ZeroVariance):
+        kurt = None
     return DistributionSummary(
         mean=float(scaled.mean()),
         std_dev=float(scaled.std(ddof=1)) if scaled.size >= 2 else 0.0,
@@ -273,3 +285,77 @@ def extra_experiments_needed(recall: float) -> float:
     if not 0.0 < recall <= 1.0:
         raise InvalidRecall(f"recall must be in (0, 1], got {recall}")
     return 1.0 / recall - 1.0
+
+
+def decision_report(
+    direct: list[EffectEstimate],
+    surrogate: list[EffectEstimate],
+    alpha: float,
+    long_cycle_days: float,
+    short_cycle_days: float,
+) -> tuple[dict, np.ndarray]:
+    """The launch-decision report over paired reads, and the scaled differences.
+
+    Pairs the estimates as ``classify_pairs`` does and returns a JSON-ready
+    dict: the confusion matrix and ``launch_metrics`` at ``alpha``, the
+    ``scaled_distribution`` of the direct points, the surrogate points and
+    their surrogate-minus-direct differences (points scaled by the direct
+    points' standard deviation, differences by their own), and the capacity
+    figures for the two cycle lengths. A distribution whose scale is
+    undefined is None, and so is its kurtosis. The second value holds the
+    scaled differences in sorted (experiment, arm) order, empty where they
+    are undefined. The result depends on neither list's order.
+    """
+    paired = sorted(_paired_estimates(direct, surrogate).items())
+    matrix = confusion([
+        DecisionPair(experiment_id, arm, z_test(d, alpha), z_test(s, alpha))
+        for (experiment_id, arm), (d, s) in paired
+    ])
+    metrics = launch_metrics(matrix)
+    direct_points = np.array([d.point for _, (d, s) in paired])
+    surrogate_points = np.array([s.point for _, (d, s) in paired])
+    differences = surrogate_points - direct_points
+
+    def summary(values: np.ndarray, scale_by: np.ndarray) -> DistributionSummary | None:
+        try:
+            return scaled_distribution(values, scale_by)
+        except ZeroVariance:  # the scale is undefined
+            return None
+
+    summaries = {
+        "direct": summary(direct_points, direct_points),
+        "surrogate": summary(surrogate_points, direct_points),
+        "differences": summary(differences, differences),
+    }
+    distributions = {
+        name: None if s is None else {
+            "n": s.n, "mean": s.mean, "std_dev": s.std_dev, "excess_kurtosis": s.excess_kurtosis,
+        }
+        for name, s in summaries.items()
+    }
+    report = {
+        "alpha": alpha,
+        "n_pairs": len(paired),
+        "class_order": [cls.value for cls in CLASS_ORDER],
+        "confusion": [list(row) for row in matrix.counts],
+        "precision": metrics.precision,
+        "recall": metrics.recall,
+        "agreement": metrics.agreement,
+        "ns_rates": {"direct": metrics.direct_ns_rate, "surrogate": metrics.surrogate_ns_rate},
+        "false_launch_negatives": metrics.false_launch_negatives,
+        "kurtosis": {
+            name: None if entry is None else entry["excess_kurtosis"]
+            for name, entry in distributions.items()
+        },
+        "distributions": distributions,
+        "capacity": {
+            "long_cycle_days": long_cycle_days,
+            "short_cycle_days": short_cycle_days,
+            "capacity_gain": capacity_gain(long_cycle_days, short_cycle_days),
+            "extra_experiments_needed": (
+                extra_experiments_needed(metrics.recall) if metrics.recall else None
+            ),
+        },
+    }
+    scaled = summaries["differences"]
+    return report, np.empty(0) if scaled is None else scaled.scaled_values

@@ -470,6 +470,56 @@ class TestEvaluate:
             assert report["kurtosis"][name] == report["distributions"][name]["excess_kurtosis"]
             assert isinstance(report["kurtosis"][name], float)
 
+    @pytest.mark.parametrize("points", [
+        [(1.0, 1e-300), (2.0, 2e-300), (3.0, 3e-300), (4.0, 4e-300)],  # m2 underflows
+        [(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (1.0, 3.3e-97)],  # m2 squared underflows
+    ])
+    def test_underflowing_surrogate_variance_reports_null_kurtosis(self, tmp_path, points):
+        # The scaled surrogate values differ, but their variance, or its
+        # square, underflows to 0: the kurtosis is undefined, not a
+        # numerical failure or a traceback.
+        est_dir = tmp_path / "estimates"
+        est_dir.mkdir()
+        records = []
+        for k, (direct_point, surrogate_point) in enumerate(points, 1):
+            label = ArmLabel(f"t{k}", False)
+            records.append(estimate_to_record(EffectEstimate(
+                "e1", label, EstimatorKind.direct(5), direct_point, 1.0)))
+            records.append(estimate_to_record(EffectEstimate(
+                "e1", label, EstimatorKind.surrogate(2, ModelSource.PRE_TEST),
+                surrogate_point, 1.0)))
+        (est_dir / "e1.estimates.json").write_text(json.dumps(records))
+        report_path = tmp_path / "report.json"
+        assert main(["evaluate", "--estimates", str(est_dir), "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        surrogate = report["distributions"]["surrogate"]
+        assert report["kurtosis"]["surrogate"] is None and surrogate["excess_kurtosis"] is None
+        assert surrogate["n"] == 4
+        for name in ("direct", "differences"):
+            assert isinstance(report["kurtosis"][name], float)
+
+    def test_library_report_equals_cli_report(self, tmp_path):
+        est_dir = tmp_path / "estimates"
+        est_dir.mkdir()
+        direct, surrogate = [], []
+        for arm, (z_direct, z_surrogate) in {"t1": (4.0, 4.0), "t2": (4.0, 0.0),
+                                             "t3": (0.0, 0.0)}.items():
+            label = ArmLabel(arm, False)
+            direct.append(EffectEstimate("e1", label, EstimatorKind.direct(5), z_direct, 1.0))
+            surrogate.append(EffectEstimate(
+                "e1", label, EstimatorKind.surrogate(2, ModelSource.PRE_TEST), z_surrogate, 1.0))
+        records = [estimate_to_record(e) for pair in zip(direct, surrogate) for e in pair]
+        (est_dir / "e1.estimates.json").write_text(json.dumps(records))
+        report_path = tmp_path / "report.json"
+        assert main(["evaluate", "--estimates", str(est_dir), "--out", str(report_path)]) == 0
+        cli_report = json.loads(report_path.read_text())
+        assert cli_report.pop("scaled_values_path") == "report_scaled_values.csv"
+
+        report, scaled = surrokit.decision_report(direct, surrogate, 0.05, 56.0, 14.0)
+        assert report == cli_report
+        csv_lines = report_path.with_name("report_scaled_values.csv").read_text().splitlines()
+        assert csv_lines[1:] == [repr(v) for v in scaled.tolist()]
+
     def test_key_mismatch_exits_3(self, tmp_path):
         est_dir = tmp_path / "estimates"
         est_dir.mkdir()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from surrokit import (
@@ -14,6 +16,7 @@ from surrokit import (
     InvalidCycle,
     InvalidRecall,
     KeyMismatch,
+    ModelSource,
     NumericalError,
     SignificanceClass,
     SimConfig,
@@ -21,6 +24,7 @@ from surrokit import (
     capacity_gain,
     classify_pairs,
     confusion,
+    decision_report,
     direct_effect,
     excess_kurtosis,
     extra_experiments_needed,
@@ -213,6 +217,19 @@ class TestScaledDistribution:
         assert summary.mean == 0.5 / float(np.std(direct, ddof=1))
         assert scaled_distribution(direct).excess_kurtosis is not None
 
+    @pytest.mark.parametrize("values, scale_by", [
+        ([1e-300, 2e-300, 3e-300, 4e-300], [1, 2, 3, 4]),  # m2 underflows
+        ([0.0, 0.0, 0.0, 3.3e-97], [0, 0, 0, 1]),  # m2 squared underflows
+    ])
+    def test_underflowing_variance_has_no_kurtosis(self, values, scale_by):
+        # The scaled values differ, but the variance, or its square, that
+        # the kurtosis divides by underflows to 0.
+        summary = scaled_distribution(values, scale_by=scale_by)
+        assert summary.scaled_values.min() < summary.scaled_values.max()
+        assert summary.excess_kurtosis is None
+        with pytest.raises(ZeroVariance):
+            excess_kurtosis(summary.scaled_values)
+
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_kurtosis_of_constant_values_raises(self, n):
         # Six or seven copies of 0.1 have a mean that rounds away from 0.1.
@@ -234,6 +251,61 @@ class TestScaledDistribution:
             excess_kurtosis([1e80, 2e80, 3e80, 4e80, 5e80])
         with pytest.raises(NumericalError):
             scaled_distribution([i * 1e80 for i in range(1, 7)], scale_by=range(1, 7))
+
+
+SURROGATE_KIND = EstimatorKind.surrogate(14, ModelSource.PRE_TEST)
+
+
+def reads(points):
+    """Direct and surrogate estimates of arm ``t<k>`` from (direct, surrogate) points."""
+    direct = [estimate_with_z("e1", f"t{k}", d) for k, (d, _) in enumerate(points, 1)]
+    surrogate = [estimate_with_z("e1", f"t{k}", s, SURROGATE_KIND)
+                 for k, (_, s) in enumerate(points, 1)]
+    return direct, surrogate
+
+
+@st.composite
+def shuffled_reads(draw):
+    """Paired reads over distinct (experiment, arm) keys, and shuffles of both lists."""
+    point = st.floats(-50, 50, allow_nan=False)
+    std_error = st.floats(0.1, 10)
+    rows = draw(st.lists(st.tuples(point, std_error, point, std_error), min_size=1, max_size=12))
+    labels = [(f"e{i // 3}", ArmLabel(f"t{i % 3 + 1}", False)) for i in range(len(rows))]
+    direct = [EffectEstimate(e, arm, EstimatorKind.direct(63), d, d_se)
+              for (e, arm), (d, d_se, _, _) in zip(labels, rows)]
+    surrogate = [EffectEstimate(e, arm, SURROGATE_KIND, s, s_se)
+                 for (e, arm), (_, _, s, s_se) in zip(labels, rows)]
+    return direct, surrogate, draw(st.permutations(direct)), draw(st.permutations(surrogate))
+
+
+class TestDecisionReport:
+    @settings(max_examples=60, deadline=None)
+    @given(shuffled_reads(), st.sampled_from([0.05, 0.2]))
+    def test_report_ignores_input_order(self, reads_and_shuffles, alpha):
+        direct, surrogate, direct_shuffled, surrogate_shuffled = reads_and_shuffles
+        report, scaled = decision_report(direct, surrogate, alpha, 56.0, 14.0)
+        for shuffled in ((direct_shuffled, surrogate), (direct, surrogate_shuffled)):
+            other_report, other_scaled = decision_report(*shuffled, alpha, 56.0, 14.0)
+            assert other_report == report
+            assert other_scaled.tolist() == scaled.tolist()
+        matrix = confusion(classify_pairs(direct_shuffled, surrogate_shuffled, alpha))
+        assert report["confusion"] == [list(row) for row in matrix.counts]
+        assert report["n_pairs"] == len(direct)
+
+    def test_one_arm_has_null_distributions(self):
+        report, scaled = decision_report(*reads([(4.0, 4.0)]), 0.05, 56.0, 14.0)
+        assert report["n_pairs"] == 1 and report["confusion"][0][0] == 1
+        undefined = {"direct": None, "surrogate": None, "differences": None}
+        assert report["kurtosis"] == report["distributions"] == undefined
+        assert scaled.size == 0
+
+    def test_equal_direct_points_have_null_direct_and_surrogate(self):
+        report, scaled = decision_report(
+            *reads([(4.0, 4.0), (4.0, 0.0), (4.0, 1.0)]), 0.05, 56.0, 14.0)
+        for name in ("direct", "surrogate"):
+            assert report["kurtosis"][name] is None and report["distributions"][name] is None
+        assert report["distributions"]["differences"]["n"] == scaled.size == 3
+        assert report["recall"] == 1 / 3
 
 
 class TestThroughput:
