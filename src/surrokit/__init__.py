@@ -84,15 +84,12 @@ from .simulator import (
     simulate_experiment,
 )
 from .surrogate import (
-    FitDiagnostics,
     ModelSource,
     SurrogateModel,
     fit_least_squares,
     fit_nested,
     fit_pretest,
     fit_similar,
-    model_from_dict,
-    model_to_dict,
     predict,
     running_mean_model,
 )

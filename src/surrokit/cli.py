@@ -69,8 +69,12 @@ def _dump_json(payload) -> str:
 def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_manifest(path: Path, command: str, started: float, fields: dict) -> None:
@@ -219,8 +223,9 @@ def _load_estimates(estimates_dir: str) -> tuple[list, list]:
             for record in records:
                 estimate = record_to_estimate(record)
                 (direct if estimate.kind.method == "direct" else surrogate).append(estimate)
-        # OverflowError: a JSON integer past the float range.
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: a JSON integer past the float range; RecursionError:
+        # arrays or objects nested past the recursion limit.
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise DataValidationError(f"bad estimates file {path.name}: {exc}") from None
     return direct, surrogate
 
@@ -242,7 +247,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _write_atomic(
         scaled_path, "scaled_difference\n" + "".join(repr(v) + "\n" for v in scaled.tolist())
     )
-    _write_atomic(out_path, report_text)
+    try:
+        _write_atomic(out_path, report_text)
+    except OSError:
+        scaled_path.unlink()
+        raise
     logger.info("evaluated %d decision pairs", report["n_pairs"])
 
     _write_manifest(

@@ -67,14 +67,6 @@ class EstimatorKind:
     def method(self) -> str:
         return "direct" if self.source is None else "surrogate"
 
-    @classmethod
-    def direct(cls, horizon: int) -> "EstimatorKind":
-        return cls(horizon)
-
-    @classmethod
-    def surrogate(cls, order: int, source: ModelSource) -> "EstimatorKind":
-        return cls(order, source)
-
 
 @dataclass(frozen=True)
 class EffectEstimate:
@@ -203,7 +195,7 @@ def direct_effect(
         raise MissingDay(
             f"panel {panel.experiment_id!r} lacks post-allocation days 1..{days}"
         ) from exc
-    return _arm_contrast(panel, win.mean(axis=1), label, EstimatorKind.direct(days))
+    return _arm_contrast(panel, win.mean(axis=1), label, EstimatorKind(days))
 
 
 def surrogate_effect(
@@ -215,7 +207,7 @@ def surrogate_effect(
     first-stage fitting uncertainty is propagated.
     """
     label = _resolve_treatment_arm(panel, arm)
-    kind = EstimatorKind.surrogate(model.order, model.source)
+    kind = EstimatorKind(model.order, model.source)
     return _arm_contrast(panel, predict(model, panel), label, kind)
 
 

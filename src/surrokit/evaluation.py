@@ -11,7 +11,7 @@ makes.
 Metrics with a zero denominator are reported as ``None`` (an explicit
 undefined marker, serialized as JSON null), never as NaN.
 
-Also provides the distribution diagnostics used to compare estimate
+Also provides the distribution summaries used to compare estimate
 spreads (scaling by a reference standard deviation, excess kurtosis) and
 the two throughput formulas relating testing-cycle length and recall to
 experimentation capacity. ``decision_report`` combines all of these into

@@ -282,7 +282,9 @@ def load_config(source: str | Path | IO[str]) -> SimConfig:
         payload = json.load(source)
     except UnicodeDecodeError as exc:
         raise InvalidConfig(f"config is not valid UTF-8: {exc}") from None
-    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
+    # ValueError: bad JSON, or an integer past Python's digit limit;
+    # RecursionError: arrays or objects nested past the recursion limit.
+    except (ValueError, RecursionError) as exc:
         raise InvalidConfig(f"config is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise InvalidConfig("config JSON must be an object")

@@ -53,38 +53,17 @@ class ModelSource(str, Enum):
 
 
 @dataclass(frozen=True)
-class FitDiagnostics:
-    """Training summary for a fitted model.
-
-    ``residual_variance`` is the unbiased residual variance (sum of squared
-    residuals over n - T - 1). Fixed running-mean models carry zeroed
-    diagnostics with ``n_train = 0``.
-    """
-
-    n_train: int
-    r_squared: float
-    residual_variance: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.r_squared <= 1.0:
-            raise ValueError(f"r_squared {self.r_squared} outside [0, 1]")
-        if self.residual_variance < 0.0:
-            raise ValueError("residual_variance must be nonnegative")
-
-
-@dataclass(frozen=True)
 class SurrogateModel:
     """An order-T linear predictor of the long-term outcome mean.
 
-    Stores the intercept, the coefficients b_1..b_T, the training source and
-    the fit diagnostics; the order T is derived as the coefficient count,
-    which must be at least 1.
+    Stores the intercept, the coefficients b_1..b_T and the training source;
+    the order T is derived as the coefficient count, which must be at
+    least 1.
     """
 
     intercept: float
     coefficients: tuple[float, ...]
     source: ModelSource
-    diagnostics: FitDiagnostics
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
@@ -111,7 +90,7 @@ def _factor(x: np.ndarray, y: np.ndarray, width: int):
     ``q_j = design @ coef[j]``; the rows of ``coef`` are the columns of
     R^-1, and the order-T solution is ``(Q'y)[:T+1] @ coef[:T+1, :T+1]``.
     The target is swept off each new column as it is made, which gives Q'y
-    and the residual sum of squares of every prefix.
+    and, after the intercept column, the targets' total sum of squares.
 
     Sums run through ``np.einsum`` (never BLAS), over n rows or over the
     earlier columns one at a time, on vectors whose lengths are n or j, so
@@ -125,7 +104,7 @@ def _factor(x: np.ndarray, y: np.ndarray, width: int):
     q[1:] = x[:, : width - 1].T
     coef = np.identity(width)
     qty = np.empty(width, dtype=float)
-    rss = np.empty(width, dtype=float)
+    tss = math.nan
     residual = y.copy()
     smallest_diag, largest_norm = math.inf, 0.0
     for j in range(width):
@@ -138,13 +117,14 @@ def _factor(x: np.ndarray, y: np.ndarray, width: int):
         diag = math.sqrt(np.einsum("i,i->", v, v))
         smallest_diag = min(smallest_diag, diag)
         if not smallest_diag > RANK_RTOL * largest_norm:
-            return coef[:j, :j], qty[:j], rss[:j]
+            return coef[:j, :j], qty[:j], tss
         v /= diag
         coef[j, : j + 1] /= diag
         qty[j] = np.einsum("i,i->", v, residual)
         residual -= qty[j] * v
-        rss[j] = np.einsum("i,i->", residual, residual)
-    return coef, qty, rss
+        if j == 0:
+            tss = float(np.einsum("i,i->", residual, residual))
+    return coef, qty, tss
 
 
 def _require_rows(n: int, order: int) -> None:
@@ -197,9 +177,7 @@ def fit_nested(
     _require_rows(n, min(orders))
 
     # Orders with n <= T + 1 fail below, so no column past n - 2 is needed.
-    coef, qty, rss = _factor(x, y, min(top, n - 2) + 1)
-    # rss[0] is the total sum of squares: the residual after the intercept.
-    tss = float(rss[0])
+    coef, qty, tss = _factor(x, y, min(top, n - 2) + 1)
     if not math.isfinite(tss):
         raise NumericalError(f"the targets' total sum of squares overflows ({tss})")
     models = {}
@@ -211,18 +189,7 @@ def fit_nested(
                 f"at relative tolerance {RANK_RTOL}"
             )
         beta = np.einsum("i,ij->j", qty[: order + 1], coef[: order + 1, : order + 1])
-        order_rss = float(rss[order])
-        r_squared = 1.0 if tss == 0.0 else min(max(1.0 - order_rss / tss, 0.0), 1.0)
-        models[order] = SurrogateModel(
-            intercept=float(beta[0]),
-            coefficients=tuple(beta[1:].tolist()),
-            source=source,
-            diagnostics=FitDiagnostics(
-                n_train=n,
-                r_squared=r_squared,
-                residual_variance=order_rss / (n - order - 1),
-            ),
-        )
+        models[order] = SurrogateModel(float(beta[0]), tuple(beta[1:].tolist()), source)
     return tuple(models[order] for order in orders)
 
 
@@ -252,10 +219,15 @@ def fit_least_squares(
 
 
 def _as_orders(order: int | Iterable[int]) -> tuple[list[int], bool]:
-    """The orders to fit, and whether a single model was asked for."""
-    if isinstance(order, Iterable):
-        return [operator.index(o) for o in order], False
-    return [operator.index(order)], True
+    """The orders to fit, and whether a single model was asked for.
+
+    Raises ValueError unless there is at least one order and all are positive.
+    """
+    single = not isinstance(order, Iterable)
+    orders = [operator.index(o) for o in ([order] if single else order)]
+    if not orders or min(orders) < 1:
+        raise ValueError(f"orders must be positive, got {orders}")
+    return orders, single
 
 
 def fit_pretest(panel: OutcomePanel, order: int | Iterable[int]):
@@ -276,8 +248,6 @@ def fit_pretest(panel: OutcomePanel, order: int | Iterable[int]):
             f"panel {panel.experiment_id!r} has no pre-allocation days"
         )
     orders, single = _as_orders(order)
-    if not orders or min(orders) < 1:
-        raise ValueError(f"orders must be positive, got {orders}")
     if max(orders) > len(pre_days):
         raise MissingPrePeriod(
             f"order {max(orders)} exceeds the {len(pre_days)}-day pre-period"
@@ -298,8 +268,6 @@ def fit_similar(
     order or an iterable of orders, as in :func:`fit_pretest`.
     """
     orders, single = _as_orders(order)
-    if not orders or min(orders) < 1:
-        raise ValueError(f"orders must be positive, got {orders}")
     days = donor.horizon if horizon is None else horizon
     if max(orders) > days:
         raise OutOfRange(f"order {max(orders)} exceeds donor horizon {days}")
@@ -312,12 +280,7 @@ def running_mean_model(order: int) -> SurrogateModel:
     """The fixed equal-weight baseline: b0 = 0 and every b_t = 1/T."""
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
-    return SurrogateModel(
-        intercept=0.0,
-        coefficients=(1.0 / order,) * order,
-        source=ModelSource.RUNNING_MEAN,
-        diagnostics=FitDiagnostics(n_train=0, r_squared=0.0, residual_variance=0.0),
-    )
+    return SurrogateModel(0.0, (1.0 / order,) * order, ModelSource.RUNNING_MEAN)
 
 
 def predict(model: SurrogateModel, panel: OutcomePanel) -> np.ndarray:
@@ -325,36 +288,3 @@ def predict(model: SurrogateModel, panel: OutcomePanel) -> np.ndarray:
     features = window(panel, 1, model.order)
     return model.intercept + features @ np.asarray(model.coefficients)
 
-
-def model_to_dict(model: SurrogateModel) -> dict:
-    """Flat JSON-compatible representation; :func:`model_from_dict` inverts it."""
-    d = model.diagnostics
-    return {
-        "order": model.order,
-        "intercept": model.intercept,
-        "coefficients": list(model.coefficients),
-        "source": model.source.value,
-        "diagnostics": {
-            "n_train": d.n_train,
-            "r_squared": d.r_squared,
-            "residual_variance": d.residual_variance,
-        },
-    }
-
-
-def model_from_dict(payload: dict) -> SurrogateModel:
-    """Rebuild a model; the payload's ``"order"`` must match its coefficient count."""
-    diag = payload["diagnostics"]
-    coefficients = tuple(float(c) for c in payload["coefficients"])
-    if int(payload["order"]) != len(coefficients):
-        raise ValueError(f"{len(coefficients)} coefficients for order {payload['order']}")
-    return SurrogateModel(
-        intercept=float(payload["intercept"]),
-        coefficients=coefficients,
-        source=ModelSource(payload["source"]),
-        diagnostics=FitDiagnostics(
-            n_train=int(diag["n_train"]),
-            r_squared=float(diag["r_squared"]),
-            residual_variance=float(diag["residual_variance"]),
-        ),
-    )

@@ -220,7 +220,7 @@ def test_criterion_8_size_control():
                 estimate = mean_difference_effect(
                     means[experiment.panel.arm_mask(arm)], control,
                     experiment_id=experiment.panel.experiment_id,
-                    arm=arm, kind=EstimatorKind.direct(63),
+                    arm=arm, kind=EstimatorKind(63),
                 )
                 total += 1
                 if z_test(estimate, 0.05) is SignificanceClass.NOT_SIG:

@@ -118,9 +118,10 @@ class TestSimulate:
             b'{"arms_per_experiment": Infinity}',
             b'{"effect_scale": 1' + b"0" * 400 + b"}",
             b'{"seed": 1' + b"0" * 5000 + b"}",
+            b"[" * 200000 + b"]" * 200000,
         ],
         ids=["fractional-users", "non-utf8", "infinite-arms", "huge-int-scale",
-             "over-digit-limit"],
+             "over-digit-limit", "deep-nesting"],
     )
     def test_malformed_config_exits_3_without_traceback(self, tmp_path, capsys, content):
         config_path = tmp_path / "config.json"
@@ -394,9 +395,9 @@ class TestEvaluate:
         for arm, (z_direct, z_surrogate) in z_pairs.items():
             label = ArmLabel(arm, False)
             records.append(estimate_to_record(EffectEstimate(
-                "e1", label, EstimatorKind.direct(5), z_direct, 1.0)))
+                "e1", label, EstimatorKind(5), z_direct, 1.0)))
             records.append(estimate_to_record(EffectEstimate(
-                "e1", label, EstimatorKind.surrogate(2, ModelSource.PRE_TEST),
+                "e1", label, EstimatorKind(2, ModelSource.PRE_TEST),
                 z_surrogate, 1.0)))
         (est_dir / "e1.estimates.json").write_text(json.dumps(records))
 
@@ -434,9 +435,9 @@ class TestEvaluate:
         for arm, surrogate_point in (("t1", 4.0), ("t2", 0.0), ("t3", 1.0)):
             label = ArmLabel(arm, False)
             records.append(estimate_to_record(EffectEstimate(
-                "e1", label, EstimatorKind.direct(5), 4.0, 1.0)))
+                "e1", label, EstimatorKind(5), 4.0, 1.0)))
             records.append(estimate_to_record(EffectEstimate(
-                "e1", label, EstimatorKind.surrogate(2, ModelSource.PRE_TEST),
+                "e1", label, EstimatorKind(2, ModelSource.PRE_TEST),
                 surrogate_point, 1.0)))
         (est_dir / "e1.estimates.json").write_text(json.dumps(records))
         report_path = tmp_path / "report.json"
@@ -456,9 +457,9 @@ class TestEvaluate:
         for k, direct_point in enumerate((1.0, 2.0, 3.5, -1.0, 0.5)):
             label = ArmLabel(f"t{k + 1}", False)
             records.append(estimate_to_record(EffectEstimate(
-                "e1", label, EstimatorKind.direct(5), direct_point, 1.0)))
+                "e1", label, EstimatorKind(5), direct_point, 1.0)))
             records.append(estimate_to_record(EffectEstimate(
-                "e1", label, EstimatorKind.surrogate(2, ModelSource.PRE_TEST), 0.5, 1.0)))
+                "e1", label, EstimatorKind(2, ModelSource.PRE_TEST), 0.5, 1.0)))
         (est_dir / "e1.estimates.json").write_text(json.dumps(records))
         report_path = tmp_path / "report.json"
         assert main(["evaluate", "--estimates", str(est_dir), "--out", str(report_path)]) == 0
@@ -484,9 +485,9 @@ class TestEvaluate:
         for k, (direct_point, surrogate_point) in enumerate(points, 1):
             label = ArmLabel(f"t{k}", False)
             records.append(estimate_to_record(EffectEstimate(
-                "e1", label, EstimatorKind.direct(5), direct_point, 1.0)))
+                "e1", label, EstimatorKind(5), direct_point, 1.0)))
             records.append(estimate_to_record(EffectEstimate(
-                "e1", label, EstimatorKind.surrogate(2, ModelSource.PRE_TEST),
+                "e1", label, EstimatorKind(2, ModelSource.PRE_TEST),
                 surrogate_point, 1.0)))
         (est_dir / "e1.estimates.json").write_text(json.dumps(records))
         report_path = tmp_path / "report.json"
@@ -505,9 +506,9 @@ class TestEvaluate:
         for arm, (z_direct, z_surrogate) in {"t1": (4.0, 4.0), "t2": (4.0, 0.0),
                                              "t3": (0.0, 0.0)}.items():
             label = ArmLabel(arm, False)
-            direct.append(EffectEstimate("e1", label, EstimatorKind.direct(5), z_direct, 1.0))
+            direct.append(EffectEstimate("e1", label, EstimatorKind(5), z_direct, 1.0))
             surrogate.append(EffectEstimate(
-                "e1", label, EstimatorKind.surrogate(2, ModelSource.PRE_TEST), z_surrogate, 1.0))
+                "e1", label, EstimatorKind(2, ModelSource.PRE_TEST), z_surrogate, 1.0))
         records = [estimate_to_record(e) for pair in zip(direct, surrogate) for e in pair]
         (est_dir / "e1.estimates.json").write_text(json.dumps(records))
         report_path = tmp_path / "report.json"
@@ -525,9 +526,9 @@ class TestEvaluate:
         est_dir.mkdir()
         label = ArmLabel("t1", False)
         records = [
-            estimate_to_record(EffectEstimate("e1", label, EstimatorKind.direct(5), 1.0, 1.0)),
+            estimate_to_record(EffectEstimate("e1", label, EstimatorKind(5), 1.0, 1.0)),
             estimate_to_record(EffectEstimate(
-                "e2", label, EstimatorKind.surrogate(2, ModelSource.PRE_TEST), 1.0, 1.0)),
+                "e2", label, EstimatorKind(2, ModelSource.PRE_TEST), 1.0, 1.0)),
         ]
         (est_dir / "e1.estimates.json").write_text(json.dumps(records))
         assert main(["evaluate", "--estimates", str(est_dir),
@@ -541,9 +542,9 @@ class TestEvaluate:
         est_dir.mkdir()
         label = ArmLabel("t1", False)
         records = [
-            estimate_to_record(EffectEstimate("e1", label, EstimatorKind.direct(5), 1.0, 1.0)),
+            estimate_to_record(EffectEstimate("e1", label, EstimatorKind(5), 1.0, 1.0)),
             estimate_to_record(EffectEstimate(
-                "e1", label, EstimatorKind.surrogate(2, ModelSource.PRE_TEST), 1.0, 1.0)),
+                "e1", label, EstimatorKind(2, ModelSource.PRE_TEST), 1.0, 1.0)),
         ]
         records[1][field] = value  # json.dumps writes Infinity / NaN
         (est_dir / "e1.estimates.json").write_text(json.dumps(records))
@@ -572,6 +573,19 @@ class TestEvaluate:
                      "--long-cycle-days", "7", "--short-cycle-days", "14"]) == 3
         assert list(report_dir.iterdir()) == []
 
+    def test_failed_report_write_leaves_no_file(self, tmp_path, capsys):
+        out_dir = simulate_toy(tmp_path)
+        est_dir = tmp_path / "estimates"
+        assert main(["analyze", "--panel-dir", str(out_dir), "--regime", "running-mean",
+                     "--T", "5", "--horizon", "5", "--out", str(est_dir)]) == 0
+        report_dir = tmp_path / "report"
+        (report_dir / "report.json").mkdir(parents=True)  # the report path is a directory
+        assert main(["evaluate", "--estimates", str(est_dir),
+                     "--out", str(report_dir / "report.json")]) == 3
+        assert capsys.readouterr().err.startswith("surrokit: io error:")
+        assert [p.name for p in report_dir.iterdir()] == ["report.json"]
+        assert list((report_dir / "report.json").iterdir()) == []
+
     def test_empty_estimates_dir_exits_3(self, tmp_path):
         est_dir = tmp_path / "estimates"
         est_dir.mkdir()
@@ -584,6 +598,16 @@ class TestEvaluate:
         (est_dir / "bad.estimates.json").write_text("{not json")
         assert main(["evaluate", "--estimates", str(est_dir),
                      "--out", str(tmp_path / "report.json")]) == 3
+
+    def test_deeply_nested_estimates_file_exits_3(self, tmp_path, capsys):
+        est_dir = tmp_path / "estimates"
+        est_dir.mkdir()
+        (est_dir / "deep.estimates.json").write_text("[" * 200000 + "]" * 200000)
+        assert main(["evaluate", "--estimates", str(est_dir),
+                     "--out", str(tmp_path / "report.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("surrokit: data validation error:") and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
 
 
 def base_outcome(user, day):
@@ -685,10 +709,10 @@ class TestOverflow:
         label = ArmLabel("t1", False)
         for i in range(1, 7):
             records = [
-                estimate_to_record(EffectEstimate(f"e{i}", label, EstimatorKind.direct(63),
+                estimate_to_record(EffectEstimate(f"e{i}", label, EstimatorKind(63),
                                                   float(i), 1.0)),
                 estimate_to_record(EffectEstimate(
-                    f"e{i}", label, EstimatorKind.surrogate(14, ModelSource.PRE_TEST),
+                    f"e{i}", label, EstimatorKind(14, ModelSource.PRE_TEST),
                     i * 1e80, 1.0)),
             ]
             (est_dir / f"e{i}.estimates.json").write_text(json.dumps(records))

@@ -40,7 +40,7 @@ ARM = ArmLabel("t1", False)
 
 
 def toy_estimate(point, std_error):
-    return EffectEstimate("e", ARM, EstimatorKind.direct(63), point, std_error)
+    return EffectEstimate("e", ARM, EstimatorKind(63), point, std_error)
 
 
 class TestWelchSE:
@@ -172,7 +172,7 @@ class TestSurrogateEffect:
         config = SimConfig(users_per_arm=30, seed=205)
         panel = simulate_experiment(config, 0).panel
         estimate = surrogate_effect(fit_pretest(panel, 5), panel, "t1")
-        assert estimate.kind == EstimatorKind.surrogate(5, ModelSource.PRE_TEST)
+        assert estimate.kind == EstimatorKind(5, ModelSource.PRE_TEST)
 
 
 class TestZTest:
@@ -227,14 +227,11 @@ class TestEstimateInvariants:
     def test_overflowing_effect_is_a_numerical_error(self):
         with pytest.raises(NumericalError, match="must be finite"), np.errstate(over="ignore"):
             mean_difference_effect([0.0, 1e200], [0.0, 1.0], experiment_id="e", arm=ARM,
-                                   kind=EstimatorKind.direct(63))
+                                   kind=EstimatorKind(63))
 
     def test_method_derives_from_source(self):
-        assert EstimatorKind.direct(5) == EstimatorKind(5)
-        assert EstimatorKind.direct(5).method == "direct"
-        kind = EstimatorKind.surrogate(5, ModelSource.PRE_TEST)
-        assert kind == EstimatorKind(5, ModelSource.PRE_TEST)
-        assert kind.method == "surrogate"
+        assert EstimatorKind(5).method == "direct"
+        assert EstimatorKind(5, ModelSource.PRE_TEST).method == "surrogate"
 
 
 class TestRecords:

@@ -41,7 +41,7 @@ NEG = SignificanceClass.SIG_NEGATIVE
 
 
 def estimate_with_z(experiment_id, arm, z, kind=None):
-    kind = kind or EstimatorKind.direct(63)
+    kind = kind or EstimatorKind(63)
     return EffectEstimate(experiment_id, ArmLabel(arm, False), kind, float(z), 1.0)
 
 
@@ -253,7 +253,7 @@ class TestScaledDistribution:
             scaled_distribution([i * 1e80 for i in range(1, 7)], scale_by=range(1, 7))
 
 
-SURROGATE_KIND = EstimatorKind.surrogate(14, ModelSource.PRE_TEST)
+SURROGATE_KIND = EstimatorKind(14, ModelSource.PRE_TEST)
 
 
 def reads(points):
@@ -271,7 +271,7 @@ def shuffled_reads(draw):
     std_error = st.floats(0.1, 10)
     rows = draw(st.lists(st.tuples(point, std_error, point, std_error), min_size=1, max_size=12))
     labels = [(f"e{i // 3}", ArmLabel(f"t{i % 3 + 1}", False)) for i in range(len(rows))]
-    direct = [EffectEstimate(e, arm, EstimatorKind.direct(63), d, d_se)
+    direct = [EffectEstimate(e, arm, EstimatorKind(63), d, d_se)
               for (e, arm), (d, d_se, _, _) in zip(labels, rows)]
     surrogate = [EffectEstimate(e, arm, SURROGATE_KIND, s, s_se)
                  for (e, arm), (_, _, s, s_se) in zip(labels, rows)]

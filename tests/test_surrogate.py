@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from surrokit import (
-    FitDiagnostics,
     MissingPrePeriod,
     ModelSource,
     NumericalError,
@@ -15,8 +14,6 @@ from surrokit import (
     fit_nested,
     fit_pretest,
     fit_similar,
-    model_from_dict,
-    model_to_dict,
     predict,
     running_mean_model,
     simulate_experiment,
@@ -28,12 +25,11 @@ from conftest import CONTROL, T1, build_panel, random_two_arm_panel
 
 
 def manual_model(intercept, coefficients, source=ModelSource.SIMILAR_TEST):
-    return SurrogateModel(
-        intercept=intercept,
-        coefficients=tuple(coefficients),
-        source=source,
-        diagnostics=FitDiagnostics(0, 0.0, 0.0),
-    )
+    return SurrogateModel(intercept, tuple(coefficients), source)
+
+
+def residuals(model, features, targets):
+    return targets - (model.intercept + features @ np.array(model.coefficients))
 
 
 class TestFitLeastSquares:
@@ -44,7 +40,6 @@ class TestFitLeastSquares:
         model = fit_least_squares(features, targets)
         assert abs(model.intercept) < 1e-8
         np.testing.assert_allclose(model.coefficients, np.full(63, 1 / 63), rtol=1e-8)
-        assert model.diagnostics.r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_five_row_fixture_matches_normal_equations(self):
         features = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 4.0], [4.0, 3.0], [5.0, 7.0]])
@@ -60,10 +55,9 @@ class TestFitLeastSquares:
         design = np.column_stack([np.ones(5), features])
         beta = np.linalg.solve(design.T @ design, design.T @ targets)
         np.testing.assert_allclose([model.intercept, *model.coefficients], beta, rtol=1e-10)
-        assert model.diagnostics.n_train == 5
-        assert model.diagnostics.residual_variance == pytest.approx(
-            0.0028823529411764626, rel=1e-9
-        )
+        # unbiased residual variance: SSR / (n - T - 1)
+        ssr = np.sum(residuals(model, features, targets) ** 2)
+        assert ssr / (5 - 2 - 1) == pytest.approx(0.0028823529411764626, rel=1e-9)
 
     def test_duplicated_column_is_rank_deficient(self):
         rng = np.random.default_rng(2)
@@ -104,9 +98,6 @@ class TestFitLeastSquares:
         scaled = fit_least_squares(3.0 * features, 3.0 * targets)
         assert scaled.intercept == pytest.approx(3.0 * model.intercept, rel=1e-10)
         np.testing.assert_allclose(scaled.coefficients, model.coefficients, rtol=1e-10)
-        assert scaled.diagnostics.r_squared == pytest.approx(
-            model.diagnostics.r_squared, abs=1e-10
-        )
         panel = random_two_arm_panel(rng, n_per_arm=4, days=list(range(1, 5)))
         tripled = build_panel(
             3.0 * panel.matrix, panel.arms, days=panel.days
@@ -260,7 +251,10 @@ class TestFitSimilar:
         )
         donor = simulate_experiment(config, 0).panel
         model = fit_similar(donor, 2)
-        assert model.diagnostics.r_squared == pytest.approx(1.0, abs=1e-10)
+        targets = window(donor, 1, donor.horizon).mean(axis=1)
+        ssr = np.sum((targets - predict(model, donor)) ** 2)
+        tss = np.sum((targets - targets.mean()) ** 2)
+        assert ssr <= 1e-10 * tss  # R^2 = 1 - SSR/TSS within 1e-10 of 1
 
     def test_disjoint_donors_agree_within_sampling_noise(self):
         config = SimConfig(
@@ -271,10 +265,11 @@ class TestFitSimilar:
 
         def coefficients_and_se(panel):
             model = fit_similar(panel, order)
-            design = np.column_stack(
-                [np.ones(panel.n_users), window(panel, 1, order)]
-            )
-            cov = model.diagnostics.residual_variance * np.linalg.inv(design.T @ design)
+            features = window(panel, 1, order)
+            targets = window(panel, 1, panel.horizon).mean(axis=1)
+            ssr = np.sum(residuals(model, features, targets) ** 2)
+            design = np.column_stack([np.ones(panel.n_users), features])
+            cov = ssr / (panel.n_users - order - 1) * np.linalg.inv(design.T @ design)
             return np.array((model.intercept, *model.coefficients)), np.sqrt(np.diag(cov))
 
         beta_a, se_a = coefficients_and_se(simulate_experiment(config, 0).panel)
@@ -334,19 +329,3 @@ class TestPredict:
                 expected += coef * row[panel.days.index(t)]
             assert got == pytest.approx(expected, rel=1e-12)
 
-
-class TestSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(11)
-        panel = random_two_arm_panel(rng, n_per_arm=6, days=list(range(1, 10)))
-        model = fit_similar(panel, 3)
-        assert model_from_dict(model_to_dict(model)) == model
-
-    def test_coefficient_length_enforced(self):
-        # The order is derived from the coefficients; a payload is outside
-        # input, so its stated order must still agree with them.
-        payload = model_to_dict(manual_model(0.0, [1.0, 2.0]))
-        assert model_from_dict(payload).order == 2
-        payload["order"] = 3
-        with pytest.raises(ValueError, match="2 coefficients for order 3"):
-            model_from_dict(payload)
