@@ -243,28 +243,29 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         report_text = _dump_json(report)
     except ValueError as exc:  # a statistic overflowed to NaN or infinity
         raise NumericalError(f"report statistic is not finite: {exc}") from None
-    # Every check has passed: a failed run leaves no file behind.
-    _write_atomic(
-        scaled_path, "scaled_difference\n" + "".join(repr(v) + "\n" for v in scaled.tolist())
-    )
+    # Every check has passed: a failed write removes what this run wrote.
+    scaled_text = "scaled_difference\n" + "".join(repr(v) + "\n" for v in scaled.tolist())
+    written = []
     try:
-        _write_atomic(out_path, report_text)
+        for path, text in ((scaled_path, scaled_text), (out_path, report_text)):
+            _write_atomic(path, text)
+            written.append(path)
+        logger.info("evaluated %d decision pairs", report["n_pairs"])
+        _write_manifest(
+            out_path.with_name(out_path.name + ".manifest.json"),
+            "evaluate",
+            started,
+            {
+                "estimates_dir": args.estimates,
+                "out": str(out_path),
+                "alpha": args.alpha,
+                "outputs": [out_path.name, scaled_path.name],
+            },
+        )
     except OSError:
-        scaled_path.unlink()
+        for path in written:
+            path.unlink()
         raise
-    logger.info("evaluated %d decision pairs", report["n_pairs"])
-
-    _write_manifest(
-        out_path.with_name(out_path.name + ".manifest.json"),
-        "evaluate",
-        started,
-        {
-            "estimates_dir": args.estimates,
-            "out": str(out_path),
-            "alpha": args.alpha,
-            "outputs": [out_path.name, scaled_path.name],
-        },
-    )
     return EXIT_OK
 
 

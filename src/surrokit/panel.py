@@ -234,27 +234,44 @@ def window(panel: OutcomePanel, from_day: int, to_day: int) -> np.ndarray:
     return panel.matrix[:, lo:hi]
 
 
-def _code_text(chunk: np.ndarray, tables: list[dict], offset: int) -> np.ndarray:
-    """The (n, 4) integer codes of a chunk's text columns.
+def _code_text(
+    chunk: np.ndarray, experiment_id: str, users: dict, arms: dict, failures: dict, offset: int
+) -> np.ndarray:
+    """The int32 user codes of a chunk's rows, checking its text fields once per run.
 
-    Each run of rows with equal text fields costs one lookup per column in
-    ``tables``, which map a value to its code and the row where it first
-    appears (``offset`` plus its index in the chunk).
+    A run is a stretch of rows with equal text fields, so only its first row
+    is looked up and checked. ``users`` maps a user to its code and the arm
+    it was first seen in, and ``arms`` maps an arm to the ``is_control``
+    token it was first seen with. A failing check stores its error, row
+    (``offset`` plus the index in the chunk) and message in ``failures``
+    under its place in the report order, unless an earlier row holds it.
     """
     columns = [chunk[name] for name in COLUMNS[:4]]
     change = np.arange(len(chunk)) == 0  # a run starts at row 0 and wherever a field changes
     for values in columns:
         change[1:] |= values[1:] != values[:-1]
     starts = np.flatnonzero(change).tolist()
-    codes = np.empty((len(starts), 4), dtype=np.int32)
-    for i, start in enumerate(starts):
-        for k, (values, table) in enumerate(zip(columns, tables)):
-            if len(values[start]) > FIELD_LIMIT:
-                raise MalformedRow(
-                    f"line {offset + start + 2}: field larger than field limit ({FIELD_LIMIT})"
-                )
-            codes[i, k] = table.setdefault(values[start], (len(table), offset + start))[0]
-    return np.repeat(codes, np.diff(starts + [len(chunk)]), axis=0)
+    codes = []
+    for start in starts:
+        row = offset + start
+        experiment, user, arm, flag = fields = [values[start] for values in columns]
+        if any(len(field) > FIELD_LIMIT for field in fields):
+            raise MalformedRow(f"line {row + 2}: field larger than field limit ({FIELD_LIMIT})")
+        code, user_arm = users.setdefault(user, (len(users), arm))
+        codes.append(code)
+        if flag not in ("true", "false"):
+            failures.setdefault(0, (MalformedRow, row,
+                                    f"is_control must be 'true' or 'false', got {flag!r}"))
+        if experiment != experiment_id:
+            failures.setdefault(3, (MalformedRow, row,
+                                    f"experiment_id {experiment!r} conflicts with "
+                                    f"{experiment_id!r}; one file holds one experiment"))
+        if arms.setdefault(arm, flag) != flag:
+            failures.setdefault(4, (ArmLabelConflict, row, f"arm {arm!r} changes is_control"))
+        if arm != user_arm:
+            failures.setdefault(5, (ArmLabelConflict, row,
+                                    f"user {user!r} assigned to both {user_arm!r} and {arm!r}"))
+    return np.repeat(np.array(codes, dtype=np.int32), np.diff(starts + [len(chunk)]))
 
 
 def _malformed(exc: ValueError, offset: int) -> MalformedRow:
@@ -273,10 +290,14 @@ def load_panel(source: str | Path | IO[str]) -> OutcomePanel:
     """Load and validate a panel from long-format CSV text.
 
     ``csv.reader`` reads the header and ``np.loadtxt`` the body, at most
-    ``CHUNK`` rows per call on the same handle. Each chunk keeps only its
-    days, its outcomes and integer codes for its text fields, so one
-    chunk's strings are alive at a time. Whole-array checks follow and one
-    scatter fills the matrix; users and arms keep their order of first
+    ``CHUNK`` rows per call on the same handle, so one chunk's strings are
+    alive at a time. A chunk keeps a user code, a day and an outcome per
+    row (20 bytes). Its text fields are coded and checked once per run of
+    rows with equal text fields, and its days and outcomes once per chunk.
+    Each check's first failing row is reported after the last chunk, the
+    first failing check in a fixed order winning. One cell index per row
+    then finds repeated and missing (user, day) cells, and the matrix is
+    filled chunk by chunk; users and arms keep their order of first
     appearance. Errors name the file line, counting the header as line 1
     and one line per data record (blank lines are skipped and not counted).
 
@@ -308,8 +329,12 @@ def load_panel(source: str | Path | IO[str]) -> OutcomePanel:
     if tuple(header) != COLUMNS:
         raise MalformedRow(f"bad header {header!r}; expected {list(COLUMNS)}")
 
-    tables: list[dict] = [{}, {}, {}, {}]
-    parts: tuple[list, list, list] = ([], [], [])  # codes, days, outcomes per chunk
+    users: dict[str, tuple[int, str]] = {}  # user -> (code, first arm)
+    arms: dict[str, str] = {}  # arm -> first is_control token
+    # The first failure of each check, keyed by its place in the report order:
+    # is_control, day 0, non-finite outcome, experiment, arm flag, user arm.
+    failures: dict[int, tuple] = {}
+    user_parts, day_parts, outcome_parts = [], [], []  # one array per chunk
     n_rows = 0
     with warnings.catch_warnings():
         # loadtxt warns when a call finds no rows and when max_rows skips a blank line.
@@ -328,74 +353,68 @@ def load_panel(source: str | Path | IO[str]) -> OutcomePanel:
                 ) from None
             except ValueError as exc:
                 raise _malformed(exc, n_rows) from None
+            if not len(chunk):
+                break
+            if not n_rows:
+                experiment_id = chunk["experiment_id"][0]
             # Copies, so that no view keeps the chunk's str objects alive.
-            parts[0].append(_code_text(chunk, tables, n_rows))
-            parts[1].append(chunk["day"].copy())
-            parts[2].append(chunk["outcome"].copy())
+            day, outcome = chunk["day"].copy(), chunk["outcome"].copy()
+            user_parts.append(_code_text(chunk, experiment_id, users, arms, failures, n_rows))
+            day_parts.append(day)
+            outcome_parts.append(outcome)
+            zero, bad = np.flatnonzero(day == 0), np.flatnonzero(~np.isfinite(outcome))
+            if zero.size:
+                failures.setdefault(1, (MalformedRow, n_rows + zero[0],
+                                        "day 0 is not a usable day index"))
+            if bad.size:
+                failures.setdefault(2, (NonFiniteOutcome, n_rows + bad[0],
+                                        f"outcome {outcome[bad[0]]} is not finite"))
             n_rows += len(chunk)
             if len(chunk) < CHUNK:
                 break
     if not n_rows:
         raise MalformedRow("no data rows")
+    del chunk  # else its str objects live on through the scatter
+    if failures:
+        error, row, message = failures[min(failures)]
+        raise error(f"line {row + 2}: {message}")
 
-    joined = []
-    for part in parts:  # free each part's chunks once it is joined
-        joined.append(np.concatenate(part))
-        part.clear()
-    codes, day, outcome = joined
-    experiment, user, arm, flag = codes.T
-    experiment_ids, user_ids, arm_names, tokens = (list(table) for table in tables)
-    user_arm = arm[[row for _, row in tables[1].values()]]
-    arm_flag = flag[[row for _, row in tables[2].values()]]
-
-    valid_flag = np.array([token in ("true", "false") for token in tokens])
-    checks = (
-        (MalformedRow, ~valid_flag[flag],
-         lambda row: f"is_control must be 'true' or 'false', got {tokens[flag[row]]!r}"),
-        (MalformedRow, day == 0, lambda row: "day 0 is not a usable day index"),
-        (NonFiniteOutcome, ~np.isfinite(outcome),
-         lambda row: f"outcome {outcome[row]} is not finite"),
-        (MalformedRow, experiment != 0,
-         lambda row: f"experiment_id {experiment_ids[experiment[row]]!r} conflicts with "
-                     f"{experiment_ids[0]!r}; one file holds one experiment"),
-        (ArmLabelConflict, flag != arm_flag[arm],
-         lambda row: f"arm {arm_names[arm[row]]!r} changes is_control"),
-        (ArmLabelConflict, arm != user_arm[user],
-         lambda row: f"user {user_ids[user[row]]!r} assigned to both "
-                     f"{arm_names[user_arm[user[row]]]!r} and {arm_names[arm[row]]!r}"),
-    )
-    for error, bad, message in checks:
-        rows = np.flatnonzero(bad)
-        if rows.size:
-            raise error(f"line {rows[0] + 2}: {message(rows[0])}")
-
-    d_min, d_max = int(day.min()), int(day.max())
+    d_min = min(int(day.min()) for day in day_parts)
+    d_max = max(int(day.max()) for day in day_parts)
     straddles = d_min < 0 < d_max
     # Count the range before listing it: one stray huge day must not allocate it.
     n_days = d_max - d_min + 1 - straddles
-    n_cells = len(user_ids) * n_days
+    n_cells = len(users) * n_days
+    user_ids = list(users)
+    offsets = range(0, n_rows, CHUNK)  # every chunk but the last holds CHUNK rows
     if n_cells <= n_rows:
-        cell = user * np.int64(n_days) + (day - d_min - (straddles & (day > 0)))
-        repeated = np.flatnonzero(np.bincount(cell, minlength=n_cells)[cell] > 1)
-        if repeated.size:
+        cell = np.empty(n_rows, dtype=np.int64)
+        for lo, user, day in zip(offsets, user_parts, day_parts):
+            cell[lo:lo + CHUNK] = user * np.int64(n_days) + (day - d_min - (straddles & (day > 0)))
+        if np.bincount(cell, minlength=n_cells).max() > 1:
+            user, day = np.concatenate(user_parts), np.concatenate(day_parts)
+            repeated = np.flatnonzero(np.bincount(cell)[cell] > 1)
             row = np.flatnonzero(cell == cell[repeated[0]])[1]
             raise DuplicateObservation(
                 f"line {row + 2}: duplicate observation for user "
                 f"{user_ids[user[row]]!r} day {day[row]}"
             )
     if n_cells != n_rows:  # no cell repeats, so some user lacks a day
+        user, day = np.concatenate(user_parts), np.concatenate(day_parts)
         k = int(np.argmax(np.bincount(user) < n_days))
         present = set(day[user == k].tolist())
         missing = next(d for d in range(d_min, d_max + 1) if d and d not in present)
         raise MissingDay(
             f"user {user_ids[k]!r} lacks day {missing} inside declared range [{d_min}, {d_max}]"
         )
+    del user_parts, day_parts
     matrix = np.empty((len(user_ids), n_days))
-    matrix.reshape(-1)[cell] = outcome
-    labels = [ArmLabel(name, tokens[k] == "true") for name, k in zip(arm_names, arm_flag)]
-    arms = [labels[k] for k in user_arm]
-    days = days_in_range(d_min, d_max)
-    return OutcomePanel(experiment_ids[0], user_ids, arms, days, matrix)
+    for lo, outcome in zip(offsets, outcome_parts):
+        matrix.reshape(-1)[cell[lo:lo + CHUNK]] = outcome
+    del outcome_parts, cell
+    labels = {name: ArmLabel(name, token == "true") for name, token in arms.items()}
+    panel_arms = [labels[arm] for _, arm in users.values()]
+    return OutcomePanel(experiment_id, user_ids, panel_arms, days_in_range(d_min, d_max), matrix)
 
 
 def write_panel(panel: OutcomePanel, dest: str | Path | IO[str]) -> None:

@@ -586,6 +586,19 @@ class TestEvaluate:
         assert [p.name for p in report_dir.iterdir()] == ["report.json"]
         assert list((report_dir / "report.json").iterdir()) == []
 
+    def test_failed_manifest_write_leaves_no_file(self, tmp_path, capsys):
+        out_dir = simulate_toy(tmp_path)
+        est_dir = tmp_path / "estimates"
+        assert main(["analyze", "--panel-dir", str(out_dir), "--regime", "running-mean",
+                     "--T", "5", "--horizon", "5", "--out", str(est_dir)]) == 0
+        report_dir = tmp_path / "report"
+        (report_dir / "report.json.manifest.json").mkdir(parents=True)  # a directory
+        assert main(["evaluate", "--estimates", str(est_dir),
+                     "--out", str(report_dir / "report.json")]) == 3
+        assert capsys.readouterr().err.startswith("surrokit: io error:")
+        assert [p.name for p in report_dir.iterdir()] == ["report.json.manifest.json"]
+        assert list((report_dir / "report.json.manifest.json").iterdir()) == []
+
     def test_empty_estimates_dir_exits_3(self, tmp_path):
         est_dir = tmp_path / "estimates"
         est_dir.mkdir()
