@@ -86,7 +86,6 @@ from .simulator import (
 from .surrogate import (
     ModelSource,
     SurrogateModel,
-    fit_least_squares,
     fit_nested,
     fit_pretest,
     fit_similar,

@@ -32,7 +32,6 @@ import os
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +98,9 @@ def _simulate_one(task: tuple) -> tuple[str, dict[str, float]]:
 def _run_pool(worker, tasks: list, jobs: int) -> list:
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(task) for task in tasks]
+    # Imported here: a serial run, and evaluate, never start a pool.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
 
@@ -218,15 +220,21 @@ def _load_estimates(estimates_dir: str) -> tuple[list, list]:
         )
     direct, surrogate = [], []
     for path in files:
+        item = None  # the index of the record being read
         try:
             records = json.loads(path.read_text(encoding="utf-8"))
-            for record in records:
+            if not isinstance(records, list):
+                raise ValueError("estimates JSON must be an array of objects")
+            for item, record in enumerate(records):
+                if not isinstance(record, dict):
+                    raise ValueError("an estimate record must be a JSON object")
                 estimate = record_to_estimate(record)
                 (direct if estimate.kind.method == "direct" else surrogate).append(estimate)
         # OverflowError: a JSON integer past the float range; RecursionError:
         # arrays or objects nested past the recursion limit.
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-            raise DataValidationError(f"bad estimates file {path.name}: {exc}") from None
+            where = "" if item is None else f", item {item}"
+            raise DataValidationError(f"bad estimates file {path.name}{where}: {exc}") from None
     return direct, surrogate
 
 

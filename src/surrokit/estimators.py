@@ -72,15 +72,17 @@ class EstimatorKind:
 class EffectEstimate:
     """A point estimate and its standard error, with derived inference.
 
-    Stores the point and standard error; everything else derives from
-    them: z = point / std_error, p = 2 * (1 - Phi(|z|)), and the 95%
-    confidence interval is point +/- Z_CRIT_95 * std_error. The point and
-    standard error must be finite with a positive standard error, and the
-    z statistic and interval bounds must not overflow.
+    ``arm`` is the treatment arm's name, which pairs the direct and
+    surrogate reads of one arm. Stores the point and standard error;
+    everything else derives from them: z = point / std_error,
+    p = 2 * (1 - Phi(|z|)), and the 95% confidence interval is
+    point +/- Z_CRIT_95 * std_error. The point and standard error must be
+    finite with a positive standard error, and the z statistic and interval
+    bounds must not overflow.
     """
 
     experiment_id: str
-    arm: ArmLabel
+    arm: str
     kind: EstimatorKind
     point: float
     std_error: float
@@ -138,24 +140,27 @@ def mean_difference_effect(
     control: np.ndarray,
     *,
     experiment_id: str,
-    arm: ArmLabel,
+    arm: ArmLabel | str,
     kind: EstimatorKind,
 ) -> EffectEstimate:
     """Difference in group means with a Welch standard error.
 
+    ``arm`` is an arm label or its name; the estimate stores the name.
     Raises NumericalError when the point, the standard error, the z
     statistic or a 95% interval bound is not finite (an overflow).
     """
+    name = arm if isinstance(arm, str) else arm.name
     t = np.asarray(treated, dtype=float)
     c = np.asarray(control, dtype=float)
     point, se = float(t.mean() - c.mean()), welch_se(t, c)
     try:
-        return EffectEstimate(experiment_id, arm, kind, point, se)
+        return EffectEstimate(experiment_id, name, kind, point, se)
     except ValueError as exc:  # the point, the SE or a statistic derived from them overflowed
-        raise NumericalError(f"effect of arm {arm.name!r} in {experiment_id!r}: {exc}") from None
+        raise NumericalError(f"effect of arm {name!r} in {experiment_id!r}: {exc}") from None
 
 
-def _resolve_treatment_arm(panel: OutcomePanel, arm: ArmLabel | str) -> ArmLabel:
+def _resolve_treatment_arm(panel: OutcomePanel, arm: ArmLabel | str) -> str:
+    """The name of ``arm``, which must be a treatment arm of ``panel``."""
     name = arm if isinstance(arm, str) else arm.name
     for label in panel.arm_labels:
         if label.name == name:
@@ -163,19 +168,19 @@ def _resolve_treatment_arm(panel: OutcomePanel, arm: ArmLabel | str) -> ArmLabel
                 raise ControlAsTreatment(
                     f"arm {name!r} is the control arm of {panel.experiment_id!r}"
                 )
-            return label
+            return name
     raise UnknownArm(f"no arm {name!r} in panel {panel.experiment_id!r}")
 
 
 def _arm_contrast(
-    panel: OutcomePanel, values: np.ndarray, label: ArmLabel, kind: EstimatorKind
+    panel: OutcomePanel, values: np.ndarray, arm: str, kind: EstimatorKind
 ) -> EffectEstimate:
-    """The per-user ``values`` of arm ``label`` against those of the control arm."""
+    """The per-user ``values`` of the arm named ``arm`` against those of the control arm."""
     return mean_difference_effect(
-        values[panel.arm_mask(label)],
+        values[panel.arm_mask(arm)],
         values[panel.arm_mask(panel.control_arm)],
         experiment_id=panel.experiment_id,
-        arm=label,
+        arm=arm,
         kind=kind,
     )
 
@@ -187,7 +192,7 @@ def direct_effect(
 
     ``horizon`` defaults to the panel's last day.
     """
-    label = _resolve_treatment_arm(panel, arm)
+    name = _resolve_treatment_arm(panel, arm)
     days = panel.horizon if horizon is None else horizon
     try:
         win = window(panel, 1, days)
@@ -195,7 +200,7 @@ def direct_effect(
         raise MissingDay(
             f"panel {panel.experiment_id!r} lacks post-allocation days 1..{days}"
         ) from exc
-    return _arm_contrast(panel, win.mean(axis=1), label, EstimatorKind(days))
+    return _arm_contrast(panel, win.mean(axis=1), name, EstimatorKind(days))
 
 
 def surrogate_effect(
@@ -206,9 +211,9 @@ def surrogate_effect(
     The standard error treats the model coefficients as constants; no
     first-stage fitting uncertainty is propagated.
     """
-    label = _resolve_treatment_arm(panel, arm)
+    name = _resolve_treatment_arm(panel, arm)
     kind = EstimatorKind(model.order, model.source)
-    return _arm_contrast(panel, predict(model, panel), label, kind)
+    return _arm_contrast(panel, predict(model, panel), name, kind)
 
 
 def z_test(estimate: EffectEstimate, alpha: float = DEFAULT_ALPHA) -> SignificanceClass:
@@ -230,7 +235,7 @@ def estimate_to_record(estimate: EffectEstimate) -> dict:
     kind_str = "direct" if kind.method == "direct" else f"surrogate:{kind.source.value}"
     return {
         "experiment_id": estimate.experiment_id,
-        "arm": estimate.arm.name,
+        "arm": estimate.arm,
         "kind": kind_str,
         "T": kind.days,
         "point": estimate.point,
@@ -252,11 +257,10 @@ _RECORD_TYPES = {"experiment_id": _STRING, "arm": _STRING, "kind": _STRING,
 def record_to_estimate(record: dict) -> EffectEstimate:
     """Rebuild an estimate from its JSON record.
 
-    Records only exist for treatment arms, so the arm label is re-created
-    with ``is_control=False``. Only the point and standard error are read:
-    the derived statistics they determine reproduce the stored values
-    exactly. A field of another JSON type, such as ``"T": 14.5`` or
-    ``"point": "0.5"``, raises ValueError naming it; nothing is coerced.
+    Only the point and standard error are read: the derived statistics
+    they determine reproduce the stored values exactly. A field of another
+    JSON type, such as ``"T": 14.5`` or ``"point": "0.5"``, raises
+    ValueError naming it; nothing is coerced.
     """
     for name, (types, json_type) in _RECORD_TYPES.items():
         value = record[name]
@@ -266,10 +270,5 @@ def record_to_estimate(record: dict) -> EffectEstimate:
     if (method, colon) not in (("direct", ""), ("surrogate", ":")):
         raise ValueError(f"unknown estimate kind {record['kind']!r}")
     kind = EstimatorKind(record["T"], ModelSource(source) if colon else None)
-    return EffectEstimate(
-        record["experiment_id"],
-        ArmLabel(record["arm"], is_control=False),
-        kind,
-        float(record["point"]),
-        float(record["std_error"]),
-    )
+    point, std_error = float(record["point"]), float(record["std_error"])
+    return EffectEstimate(record["experiment_id"], record["arm"], kind, point, std_error)

@@ -131,7 +131,7 @@ def _paired_estimates(
     def keyed(estimates: list[EffectEstimate], label: str) -> dict:
         out = {}
         for est in estimates:
-            key = (est.experiment_id, est.arm.name)
+            key = (est.experiment_id, est.arm)
             if key in out:
                 raise KeyMismatch(f"duplicate {label} estimate for {key}")
             out[key] = est
@@ -296,8 +296,8 @@ def decision_report(
 ) -> tuple[dict, np.ndarray]:
     """The launch-decision report over paired reads, and the scaled differences.
 
-    Pairs the estimates as ``classify_pairs`` does and returns a JSON-ready
-    dict: the confusion matrix and ``launch_metrics`` at ``alpha``, the
+    Tabulates ``classify_pairs`` at ``alpha`` and returns a JSON-ready
+    dict: the confusion matrix and its ``launch_metrics``, the
     ``scaled_distribution`` of the direct points, the surrogate points and
     their surrogate-minus-direct differences (points scaled by the direct
     points' standard deviation, differences by their own), and the capacity
@@ -306,12 +306,9 @@ def decision_report(
     scaled differences in sorted (experiment, arm) order, empty where they
     are undefined. The result depends on neither list's order.
     """
-    paired = sorted(_paired_estimates(direct, surrogate).items())
-    matrix = confusion([
-        DecisionPair(experiment_id, arm, z_test(d, alpha), z_test(s, alpha))
-        for (experiment_id, arm), (d, s) in paired
-    ])
+    matrix = confusion(classify_pairs(direct, surrogate, alpha))
     metrics = launch_metrics(matrix)
+    paired = sorted(_paired_estimates(direct, surrogate).items())
     direct_points = np.array([d.point for _, (d, s) in paired])
     surrogate_points = np.array([s.point for _, (d, s) in paired])
     differences = surrogate_points - direct_points

@@ -193,31 +193,6 @@ def fit_nested(
     return tuple(models[order] for order in orders)
 
 
-def fit_least_squares(
-    features: np.ndarray,
-    targets: np.ndarray,
-    source: ModelSource = ModelSource.SIMILAR_TEST,
-) -> SurrogateModel:
-    """Fit intercept + coefficients by OLS on an (n, T) feature matrix.
-
-    This is the one-order case of :func:`fit_nested`: the design
-    [1 | features] is factored by Gram-Schmidt applied twice per column and
-    the normal equations are never formed. The model equals the order-T
-    model of any nested fit over a feature matrix whose first T columns are
-    ``features``, bit for bit.
-
-    Raises:
-        TooFewRows: n <= T + 1.
-        RankDeficient: the design is rank deficient at the documented
-            tolerance (some |R_ii| at most RANK_RTOL times the largest
-            design column norm).
-    """
-    x = np.asarray(features, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"features must be 2-D, got shape {x.shape}")
-    return fit_nested(x, targets, [x.shape[1]], source)[0]
-
-
 def _as_orders(order: int | Iterable[int]) -> tuple[list[int], bool]:
     """The orders to fit, and whether a single model was asked for.
 

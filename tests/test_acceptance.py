@@ -22,7 +22,7 @@ from surrokit import (
     config_to_dict,
     direct_effect,
     extra_experiments_needed,
-    fit_least_squares,
+    fit_nested,
     fit_pretest,
     fit_similar,
     launch_metrics,
@@ -148,7 +148,7 @@ def test_criterion_5_ols_oracle():
             n = int(rng.integers(order + 2, 51))
             features = rng.standard_normal((n, order))
             targets = rng.standard_normal(n)
-            model = fit_least_squares(features, targets)
+            model = fit_nested(features, targets, [order])[0]
             fitted = np.array([model.intercept, *model.coefficients])
             design = np.column_stack([np.ones(n), features])
             oracle = np.linalg.solve(design.T @ design, design.T @ targets)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import surrokit
 from surrokit import (
-    ArmLabel,
     EffectEstimate,
     EstimatorKind,
     ModelSource,
@@ -393,11 +392,10 @@ class TestEvaluate:
         z_pairs = {"t1": (4.0, 4.0), "t2": (4.0, 0.0), "t3": (0.0, 0.0)}
         records = []
         for arm, (z_direct, z_surrogate) in z_pairs.items():
-            label = ArmLabel(arm, False)
             records.append(estimate_to_record(EffectEstimate(
-                "e1", label, EstimatorKind(5), z_direct, 1.0)))
+                "e1", arm, EstimatorKind(5), z_direct, 1.0)))
             records.append(estimate_to_record(EffectEstimate(
-                "e1", label, EstimatorKind(2, ModelSource.PRE_TEST),
+                "e1", arm, EstimatorKind(2, ModelSource.PRE_TEST),
                 z_surrogate, 1.0)))
         (est_dir / "e1.estimates.json").write_text(json.dumps(records))
 
@@ -433,11 +431,10 @@ class TestEvaluate:
         est_dir.mkdir()
         records = []
         for arm, surrogate_point in (("t1", 4.0), ("t2", 0.0), ("t3", 1.0)):
-            label = ArmLabel(arm, False)
             records.append(estimate_to_record(EffectEstimate(
-                "e1", label, EstimatorKind(5), 4.0, 1.0)))
+                "e1", arm, EstimatorKind(5), 4.0, 1.0)))
             records.append(estimate_to_record(EffectEstimate(
-                "e1", label, EstimatorKind(2, ModelSource.PRE_TEST),
+                "e1", arm, EstimatorKind(2, ModelSource.PRE_TEST),
                 surrogate_point, 1.0)))
         (est_dir / "e1.estimates.json").write_text(json.dumps(records))
         report_path = tmp_path / "report.json"
@@ -455,11 +452,11 @@ class TestEvaluate:
         est_dir.mkdir()
         records = []
         for k, direct_point in enumerate((1.0, 2.0, 3.5, -1.0, 0.5)):
-            label = ArmLabel(f"t{k + 1}", False)
+            arm = f"t{k + 1}"
             records.append(estimate_to_record(EffectEstimate(
-                "e1", label, EstimatorKind(5), direct_point, 1.0)))
+                "e1", arm, EstimatorKind(5), direct_point, 1.0)))
             records.append(estimate_to_record(EffectEstimate(
-                "e1", label, EstimatorKind(2, ModelSource.PRE_TEST), 0.5, 1.0)))
+                "e1", arm, EstimatorKind(2, ModelSource.PRE_TEST), 0.5, 1.0)))
         (est_dir / "e1.estimates.json").write_text(json.dumps(records))
         report_path = tmp_path / "report.json"
         assert main(["evaluate", "--estimates", str(est_dir), "--out", str(report_path)]) == 0
@@ -483,11 +480,11 @@ class TestEvaluate:
         est_dir.mkdir()
         records = []
         for k, (direct_point, surrogate_point) in enumerate(points, 1):
-            label = ArmLabel(f"t{k}", False)
+            arm = f"t{k}"
             records.append(estimate_to_record(EffectEstimate(
-                "e1", label, EstimatorKind(5), direct_point, 1.0)))
+                "e1", arm, EstimatorKind(5), direct_point, 1.0)))
             records.append(estimate_to_record(EffectEstimate(
-                "e1", label, EstimatorKind(2, ModelSource.PRE_TEST),
+                "e1", arm, EstimatorKind(2, ModelSource.PRE_TEST),
                 surrogate_point, 1.0)))
         (est_dir / "e1.estimates.json").write_text(json.dumps(records))
         report_path = tmp_path / "report.json"
@@ -505,10 +502,9 @@ class TestEvaluate:
         direct, surrogate = [], []
         for arm, (z_direct, z_surrogate) in {"t1": (4.0, 4.0), "t2": (4.0, 0.0),
                                              "t3": (0.0, 0.0)}.items():
-            label = ArmLabel(arm, False)
-            direct.append(EffectEstimate("e1", label, EstimatorKind(5), z_direct, 1.0))
+            direct.append(EffectEstimate("e1", arm, EstimatorKind(5), z_direct, 1.0))
             surrogate.append(EffectEstimate(
-                "e1", label, EstimatorKind(2, ModelSource.PRE_TEST), z_surrogate, 1.0))
+                "e1", arm, EstimatorKind(2, ModelSource.PRE_TEST), z_surrogate, 1.0))
         records = [estimate_to_record(e) for pair in zip(direct, surrogate) for e in pair]
         (est_dir / "e1.estimates.json").write_text(json.dumps(records))
         report_path = tmp_path / "report.json"
@@ -524,11 +520,11 @@ class TestEvaluate:
     def test_key_mismatch_exits_3(self, tmp_path):
         est_dir = tmp_path / "estimates"
         est_dir.mkdir()
-        label = ArmLabel("t1", False)
+        arm = "t1"
         records = [
-            estimate_to_record(EffectEstimate("e1", label, EstimatorKind(5), 1.0, 1.0)),
+            estimate_to_record(EffectEstimate("e1", arm, EstimatorKind(5), 1.0, 1.0)),
             estimate_to_record(EffectEstimate(
-                "e2", label, EstimatorKind(2, ModelSource.PRE_TEST), 1.0, 1.0)),
+                "e2", arm, EstimatorKind(2, ModelSource.PRE_TEST), 1.0, 1.0)),
         ]
         (est_dir / "e1.estimates.json").write_text(json.dumps(records))
         assert main(["evaluate", "--estimates", str(est_dir),
@@ -540,11 +536,11 @@ class TestEvaluate:
     def test_non_finite_estimate_exits_3(self, tmp_path, capsys, field, value):
         est_dir = tmp_path / "estimates"
         est_dir.mkdir()
-        label = ArmLabel("t1", False)
+        arm = "t1"
         records = [
-            estimate_to_record(EffectEstimate("e1", label, EstimatorKind(5), 1.0, 1.0)),
+            estimate_to_record(EffectEstimate("e1", arm, EstimatorKind(5), 1.0, 1.0)),
             estimate_to_record(EffectEstimate(
-                "e1", label, EstimatorKind(2, ModelSource.PRE_TEST), 1.0, 1.0)),
+                "e1", arm, EstimatorKind(2, ModelSource.PRE_TEST), 1.0, 1.0)),
         ]
         records[1][field] = value  # json.dumps writes Infinity / NaN
         (est_dir / "e1.estimates.json").write_text(json.dumps(records))
@@ -611,6 +607,30 @@ class TestEvaluate:
         (est_dir / "bad.estimates.json").write_text("{not json")
         assert main(["evaluate", "--estimates", str(est_dir),
                      "--out", str(tmp_path / "report.json")]) == 3
+
+    @pytest.mark.parametrize("content, reason", [
+        ("{}", ": estimates JSON must be an array of objects"),
+        ('"ab"', ": estimates JSON must be an array of objects"),
+        ("[1]", ", item 0: an estimate record must be a JSON object"),
+        ("[[]]", ", item 0: an estimate record must be a JSON object"),
+        ("[{}]", ", item 0: 'experiment_id'"),
+    ])
+    def test_estimates_file_that_is_not_an_array_of_objects_exits_3(
+        self, tmp_path, capsys, content, reason
+    ):
+        out_dir = simulate_toy(tmp_path)
+        est_dir = tmp_path / "estimates"
+        assert main(["analyze", "--panel-dir", str(out_dir), "--regime", "running-mean",
+                     "--T", "5", "--horizon", "5", "--out", str(est_dir)]) == 0
+        (est_dir / "zz.estimates.json").write_text(content)
+        report_dir = tmp_path / "report"
+        report_dir.mkdir()
+        assert main(["evaluate", "--estimates", str(est_dir),
+                     "--out", str(report_dir / "report.json")]) == 3
+        err = capsys.readouterr().err
+        prefix = "surrokit: data validation error: bad estimates file zz.estimates.json"
+        assert err == prefix + reason + "\n"
+        assert list(report_dir.iterdir()) == []
 
     def test_deeply_nested_estimates_file_exits_3(self, tmp_path, capsys):
         est_dir = tmp_path / "estimates"
@@ -719,13 +739,13 @@ class TestOverflow:
     def test_overflowing_report_statistic_exits_4(self, tmp_path, capsys):
         est_dir = tmp_path / "estimates"
         est_dir.mkdir()
-        label = ArmLabel("t1", False)
+        arm = "t1"
         for i in range(1, 7):
             records = [
-                estimate_to_record(EffectEstimate(f"e{i}", label, EstimatorKind(63),
+                estimate_to_record(EffectEstimate(f"e{i}", arm, EstimatorKind(63),
                                                   float(i), 1.0)),
                 estimate_to_record(EffectEstimate(
-                    f"e{i}", label, EstimatorKind(14, ModelSource.PRE_TEST),
+                    f"e{i}", arm, EstimatorKind(14, ModelSource.PRE_TEST),
                     i * 1e80, 1.0)),
             ]
             (est_dir / f"e{i}.estimates.json").write_text(json.dumps(records))
@@ -841,9 +861,19 @@ class TestManifest:
         assert capsys.readouterr().err == "surrokit: unknown SURROKIT_LOG level 'VERBOSE'\n"
 
 
-def test_cli_import_loads_no_scipy():
+def assert_cli_import_does_not_load(module):
+    """Import ``surrokit.cli`` in a fresh interpreter and check ``module`` stays unloaded."""
     src = str(Path(surrokit.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    code = "import surrokit.cli, sys; assert 'scipy' not in sys.modules"
+    code = f"import surrokit.cli, sys; assert {module!r} not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_cli_import_loads_no_scipy():
+    assert_cli_import_does_not_load("scipy")
+
+
+def test_cli_import_loads_no_process_pool():
+    # Only a run with --jobs above 1 and more than one task starts a pool.
+    assert_cli_import_does_not_load("concurrent.futures.process")

@@ -36,7 +36,7 @@ from surrokit import (
 
 from conftest import CONTROL, T1, build_panel
 
-ARM = ArmLabel("t1", False)
+ARM = "t1"
 
 
 def toy_estimate(point, std_error):
@@ -109,6 +109,29 @@ class TestDirectEffect:
                             [CONTROL, CONTROL, T1, T1])
         with pytest.raises(ControlAsTreatment):
             direct_effect(panel, "control")
+
+    @pytest.mark.parametrize("arm, error", [
+        ("nope", UnknownArm), (ArmLabel("nope", False), UnknownArm),
+        ("control", ControlAsTreatment), (CONTROL, ControlAsTreatment),
+    ])
+    def test_arm_is_resolved_before_the_horizon(self, arm, error):
+        panel = build_panel(np.random.default_rng(3).standard_normal((4, 3)),
+                            [CONTROL, CONTROL, T1, T1])
+        with pytest.raises(error):
+            direct_effect(panel, arm, horizon=10)
+        with pytest.raises(error):
+            surrogate_effect(running_mean_model(10), panel, arm)
+
+    def test_label_or_name_gives_one_estimate_that_stores_the_name(self):
+        panel = build_panel(np.random.default_rng(4).standard_normal((4, 3)),
+                            [CONTROL, CONTROL, T1, T1])
+        model = running_mean_model(2)
+        assert direct_effect(panel, T1) == direct_effect(panel, "t1")
+        assert surrogate_effect(model, panel, T1) == surrogate_effect(model, panel, "t1")
+        assert direct_effect(panel, T1).arm == surrogate_effect(model, panel, T1).arm == "t1"
+        estimate = mean_difference_effect([1.0, 3.0], [0.0, 1.0], experiment_id="e", arm=T1,
+                                          kind=EstimatorKind(3))
+        assert estimate.arm == "t1"
 
     def test_missing_horizon_days(self):
         panel = build_panel(np.random.default_rng(3).standard_normal((4, 3)),
@@ -266,13 +289,14 @@ class TestRecords:
         self, experiment_id, arm, days, source, point, std_error
     ):
         try:
-            estimate = EffectEstimate(experiment_id, ArmLabel(arm, False),
-                                      EstimatorKind(days, source), point, std_error)
+            estimate = EffectEstimate(experiment_id, arm, EstimatorKind(days, source),
+                                      point, std_error)
         except ValueError:
             # Only an overflowing z statistic or interval bound is refused.
             low, high = point - Z_CRIT_95 * std_error, point + Z_CRIT_95 * std_error
             assert not all(map(math.isfinite, (point / std_error, low, high)))
             reject()
+        assert record_to_estimate(estimate_to_record(estimate)) == estimate
         text = json.dumps(estimate_to_record(estimate))
         rebuilt = record_to_estimate(json.loads(text))
         assert rebuilt == estimate

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from surrokit import (
-    ArmLabel,
     ConfusionMatrix3,
     DecisionPair,
     EffectEstimate,
@@ -42,7 +41,7 @@ NEG = SignificanceClass.SIG_NEGATIVE
 
 def estimate_with_z(experiment_id, arm, z, kind=None):
     kind = kind or EstimatorKind(63)
-    return EffectEstimate(experiment_id, ArmLabel(arm, False), kind, float(z), 1.0)
+    return EffectEstimate(experiment_id, arm, kind, float(z), 1.0)
 
 
 def pair(direct_class, surrogate_class, experiment_id="e", arm="t1"):
@@ -270,7 +269,7 @@ def shuffled_reads(draw):
     point = st.floats(-50, 50, allow_nan=False)
     std_error = st.floats(0.1, 10)
     rows = draw(st.lists(st.tuples(point, std_error, point, std_error), min_size=1, max_size=12))
-    labels = [(f"e{i // 3}", ArmLabel(f"t{i % 3 + 1}", False)) for i in range(len(rows))]
+    labels = [(f"e{i // 3}", f"t{i % 3 + 1}") for i in range(len(rows))]
     direct = [EffectEstimate(e, arm, EstimatorKind(63), d, d_se)
               for (e, arm), (d, d_se, _, _) in zip(labels, rows)]
     surrogate = [EffectEstimate(e, arm, SURROGATE_KIND, s, s_se)

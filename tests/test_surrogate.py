@@ -10,7 +10,6 @@ from surrokit import (
     SurrogateModel,
     TooFewRows,
     direct_effect,
-    fit_least_squares,
     fit_nested,
     fit_pretest,
     fit_similar,
@@ -37,14 +36,14 @@ class TestFitLeastSquares:
         rng = np.random.default_rng(1)
         features = rng.standard_normal((80, 63))
         targets = features.mean(axis=1)
-        model = fit_least_squares(features, targets)
+        model = fit_nested(features, targets, [features.shape[1]])[0]
         assert abs(model.intercept) < 1e-8
         np.testing.assert_allclose(model.coefficients, np.full(63, 1 / 63), rtol=1e-8)
 
     def test_five_row_fixture_matches_normal_equations(self):
         features = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 4.0], [4.0, 3.0], [5.0, 7.0]])
         targets = np.array([3.1, 3.9, 7.2, 8.0, 12.1])
-        model = fit_least_squares(features, targets)
+        model = fit_nested(features, targets, [features.shape[1]])[0]
         # frozen from solving (X'X) b = X'y directly
         np.testing.assert_allclose(
             [model.intercept, *model.coefficients],
@@ -64,18 +63,18 @@ class TestFitLeastSquares:
         base = rng.standard_normal((10, 1))
         features = np.hstack([base, base])
         with pytest.raises(RankDeficient):
-            fit_least_squares(features, rng.standard_normal(10))
+            fit_nested(features, rng.standard_normal(10), [2])
 
     def test_constant_column_collides_with_intercept(self):
         rng = np.random.default_rng(3)
         features = np.hstack([np.full((10, 1), 4.0), rng.standard_normal((10, 1))])
         with pytest.raises(RankDeficient):
-            fit_least_squares(features, rng.standard_normal(10))
+            fit_nested(features, rng.standard_normal(10), [2])
 
     def test_too_few_rows(self):
         rng = np.random.default_rng(4)
         with pytest.raises(TooFewRows):
-            fit_least_squares(rng.standard_normal((3, 2)), rng.standard_normal(3))
+            fit_nested(rng.standard_normal((3, 2)), rng.standard_normal(3), [2])
 
     def test_exact_affine_recovery_property(self):
         rng = np.random.default_rng(5)
@@ -86,7 +85,7 @@ class TestFitLeastSquares:
             true_beta = rng.standard_normal(t)
             true_intercept = float(rng.standard_normal())
             targets = true_intercept + features @ true_beta
-            model = fit_least_squares(features, targets)
+            model = fit_nested(features, targets, [features.shape[1]])[0]
             np.testing.assert_allclose(model.intercept, true_intercept, rtol=1e-8, atol=1e-10)
             np.testing.assert_allclose(model.coefficients, true_beta, rtol=1e-8, atol=1e-10)
 
@@ -94,8 +93,8 @@ class TestFitLeastSquares:
         rng = np.random.default_rng(6)
         features = rng.standard_normal((30, 4))
         targets = rng.standard_normal(30)
-        model = fit_least_squares(features, targets)
-        scaled = fit_least_squares(3.0 * features, 3.0 * targets)
+        model = fit_nested(features, targets, [features.shape[1]])[0]
+        scaled = fit_nested(3.0 * features, 3.0 * targets, [4])[0]
         assert scaled.intercept == pytest.approx(3.0 * model.intercept, rel=1e-10)
         np.testing.assert_allclose(scaled.coefficients, model.coefficients, rtol=1e-10)
         panel = random_two_arm_panel(rng, n_per_arm=4, days=list(range(1, 5)))
@@ -111,8 +110,8 @@ class TestFitLeastSquares:
         features = rng.standard_normal((25, 3))
         targets = rng.standard_normal(25)
         perm = rng.permutation(25)
-        model = fit_least_squares(features, targets)
-        shuffled = fit_least_squares(features[perm], targets[perm])
+        model = fit_nested(features, targets, [features.shape[1]])[0]
+        shuffled = fit_nested(features[perm], targets[perm], [3])[0]
         probe = rng.standard_normal((6, 3))
         np.testing.assert_allclose(
             model.intercept + probe @ np.array(model.coefficients),
@@ -153,7 +152,7 @@ class TestFitNested:
         targets = rng.standard_normal(40)
         swept = fit_nested(features, targets, range(1, 10))
         for order, model in enumerate(swept, start=1):
-            assert model == fit_least_squares(features[:, :order], targets)
+            assert model == fit_nested(features[:, :order], targets, [order])[0]
 
     def test_models_follow_the_requested_order(self):
         rng = np.random.default_rng(13)
@@ -217,7 +216,7 @@ class TestFitPretest:
         order = 9
         model = fit_pretest(panel, order)
         pre = window(panel, -63, -1)
-        oracle = fit_least_squares(pre[:, :order], pre.mean(axis=1))
+        oracle = fit_nested(pre[:, :order], pre.mean(axis=1), [order])[0]
         assert model.source is ModelSource.PRE_TEST
         assert model.intercept == oracle.intercept
         assert model.coefficients == oracle.coefficients
