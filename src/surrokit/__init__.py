@@ -50,12 +50,9 @@ from .estimators import (
 from .evaluation import (
     CLASS_ORDER,
     ConfusionMatrix3,
-    DecisionPair,
     DistributionSummary,
     LaunchMetrics,
     capacity_gain,
-    classify_pairs,
-    confusion,
     decision_report,
     excess_kurtosis,
     extra_experiments_needed,

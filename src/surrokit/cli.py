@@ -96,13 +96,15 @@ def _simulate_one(task: tuple) -> tuple[str, dict[str, float]]:
 
 
 def _run_pool(worker, tasks: list, jobs: int) -> list:
-    if jobs <= 1 or len(tasks) <= 1:
+    # A pool starts all its workers at once, so it gets no more than there are tasks.
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         return [worker(task) for task in tasks]
     # Imported here: a serial run, and evaluate, never start a pool.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -232,7 +234,7 @@ def _load_estimates(estimates_dir: str) -> tuple[list, list]:
                 (direct if estimate.kind.method == "direct" else surrogate).append(estimate)
         # OverflowError: a JSON integer past the float range; RecursionError:
         # arrays or objects nested past the recursion limit.
-        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        except (TypeError, ValueError, OverflowError, RecursionError) as exc:
             where = "" if item is None else f", item {item}"
             raise DataValidationError(f"bad estimates file {path.name}{where}: {exc}") from None
     return direct, surrogate

@@ -258,11 +258,13 @@ def record_to_estimate(record: dict) -> EffectEstimate:
     """Rebuild an estimate from its JSON record.
 
     Only the point and standard error are read: the derived statistics
-    they determine reproduce the stored values exactly. A field of another
-    JSON type, such as ``"T": 14.5`` or ``"point": "0.5"``, raises
-    ValueError naming it; nothing is coerced.
+    they determine reproduce the stored values exactly. A missing field,
+    or one of another JSON type, such as ``"T": 14.5`` or ``"point": "0.5"``,
+    raises ValueError naming it; nothing is coerced.
     """
     for name, (types, json_type) in _RECORD_TYPES.items():
+        if name not in record:
+            raise ValueError(f"estimate field {name!r} is missing")
         value = record[name]
         if isinstance(value, bool) or not isinstance(value, types):
             raise ValueError(f"estimate field {name!r} must be a JSON {json_type}, got {value!r}")

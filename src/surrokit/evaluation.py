@@ -34,7 +34,7 @@ from .errors import (
     NumericalError,
     ZeroVariance,
 )
-from .estimators import DEFAULT_ALPHA, EffectEstimate, SignificanceClass, z_test
+from .estimators import EffectEstimate, SignificanceClass, z_test
 
 # Fixed row/column order of the confusion matrix.
 CLASS_ORDER: tuple[SignificanceClass, ...] = (
@@ -43,16 +43,6 @@ CLASS_ORDER: tuple[SignificanceClass, ...] = (
     SignificanceClass.SIG_NEGATIVE,
 )
 _CLASS_INDEX = {cls: i for i, cls in enumerate(CLASS_ORDER)}
-
-
-@dataclass(frozen=True)
-class DecisionPair:
-    """One arm's direct and surrogate significance classifications."""
-
-    experiment_id: str
-    arm: str
-    direct_class: SignificanceClass
-    surrogate_class: SignificanceClass
 
 
 @dataclass(frozen=True)
@@ -147,32 +137,6 @@ def _paired_estimates(
             f"missing direct for {extra[:5]}"
         )
     return {key: (est, surrogate_by_key[key]) for key, est in direct_by_key.items()}
-
-
-def classify_pairs(
-    direct: list[EffectEstimate],
-    surrogate: list[EffectEstimate],
-    alpha: float = DEFAULT_ALPHA,
-) -> list[DecisionPair]:
-    """Pair up direct and surrogate estimates keyed by (experiment, arm).
-
-    Both lists must cover exactly the same keys, once each. Output order
-    follows the direct list.
-    """
-    return [
-        DecisionPair(experiment_id, arm, z_test(d, alpha), z_test(s, alpha))
-        for (experiment_id, arm), (d, s) in _paired_estimates(direct, surrogate).items()
-    ]
-
-
-def confusion(pairs: list[DecisionPair]) -> ConfusionMatrix3:
-    """Tabulate decision pairs into the 3x3 matrix."""
-    if not pairs:
-        raise EmptyInput("cannot tabulate zero decision pairs")
-    counts = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
-    for pair in pairs:
-        counts[_CLASS_INDEX[pair.direct_class]][_CLASS_INDEX[pair.surrogate_class]] += 1
-    return ConfusionMatrix3(tuple(tuple(row) for row in counts))
 
 
 def launch_metrics(matrix: ConfusionMatrix3) -> LaunchMetrics:
@@ -296,19 +260,24 @@ def decision_report(
 ) -> tuple[dict, np.ndarray]:
     """The launch-decision report over paired reads, and the scaled differences.
 
-    Tabulates ``classify_pairs`` at ``alpha`` and returns a JSON-ready
-    dict: the confusion matrix and its ``launch_metrics``, the
-    ``scaled_distribution`` of the direct points, the surrogate points and
-    their surrogate-minus-direct differences (points scaled by the direct
-    points' standard deviation, differences by their own), and the capacity
-    figures for the two cycle lengths. A distribution whose scale is
+    Pairs the lists once, counts each pair's ``z_test`` classes at
+    ``alpha`` and returns a JSON-ready dict: the confusion matrix and its
+    ``launch_metrics``, the ``scaled_distribution`` of the direct points,
+    the surrogate points and their surrogate-minus-direct differences
+    (points scaled by the direct points' standard deviation, differences by
+    their own), and the capacity figures for the two cycle lengths. A distribution whose scale is
     undefined is None, and so is its kurtosis. The second value holds the
     scaled differences in sorted (experiment, arm) order, empty where they
     are undefined. The result depends on neither list's order.
     """
-    matrix = confusion(classify_pairs(direct, surrogate, alpha))
-    metrics = launch_metrics(matrix)
     paired = sorted(_paired_estimates(direct, surrogate).items())
+    if not paired:
+        raise EmptyInput("cannot tabulate zero decision pairs")
+    counts = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    for _, (d, s) in paired:
+        counts[_CLASS_INDEX[z_test(d, alpha)]][_CLASS_INDEX[z_test(s, alpha)]] += 1
+    matrix = ConfusionMatrix3(counts)
+    metrics = launch_metrics(matrix)
     direct_points = np.array([d.point for _, (d, s) in paired])
     surrogate_points = np.array([s.point for _, (d, s) in paired])
     differences = surrogate_points - direct_points

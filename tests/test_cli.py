@@ -327,6 +327,27 @@ class TestAnalyze:
                 records = json.loads(serial[f"{panel_path.stem}.estimates.json"])
                 assert records == json.loads(json.dumps(expected))
 
+    def test_pool_starts_no_more_workers_than_panels(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        out_dir = simulate_toy(tmp_path)
+        for jobs in ("1", "4"):
+            assert main(["analyze", "--panel-dir", str(out_dir), "--regime", "running-mean",
+                         "--T", "5", "--horizon", "5", "--jobs", jobs,
+                         "--out", str(tmp_path / f"jobs{jobs}")]) == 0
+        assert started == [2]
+        serial = read_bytes_by_name(tmp_path / "jobs1", "*.estimates.json")
+        assert len(serial) == 2
+        assert serial == read_bytes_by_name(tmp_path / "jobs4", "*.estimates.json")
+
     def test_panel_dir_mode(self, tmp_path):
         out_dir = simulate_toy(tmp_path)
         est_dir = tmp_path / "estimates"
@@ -613,7 +634,7 @@ class TestEvaluate:
         ('"ab"', ": estimates JSON must be an array of objects"),
         ("[1]", ", item 0: an estimate record must be a JSON object"),
         ("[[]]", ", item 0: an estimate record must be a JSON object"),
-        ("[{}]", ", item 0: 'experiment_id'"),
+        ("[{}]", ", item 0: estimate field 'experiment_id' is missing"),
     ])
     def test_estimates_file_that_is_not_an_array_of_objects_exits_3(
         self, tmp_path, capsys, content, reason

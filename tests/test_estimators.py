@@ -318,6 +318,13 @@ class TestRecords:
         with pytest.raises(ValueError, match=f"^estimate field '{field}' must be a JSON "):
             record_to_estimate(record)
 
+    @pytest.mark.parametrize("field", ["experiment_id", "arm", "kind", "T", "point", "std_error"])
+    def test_missing_field_is_named(self, field):
+        record = estimate_to_record(toy_estimate(1.0, 0.5))
+        del record[field]
+        with pytest.raises(ValueError, match=f"^estimate field '{field}' is missing$"):
+            record_to_estimate(record)
+
     def test_surrogate_kind_embeds_source(self):
         config = SimConfig(users_per_arm=30, seed=207)
         panel = simulate_experiment(config, 0).panel

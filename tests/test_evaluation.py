@@ -8,7 +8,6 @@ from scipy import stats
 
 from surrokit import (
     ConfusionMatrix3,
-    DecisionPair,
     EffectEstimate,
     EmptyInput,
     EstimatorKind,
@@ -21,8 +20,6 @@ from surrokit import (
     SimConfig,
     ZeroVariance,
     capacity_gain,
-    classify_pairs,
-    confusion,
     decision_report,
     direct_effect,
     excess_kurtosis,
@@ -32,6 +29,7 @@ from surrokit import (
     scaled_distribution,
     simulate_experiment,
     surrogate_effect,
+    z_test,
 )
 
 POS = SignificanceClass.SIG_POSITIVE
@@ -44,29 +42,50 @@ def estimate_with_z(experiment_id, arm, z, kind=None):
     return EffectEstimate(experiment_id, arm, kind, float(z), 1.0)
 
 
-def pair(direct_class, surrogate_class, experiment_id="e", arm="t1"):
-    return DecisionPair(experiment_id, arm, direct_class, surrogate_class)
+SURROGATE_KIND = EstimatorKind(14, ModelSource.PRE_TEST)
+
+# A z statistic of each class at alpha 0.05.
+Z_OF = {POS: 4.0, NS: 0.0, NEG: -4.0}
+
+
+def reads(points):
+    """Direct and surrogate estimates of arm ``t<k>`` from (direct, surrogate) points."""
+    direct = [estimate_with_z("e1", f"t{k}", d) for k, (d, _) in enumerate(points, 1)]
+    surrogate = [estimate_with_z("e1", f"t{k}", s, SURROGATE_KIND)
+                 for k, (_, s) in enumerate(points, 1)]
+    return direct, surrogate
+
+
+def report_confusion(direct, surrogate):
+    """The confusion matrix of ``decision_report`` over the two lists at alpha 0.05."""
+    report, _ = decision_report(direct, surrogate, 0.05, 56.0, 14.0)
+    matrix = ConfusionMatrix3(report["confusion"])
+    assert matrix.total == report["n_pairs"]
+    return matrix
+
+
+def class_confusion(pairs):
+    """The report's confusion matrix over pairs of (direct, surrogate) classes."""
+    return report_confusion(*reads([(Z_OF[d], Z_OF[s]) for d, s in pairs]))
 
 
 class TestClassifyPairs:
+    """Each pair's classes, as the report counts them."""
+
     def test_both_strongly_positive(self):
-        direct = [estimate_with_z("e1", "t1", 4.0)]
-        surrogate = [estimate_with_z("e1", "t1", 4.0)]
-        (result,) = classify_pairs(direct, surrogate, 0.05)
-        assert (result.direct_class, result.surrogate_class) == (POS, POS)
+        matrix = report_confusion(*reads([(4.0, 4.0)]))
+        assert matrix.count(POS, POS) == matrix.total == 1
 
     def test_positive_direct_flat_surrogate(self):
-        direct = [estimate_with_z("e1", "t1", 4.0)]
-        surrogate = [estimate_with_z("e1", "t1", 0.0)]
-        (result,) = classify_pairs(direct, surrogate, 0.05)
-        assert (result.direct_class, result.surrogate_class) == (POS, NS)
+        matrix = report_confusion(*reads([(4.0, 0.0)]))
+        assert matrix.count(POS, NS) == matrix.total == 1
 
     def test_twenty_pair_fixture_hand_count(self):
         # 8 (+,+), 3 (+,ns), 5 (ns,ns), 2 (ns,+), 2 (-,-): 20 total
         spec = [(4, 4)] * 8 + [(4, 0)] * 3 + [(0, 0)] * 5 + [(0, 4)] * 2 + [(-4, -4)] * 2
         direct = [estimate_with_z(f"e{i}", "t1", d) for i, (d, s) in enumerate(spec)]
         surrogate = [estimate_with_z(f"e{i}", "t1", s) for i, (d, s) in enumerate(spec)]
-        matrix = confusion(classify_pairs(direct, surrogate, 0.05))
+        matrix = report_confusion(direct, surrogate)
         assert matrix.counts == ((8, 3, 0), (2, 5, 0), (0, 0, 2))
         assert matrix.total == 20
 
@@ -74,42 +93,44 @@ class TestClassifyPairs:
         direct = [estimate_with_z("e1", "t1", 1.0)]
         surrogate = [estimate_with_z("e1", "t2", 1.0)]
         with pytest.raises(KeyMismatch):
-            classify_pairs(direct, surrogate, 0.05)
+            decision_report(direct, surrogate, 0.05, 56.0, 14.0)
 
     def test_duplicate_key(self):
         direct = [estimate_with_z("e1", "t1", 1.0), estimate_with_z("e1", "t1", 2.0)]
         surrogate = [estimate_with_z("e1", "t1", 1.0)]
         with pytest.raises(KeyMismatch):
-            classify_pairs(direct, surrogate, 0.05)
+            decision_report(direct, surrogate, 0.05, 56.0, 14.0)
 
 
 class TestConfusion:
+    """The report's confusion matrix."""
+
     def test_single_pair(self):
-        matrix = confusion([pair(POS, POS)])
+        matrix = class_confusion([(POS, POS)])
         assert matrix.count(POS, POS) == 1
         assert matrix.total == 1
 
     def test_four_not_significant_pairs(self):
-        matrix = confusion([pair(NS, NS)] * 4)
+        matrix = class_confusion([(NS, NS)] * 4)
         assert matrix.counts[1][1] == 4
         assert matrix.total == 4
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
-            confusion([])
+        with pytest.raises(EmptyInput, match="cannot tabulate zero decision pairs"):
+            decision_report([], [], 0.05, 56.0, 14.0)
 
     def test_permutation_invariance(self):
-        pairs = [pair(POS, NS), pair(NEG, NEG), pair(NS, NS), pair(POS, POS)]
-        assert confusion(pairs) == confusion(list(reversed(pairs)))
+        pairs = [(POS, NS), (NEG, NEG), (NS, NS), (POS, POS)]
+        assert class_confusion(pairs) == class_confusion(list(reversed(pairs)))
 
     def test_total_conservation(self):
         rng = np.random.default_rng(31)
         classes = [POS, NS, NEG]
         pairs = [
-            pair(classes[i], classes[j], experiment_id=f"e{k}")
-            for k, (i, j) in enumerate(zip(rng.integers(0, 3, 57), rng.integers(0, 3, 57)))
+            (classes[i], classes[j])
+            for i, j in zip(rng.integers(0, 3, 57), rng.integers(0, 3, 57))
         ]
-        assert confusion(pairs).total == 57
+        assert class_confusion(pairs).total == 57
 
 
 class TestLaunchMetrics:
@@ -252,17 +273,6 @@ class TestScaledDistribution:
             scaled_distribution([i * 1e80 for i in range(1, 7)], scale_by=range(1, 7))
 
 
-SURROGATE_KIND = EstimatorKind(14, ModelSource.PRE_TEST)
-
-
-def reads(points):
-    """Direct and surrogate estimates of arm ``t<k>`` from (direct, surrogate) points."""
-    direct = [estimate_with_z("e1", f"t{k}", d) for k, (d, _) in enumerate(points, 1)]
-    surrogate = [estimate_with_z("e1", f"t{k}", s, SURROGATE_KIND)
-                 for k, (_, s) in enumerate(points, 1)]
-    return direct, surrogate
-
-
 @st.composite
 def shuffled_reads(draw):
     """Paired reads over distinct (experiment, arm) keys, and shuffles of both lists."""
@@ -287,8 +297,12 @@ class TestDecisionReport:
             other_report, other_scaled = decision_report(*shuffled, alpha, 56.0, 14.0)
             assert other_report == report
             assert other_scaled.tolist() == scaled.tolist()
-        matrix = confusion(classify_pairs(direct_shuffled, surrogate_shuffled, alpha))
-        assert report["confusion"] == [list(row) for row in matrix.counts]
+        # shuffled_reads builds both lists in one key order.
+        counts = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+        order = [POS, NS, NEG]
+        for d, s in zip(direct, surrogate):
+            counts[order.index(z_test(d, alpha))][order.index(z_test(s, alpha))] += 1
+        assert report["confusion"] == counts
         assert report["n_pairs"] == len(direct)
 
     def test_one_arm_has_null_distributions(self):
@@ -366,6 +380,6 @@ class TestSimulatedAgreement:
             for arm in experiment.panel.treatment_arms:
                 direct.append(direct_effect(experiment.panel, arm))
                 surrogate.append(surrogate_effect(model, experiment.panel, arm))
-        metrics = launch_metrics(confusion(classify_pairs(direct, surrogate, 0.05)))
-        assert 0.90 <= metrics.agreement <= 0.99
-        assert metrics.false_launch_negatives == 0
+        report, _ = decision_report(direct, surrogate, 0.05, 56.0, 14.0)
+        assert 0.90 <= report["agreement"] <= 0.99
+        assert report["false_launch_negatives"] == 0
