@@ -49,9 +49,6 @@ from .estimators import (
 )
 from .evaluation import (
     CLASS_ORDER,
-    ConfusionMatrix3,
-    DistributionSummary,
-    LaunchMetrics,
     capacity_gain,
     decision_report,
     excess_kurtosis,

@@ -144,16 +144,17 @@ def _analyze_one(task: tuple) -> str:
     """Write one panel's direct and surrogate records.
 
     ``models`` is None for the pretest regime, whose models are fitted on
-    each panel's own pre-period; otherwise every panel shares them.
+    each panel's own pre-period with a ``horizon``-day target; otherwise
+    every panel shares them.
     """
-    panel_path, out_path, direct_days, orders, models = task
+    panel_path, out_path, horizon, direct_days, orders, models = task
     panel = load_panel(panel_path)
     arms = sorted(arm.name for arm in panel.treatment_arms)
     records = []
     for days in direct_days:
         records += [estimate_to_record(direct_effect(panel, arm, days)) for arm in arms]
     if models is None:
-        models = fit_pretest(panel, orders)
+        models = fit_pretest(panel, orders, horizon)
     for model in models:
         records += [estimate_to_record(surrogate_effect(model, panel, arm)) for arm in arms]
     records.sort(key=lambda r: (r["kind"], r["T"], r["arm"]))
@@ -188,7 +189,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         inputs = {"panel_dir": args.panel_dir}
 
     tasks = [
-        (panel_path, str(out_path), direct_days, orders, models)
+        (panel_path, str(out_path), horizon, direct_days, orders, models)
         for panel_path, out_path in targets
     ]
     outputs = _run_pool(_analyze_one, tasks, args.jobs)

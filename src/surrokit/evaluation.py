@@ -21,7 +21,7 @@ the report that ``surrokit evaluate`` writes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -43,71 +43,6 @@ CLASS_ORDER: tuple[SignificanceClass, ...] = (
     SignificanceClass.SIG_NEGATIVE,
 )
 _CLASS_INDEX = {cls: i for i, cls in enumerate(CLASS_ORDER)}
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix3:
-    """3x3 decision counts; rows = direct class, columns = surrogate class.
-
-    Row and column order follows CLASS_ORDER: SigPositive, NotSig,
-    SigNegative.
-    """
-
-    counts: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self) -> None:
-        counts = tuple(tuple(int(c) for c in row) for row in self.counts)
-        object.__setattr__(self, "counts", counts)
-        if len(counts) != 3 or any(len(row) != 3 for row in counts):
-            raise ValueError("confusion matrix must be 3x3")
-        if any(c < 0 for row in counts for c in row):
-            raise ValueError("confusion matrix counts must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
-    def count(self, direct: SignificanceClass, surrogate: SignificanceClass) -> int:
-        return self.counts[_CLASS_INDEX[direct]][_CLASS_INDEX[surrogate]]
-
-    def row_total(self, direct: SignificanceClass) -> int:
-        return sum(self.counts[_CLASS_INDEX[direct]])
-
-    def col_total(self, surrogate: SignificanceClass) -> int:
-        j = _CLASS_INDEX[surrogate]
-        return sum(row[j] for row in self.counts)
-
-
-@dataclass(frozen=True)
-class LaunchMetrics:
-    """Launch-decision agreement summary; None marks an undefined metric."""
-
-    precision: float | None
-    recall: float | None
-    agreement: float
-    surrogate_ns_rate: float
-    direct_ns_rate: float
-    false_launch_negatives: int
-
-
-@dataclass(frozen=True)
-class DistributionSummary:
-    """Summary of values rescaled by a reference standard deviation.
-
-    Stores the scaled values and their statistics; the count
-    ``n`` is derived from ``scaled_values``. ``excess_kurtosis`` uses the
-    bias-corrected sample estimator and is None where that is undefined:
-    fewer than 4 values, or zero variance.
-    """
-
-    mean: float
-    std_dev: float
-    excess_kurtosis: float | None
-    scaled_values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.scaled_values.size
 
 
 def _paired_estimates(
@@ -139,26 +74,33 @@ def _paired_estimates(
     return {key: (est, surrogate_by_key[key]) for key, est in direct_by_key.items()}
 
 
-def launch_metrics(matrix: ConfusionMatrix3) -> LaunchMetrics:
-    """Precision/recall/agreement of launch decisions from the matrix."""
-    total = matrix.total
+def launch_metrics(counts: Sequence[Sequence[int]]) -> dict:
+    """The report's launch-decision metrics from a 3x3 matrix of counts.
+
+    Rows are the direct class and columns the surrogate class, both in
+    CLASS_ORDER. Returns ``precision``, ``recall``, ``agreement``,
+    ``ns_rates`` (direct and surrogate) and ``false_launch_negatives``, the
+    pairs the surrogate launches and the direct read scores significantly
+    negative. Raises ValueError unless the matrix is 3x3 and nonnegative,
+    and EmptyInput when it holds no pairs.
+    """
+    m = [[int(c) for c in row] for row in counts]
+    if len(m) != 3 or any(len(row) != 3 for row in m):
+        raise ValueError("confusion matrix must be 3x3")
+    if any(c < 0 for row in m for c in row):
+        raise ValueError("confusion matrix counts must be nonnegative")
+    total = sum(map(sum, m))
     if total == 0:
         raise EmptyInput("confusion matrix is empty")
-    pos = SignificanceClass.SIG_POSITIVE
-    neg = SignificanceClass.SIG_NEGATIVE
-    ns = SignificanceClass.NOT_SIG
-    both_positive = matrix.count(pos, pos)
-    surrogate_positive = matrix.col_total(pos)
-    direct_positive = matrix.row_total(pos)
-    agreement = sum(matrix.count(cls, cls) for cls in CLASS_ORDER) / total
-    return LaunchMetrics(
-        precision=None if surrogate_positive == 0 else both_positive / surrogate_positive,
-        recall=None if direct_positive == 0 else both_positive / direct_positive,
-        agreement=agreement,
-        surrogate_ns_rate=matrix.col_total(ns) / total,
-        direct_ns_rate=matrix.row_total(ns) / total,
-        false_launch_negatives=matrix.count(neg, pos),
-    )
+    # Index 0 is SigPositive and 1 NotSig in CLASS_ORDER.
+    rows, columns = [sum(row) for row in m], [sum(col) for col in zip(*m)]
+    return {
+        "precision": None if columns[0] == 0 else m[0][0] / columns[0],
+        "recall": None if rows[0] == 0 else m[0][0] / rows[0],
+        "agreement": (m[0][0] + m[1][1] + m[2][2]) / total,
+        "ns_rates": {"direct": rows[1] / total, "surrogate": columns[1] / total},
+        "false_launch_negatives": m[2][0],
+    }
 
 
 def excess_kurtosis(values: np.ndarray) -> float:
@@ -188,15 +130,17 @@ def excess_kurtosis(values: np.ndarray) -> float:
 
 def scaled_distribution(
     values: np.ndarray, scale_by: np.ndarray | None = None
-) -> DistributionSummary:
+) -> tuple[dict, np.ndarray]:
     """Divide values by the sample std of ``scale_by`` and summarize.
 
-    ``scale_by`` defaults to the values themselves, in which case the
-    scaled values have sample standard deviation 1. Raises ZeroVariance
-    when the scale is undefined: fewer than 2 values in ``scale_by`` or a
-    zero sample standard deviation. The excess kurtosis is None exactly
-    when ``excess_kurtosis`` finds it undefined: fewer than 4 values, or
-    values that are constant or whose variance underflows to zero.
+    Returns the report's ``{n, mean, std_dev, excess_kurtosis}`` entry for
+    the scaled values, and the read-only scaled values. ``scale_by``
+    defaults to the values themselves, in which case the scaled values have
+    sample standard deviation 1. Raises ZeroVariance when the scale is
+    undefined: fewer than 2 values in ``scale_by`` or a zero sample standard
+    deviation. The excess kurtosis is None exactly when ``excess_kurtosis``
+    finds it undefined: fewer than 4 values, or values that are constant or
+    whose variance underflows to zero.
     """
     x = np.asarray(values, dtype=float)
     reference = x if scale_by is None else np.asarray(scale_by, dtype=float)
@@ -213,12 +157,13 @@ def scaled_distribution(
         kurt = excess_kurtosis(scaled)
     except (DegenerateGroup, ZeroVariance):
         kurt = None
-    return DistributionSummary(
-        mean=float(scaled.mean()),
-        std_dev=float(scaled.std(ddof=1)) if scaled.size >= 2 else 0.0,
-        excess_kurtosis=kurt,
-        scaled_values=scaled,
-    )
+    summary = {
+        "n": scaled.size,
+        "mean": float(scaled.mean()),
+        "std_dev": float(scaled.std(ddof=1)) if scaled.size >= 2 else 0.0,
+        "excess_kurtosis": kurt,
+    }
+    return summary, scaled
 
 
 def capacity_gain(long_cycle: float, short_cycle: float) -> float:
@@ -260,15 +205,18 @@ def decision_report(
 ) -> tuple[dict, np.ndarray]:
     """The launch-decision report over paired reads, and the scaled differences.
 
-    Pairs the lists once, counts each pair's ``z_test`` classes at
-    ``alpha`` and returns a JSON-ready dict: the confusion matrix and its
-    ``launch_metrics``, the ``scaled_distribution`` of the direct points,
-    the surrogate points and their surrogate-minus-direct differences
-    (points scaled by the direct points' standard deviation, differences by
-    their own), and the capacity figures for the two cycle lengths. A distribution whose scale is
-    undefined is None, and so is its kurtosis. The second value holds the
-    scaled differences in sorted (experiment, arm) order, empty where they
-    are undefined. The result depends on neither list's order.
+    Pairs the lists once and counts each pair's ``z_test`` classes at
+    ``alpha`` into the ``confusion`` matrix. The JSON-ready report holds:
+    - that matrix and its ``launch_metrics``;
+    - the ``scaled_distribution`` of the direct points, the surrogate
+      points and their surrogate-minus-direct differences, with points
+      scaled by the direct points' standard deviation and differences by
+      their own (None where the scale is undefined);
+    - the capacity figures for the two cycle lengths.
+
+    The second value holds the scaled differences in sorted (experiment,
+    arm) order, empty where they are undefined. The result depends on
+    neither list's order.
     """
     paired = sorted(_paired_estimates(direct, surrogate).items())
     if not paired:
@@ -276,39 +224,26 @@ def decision_report(
     counts = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
     for _, (d, s) in paired:
         counts[_CLASS_INDEX[z_test(d, alpha)]][_CLASS_INDEX[z_test(s, alpha)]] += 1
-    matrix = ConfusionMatrix3(counts)
-    metrics = launch_metrics(matrix)
+    metrics = launch_metrics(counts)
     direct_points = np.array([d.point for _, (d, s) in paired])
     surrogate_points = np.array([s.point for _, (d, s) in paired])
     differences = surrogate_points - direct_points
-
-    def summary(values: np.ndarray, scale_by: np.ndarray) -> DistributionSummary | None:
+    distributions = {}
+    for name, values, scale_by in (
+        ("direct", direct_points, direct_points),
+        ("surrogate", surrogate_points, direct_points),
+        ("differences", differences, differences),
+    ):
         try:
-            return scaled_distribution(values, scale_by)
+            distributions[name], scaled = scaled_distribution(values, scale_by)
         except ZeroVariance:  # the scale is undefined
-            return None
-
-    summaries = {
-        "direct": summary(direct_points, direct_points),
-        "surrogate": summary(surrogate_points, direct_points),
-        "differences": summary(differences, differences),
-    }
-    distributions = {
-        name: None if s is None else {
-            "n": s.n, "mean": s.mean, "std_dev": s.std_dev, "excess_kurtosis": s.excess_kurtosis,
-        }
-        for name, s in summaries.items()
-    }
+            distributions[name], scaled = None, np.empty(0)
     report = {
         "alpha": alpha,
         "n_pairs": len(paired),
         "class_order": [cls.value for cls in CLASS_ORDER],
-        "confusion": [list(row) for row in matrix.counts],
-        "precision": metrics.precision,
-        "recall": metrics.recall,
-        "agreement": metrics.agreement,
-        "ns_rates": {"direct": metrics.direct_ns_rate, "surrogate": metrics.surrogate_ns_rate},
-        "false_launch_negatives": metrics.false_launch_negatives,
+        "confusion": counts,
+        **metrics,
         "kurtosis": {
             name: None if entry is None else entry["excess_kurtosis"]
             for name, entry in distributions.items()
@@ -319,9 +254,8 @@ def decision_report(
             "short_cycle_days": short_cycle_days,
             "capacity_gain": capacity_gain(long_cycle_days, short_cycle_days),
             "extra_experiments_needed": (
-                extra_experiments_needed(metrics.recall) if metrics.recall else None
+                extra_experiments_needed(metrics["recall"]) if metrics["recall"] else None
             ),
         },
     }
-    scaled = summaries["differences"]
-    return report, np.empty(0) if scaled is None else scaled.scaled_values
+    return report, scaled  # the differences', which come last

@@ -205,31 +205,48 @@ def _as_orders(order: int | Iterable[int]) -> tuple[list[int], bool]:
     return orders, single
 
 
-def fit_pretest(panel: OutcomePanel, order: int | Iterable[int]):
+def _fit_window(panel: OutcomePanel, first_day: int, days: int, order, source: ModelSource):
+    """Fit ``order`` on ``days`` days of ``panel`` from ``first_day``.
+
+    The target is each user's mean over those days and the features are the
+    first ``order`` of them. Raises OutOfRange when an order exceeds
+    ``days``.
+    """
+    orders, single = _as_orders(order)
+    if max(orders) > days:
+        raise OutOfRange(f"order {max(orders)} exceeds horizon {days}")
+    full = window(panel, first_day, first_day + days - 1)
+    models = fit_nested(full, full.mean(axis=1), orders, source)
+    return models[0] if single else models
+
+
+def fit_pretest(panel: OutcomePanel, order: int | Iterable[int], horizon: int | None = None):
     """Fit on the panel's own pre-allocation window.
 
     The pre-period days (-P..-1) are remapped to pseudo post-allocation
-    days 1..P. The target is each user's mean over the whole pseudo window
-    and the features are its first ``order`` days. All arms are pooled:
-    the pre-period predates randomization, so pooling is valid.
+    days 1..P. The target is each user's mean over the first ``horizon``
+    pseudo days, -P..-P+horizon-1, as the direct read averages post days
+    1..horizon; ``horizon`` defaults to the panel's last day, as in
+    ``direct_effect``. The features are the first ``order`` pseudo days.
+    All arms are pooled: the pre-period predates randomization, so pooling
+    is valid. ``order`` is as in :func:`fit_similar`.
 
-    ``order`` is one order, which returns one model, or an iterable of
-    orders, which returns a tuple of models from one factorisation (see
-    :func:`fit_nested`); each equals its single-order fit bit for bit.
+    Raises MissingPrePeriod, on which ``analyze`` exits 3, when the
+    pre-period is shorter than ``horizon``, and OutOfRange when an order
+    exceeds ``horizon``.
     """
-    pre_days = [d for d in panel.days if d < 0]
+    pre_days = sum(day < 0 for day in panel.days)
     if not pre_days:
         raise MissingPrePeriod(
             f"panel {panel.experiment_id!r} has no pre-allocation days"
         )
-    orders, single = _as_orders(order)
-    if max(orders) > len(pre_days):
+    days = panel.horizon if horizon is None else horizon
+    if days > pre_days:
         raise MissingPrePeriod(
-            f"order {max(orders)} exceeds the {len(pre_days)}-day pre-period"
+            f"horizon {days} exceeds the {pre_days}-day pre-period of panel "
+            f"{panel.experiment_id!r}"
         )
-    full = window(panel, pre_days[0], pre_days[-1])
-    models = fit_nested(full, full.mean(axis=1), orders, ModelSource.PRE_TEST)
-    return models[0] if single else models
+    return _fit_window(panel, -pre_days, days, order, ModelSource.PRE_TEST)
 
 
 def fit_similar(
@@ -240,15 +257,13 @@ def fit_similar(
     The target is the donor users' long-term mean (days 1..horizon, where
     ``horizon`` defaults to the donor's last day) and the features are
     their first ``order`` days. All donor arms are pooled. ``order`` is one
-    order or an iterable of orders, as in :func:`fit_pretest`.
+    order, which returns one model, or an iterable of orders, which returns
+    a tuple of models from one factorisation (see :func:`fit_nested`); each
+    equals its single-order fit bit for bit. Raises OutOfRange when an
+    order exceeds the horizon.
     """
-    orders, single = _as_orders(order)
     days = donor.horizon if horizon is None else horizon
-    if max(orders) > days:
-        raise OutOfRange(f"order {max(orders)} exceeds donor horizon {days}")
-    full = window(donor, 1, days)
-    models = fit_nested(full, full.mean(axis=1), orders, ModelSource.SIMILAR_TEST)
-    return models[0] if single else models
+    return _fit_window(donor, 1, days, order, ModelSource.SIMILAR_TEST)
 
 
 def running_mean_model(order: int) -> SurrogateModel:

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from surrokit import (
-    ConfusionMatrix3,
     EstimatorKind,
     SignificanceClass,
     SimConfig,
@@ -174,33 +173,28 @@ def test_criterion_6_fat_tail_diagnostic():
         heavy = _effect_estimate_points(3.0, seed=606_006)
         gaussian = _effect_estimate_points(math.inf, seed=606_007)
         assert len(heavy) == len(gaussian) == 5000
-        heavy_kurtosis = scaled_distribution(heavy).excess_kurtosis
-        gaussian_kurtosis = scaled_distribution(gaussian).excess_kurtosis
+        heavy_kurtosis = scaled_distribution(heavy)[0]["excess_kurtosis"]
+        gaussian_kurtosis = scaled_distribution(gaussian)[0]["excess_kurtosis"]
         assert heavy_kurtosis > 1.0, f"t(3) corpus kurtosis {heavy_kurtosis:.2f}"
         assert abs(gaussian_kurtosis) < 0.3, f"Gaussian corpus kurtosis {gaussian_kurtosis:.2f}"
 
 
 def test_criterion_7_decision_harness():
     with criterion(7, "launch metrics exact arithmetic and undefined markers", 5):
-        matrix = ConfusionMatrix3(((12, 7, 1), (4, 40, 3), (2, 5, 6)))
-        metrics = launch_metrics(matrix)
-        assert metrics.precision == 12 / 18
-        assert metrics.recall == 12 / 20
-        assert metrics.agreement == 58 / 80
-        assert metrics.surrogate_ns_rate == 52 / 80
-        assert metrics.direct_ns_rate == 47 / 80
-        assert metrics.false_launch_negatives == 2
+        metrics = launch_metrics(((12, 7, 1), (4, 40, 3), (2, 5, 6)))
+        assert metrics["precision"] == 12 / 18
+        assert metrics["recall"] == 12 / 20
+        assert metrics["agreement"] == 58 / 80
+        assert metrics["ns_rates"]["surrogate"] == 52 / 80
+        assert metrics["ns_rates"]["direct"] == 47 / 80
+        assert metrics["false_launch_negatives"] == 2
 
-        no_surrogate_positive = launch_metrics(
-            ConfusionMatrix3(((0, 9, 1), (0, 30, 0), (0, 2, 3)))
-        )
-        assert no_surrogate_positive.precision is None
-        no_direct_positive = launch_metrics(
-            ConfusionMatrix3(((0, 0, 0), (5, 30, 0), (1, 2, 3)))
-        )
-        assert no_direct_positive.recall is None
+        no_surrogate_positive = launch_metrics(((0, 9, 1), (0, 30, 0), (0, 2, 3)))
+        assert no_surrogate_positive["precision"] is None
+        no_direct_positive = launch_metrics(((0, 0, 0), (5, 30, 0), (1, 2, 3)))
+        assert no_direct_positive["recall"] is None
         for metrics in (no_surrogate_positive, no_direct_positive):
-            for value in (metrics.precision, metrics.recall):
+            for value in (metrics["precision"], metrics["recall"]):
                 assert value is None or not math.isnan(value)
 
 

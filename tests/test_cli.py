@@ -258,6 +258,32 @@ class TestAnalyze:
         expected.sort(key=lambda r: (r["kind"], r["T"], r["arm"]))
         assert records == expected
 
+    def test_pretest_target_is_the_horizon_below_the_pre_period(self, tmp_path):
+        # An 8-day pre-period read at --horizon 4: the target is pre-days
+        # -8..-5, so at T = horizon the pretest read is the direct read.
+        out_dir = simulate_toy(tmp_path, pre_period=8)
+        panel_path = out_dir / "sim-00000.csv"
+        panel = load_panel(panel_path)
+        out_path = tmp_path / "est.json"
+        for order in (2, 4):
+            assert main(["analyze", "--panel", str(panel_path), "--regime", "pretest",
+                         "--T", str(order), "--horizon", "4", "--out", str(out_path)]) == 0
+            records = json.loads(out_path.read_text())
+            model = fit_pretest(panel, order, 4)
+            got = {r["arm"]: r for r in records if r["kind"] == "surrogate:pretest"}
+            assert got == {arm: estimate_to_record(surrogate_effect(model, panel, arm))
+                           for arm in ("t1", "t2")}
+        direct = {r["arm"]: r["point"] for r in records if r["kind"] == "direct"}
+        for arm in ("t1", "t2"):
+            assert got[arm]["point"] == pytest.approx(direct[arm], rel=1e-8)
+
+    def test_pretest_pre_period_shorter_than_horizon_exits_3(self, tmp_path, capsys):
+        out_dir = simulate_toy(tmp_path, pre_period=3)
+        assert main(["analyze", "--panel", str(out_dir / "sim-00000.csv"), "--regime", "pretest",
+                     "--T", "2", "--horizon", "5", "--out", str(tmp_path / "o.json")]) == 3
+        assert "horizon 5 exceeds the 3-day pre-period" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
     def test_similar_regime_uses_donor(self, tmp_path):
         # At --horizon 4 the donor's days run past the horizon, so the
         # model's target must come from the flag, not the donor's last day.

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from surrokit import (
-    ConfusionMatrix3,
+    CLASS_ORDER,
     EffectEstimate,
     EmptyInput,
     EstimatorKind,
@@ -56,11 +56,20 @@ def reads(points):
     return direct, surrogate
 
 
+def total(matrix):
+    return sum(map(sum, matrix))
+
+
+def count(matrix, direct, surrogate):
+    """The pairs that the direct read puts in class ``direct`` and the surrogate in ``surrogate``."""
+    return matrix[CLASS_ORDER.index(direct)][CLASS_ORDER.index(surrogate)]
+
+
 def report_confusion(direct, surrogate):
     """The confusion matrix of ``decision_report`` over the two lists at alpha 0.05."""
     report, _ = decision_report(direct, surrogate, 0.05, 56.0, 14.0)
-    matrix = ConfusionMatrix3(report["confusion"])
-    assert matrix.total == report["n_pairs"]
+    matrix = report["confusion"]
+    assert total(matrix) == report["n_pairs"]
     return matrix
 
 
@@ -74,11 +83,11 @@ class TestClassifyPairs:
 
     def test_both_strongly_positive(self):
         matrix = report_confusion(*reads([(4.0, 4.0)]))
-        assert matrix.count(POS, POS) == matrix.total == 1
+        assert count(matrix, POS, POS) == total(matrix) == 1
 
     def test_positive_direct_flat_surrogate(self):
         matrix = report_confusion(*reads([(4.0, 0.0)]))
-        assert matrix.count(POS, NS) == matrix.total == 1
+        assert count(matrix, POS, NS) == total(matrix) == 1
 
     def test_twenty_pair_fixture_hand_count(self):
         # 8 (+,+), 3 (+,ns), 5 (ns,ns), 2 (ns,+), 2 (-,-): 20 total
@@ -86,8 +95,8 @@ class TestClassifyPairs:
         direct = [estimate_with_z(f"e{i}", "t1", d) for i, (d, s) in enumerate(spec)]
         surrogate = [estimate_with_z(f"e{i}", "t1", s) for i, (d, s) in enumerate(spec)]
         matrix = report_confusion(direct, surrogate)
-        assert matrix.counts == ((8, 3, 0), (2, 5, 0), (0, 0, 2))
-        assert matrix.total == 20
+        assert matrix == [[8, 3, 0], [2, 5, 0], [0, 0, 2]]
+        assert total(matrix) == 20
 
     def test_key_mismatch(self):
         direct = [estimate_with_z("e1", "t1", 1.0)]
@@ -107,13 +116,13 @@ class TestConfusion:
 
     def test_single_pair(self):
         matrix = class_confusion([(POS, POS)])
-        assert matrix.count(POS, POS) == 1
-        assert matrix.total == 1
+        assert count(matrix, POS, POS) == 1
+        assert total(matrix) == 1
 
     def test_four_not_significant_pairs(self):
         matrix = class_confusion([(NS, NS)] * 4)
-        assert matrix.counts[1][1] == 4
-        assert matrix.total == 4
+        assert matrix[1][1] == 4
+        assert total(matrix) == 4
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput, match="cannot tabulate zero decision pairs"):
@@ -130,99 +139,107 @@ class TestConfusion:
             (classes[i], classes[j])
             for i, j in zip(rng.integers(0, 3, 57), rng.integers(0, 3, 57))
         ]
-        assert class_confusion(pairs).total == 57
+        assert total(class_confusion(pairs)) == 57
 
 
 class TestLaunchMetrics:
     def test_diagonal_only_matrix(self):
-        metrics = launch_metrics(ConfusionMatrix3(((10, 0, 0), (0, 20, 0), (0, 0, 5))))
-        assert metrics.precision == 1.0
-        assert metrics.recall == 1.0
-        assert metrics.agreement == 1.0
-        assert metrics.false_launch_negatives == 0
+        metrics = launch_metrics(((10, 0, 0), (0, 20, 0), (0, 0, 5)))
+        assert metrics["precision"] == 1.0
+        assert metrics["recall"] == 1.0
+        assert metrics["agreement"] == 1.0
+        assert metrics["false_launch_negatives"] == 0
 
     def test_hand_built_matrix_exact_arithmetic(self):
         counts = ((12, 7, 1), (4, 40, 3), (2, 5, 6))
-        metrics = launch_metrics(ConfusionMatrix3(counts))
+        metrics = launch_metrics(counts)
         # hand tallies: surrogate-positive column 18, direct-positive row 20,
         # diagonal 58 of 80 pairs
-        assert metrics.precision == 12 / 18
-        assert metrics.recall == 12 / 20
-        assert metrics.agreement == 58 / 80
-        assert metrics.surrogate_ns_rate == 52 / 80
-        assert metrics.direct_ns_rate == 47 / 80
-        assert metrics.false_launch_negatives == 2
+        assert metrics["precision"] == 12 / 18
+        assert metrics["recall"] == 12 / 20
+        assert metrics["agreement"] == 58 / 80
+        assert metrics["ns_rates"]["surrogate"] == 52 / 80
+        assert metrics["ns_rates"]["direct"] == 47 / 80
+        assert metrics["false_launch_negatives"] == 2
 
     def test_paper_operating_point_shape(self):
         # An integer matrix near the reported operating point: 1098 arms,
         # recall 0.65 exact, precision ~0.79, no launch call that the long
         # read scored significantly negative.
         counts = ((130, 60, 10), (35, 830, 2), (0, 25, 6))
-        matrix = ConfusionMatrix3(counts)
-        assert matrix.total == 1098
-        metrics = launch_metrics(matrix)
-        assert metrics.recall == pytest.approx(0.65, abs=1e-9)
-        assert round(metrics.precision, 2) == 0.79
-        assert metrics.false_launch_negatives == 0
-        assert metrics.direct_ns_rate == pytest.approx(0.79, abs=0.01)
-        assert metrics.surrogate_ns_rate == pytest.approx(0.865, abs=0.04)
-        assert metrics.agreement > 0.85
+        assert total(counts) == 1098
+        metrics = launch_metrics(counts)
+        assert metrics["recall"] == pytest.approx(0.65, abs=1e-9)
+        assert round(metrics["precision"], 2) == 0.79
+        assert metrics["false_launch_negatives"] == 0
+        assert metrics["ns_rates"]["direct"] == pytest.approx(0.79, abs=0.01)
+        assert metrics["ns_rates"]["surrogate"] == pytest.approx(0.865, abs=0.04)
+        assert metrics["agreement"] > 0.85
 
     def test_undefined_precision_is_none_not_nan(self):
-        metrics = launch_metrics(ConfusionMatrix3(((0, 5, 0), (0, 20, 0), (0, 3, 0))))
-        assert metrics.precision is None
-        assert metrics.recall is not None
+        metrics = launch_metrics(((0, 5, 0), (0, 20, 0), (0, 3, 0)))
+        assert metrics["precision"] is None
+        assert metrics["recall"] is not None
 
     def test_undefined_recall_is_none_not_nan(self):
-        metrics = launch_metrics(ConfusionMatrix3(((0, 0, 0), (4, 20, 0), (1, 3, 2))))
-        assert metrics.recall is None
-        assert metrics.precision is not None
+        metrics = launch_metrics(((0, 0, 0), (4, 20, 0), (1, 3, 2)))
+        assert metrics["recall"] is None
+        assert metrics["precision"] is not None
 
     def test_metric_bounds(self):
         rng = np.random.default_rng(33)
         for trial in range(25):
             counts = tuple(tuple(int(c) for c in row) for row in rng.integers(0, 9, (3, 3)))
-            matrix = ConfusionMatrix3(counts)
-            if matrix.total == 0:
+            if total(counts) == 0:
                 continue
-            metrics = launch_metrics(matrix)
-            for value in (metrics.precision, metrics.recall, metrics.agreement,
-                          metrics.surrogate_ns_rate, metrics.direct_ns_rate):
+            metrics = launch_metrics(counts)
+            for value in (metrics["precision"], metrics["recall"], metrics["agreement"],
+                          *metrics["ns_rates"].values()):
                 if value is not None:
                     assert 0.0 <= value <= 1.0
 
     def test_empty_matrix(self):
         with pytest.raises(EmptyInput):
-            launch_metrics(ConfusionMatrix3(((0, 0, 0),) * 3))
+            launch_metrics(((0, 0, 0),) * 3)
+
+    @pytest.mark.parametrize("counts, message", [
+        (((1, 2, 3), (4, 5, 6)), "must be 3x3"),
+        (((1, 2, 3), (4, 5), (7, 8, 9)), "must be 3x3"),
+        (((1, 2, 3), (4, 5, 6, 0), (7, 8, 9)), "must be 3x3"),
+        (((1, 2, 3), (4, -1, 6), (7, 8, 9)), "must be nonnegative"),
+    ])
+    def test_malformed_matrix_raises_value_error(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            launch_metrics(counts)
 
 
 class TestScaledDistribution:
     def test_standard_normal_kurtosis_near_zero(self):
         x = np.random.default_rng(42).standard_normal(100_000)
-        summary = scaled_distribution(x)
-        assert abs(summary.excess_kurtosis) < 0.1
+        summary, _ = scaled_distribution(x)
+        assert abs(summary["excess_kurtosis"]) < 0.1
 
     def test_student_t5_kurtosis_near_closed_form(self):
         # closed-form excess kurtosis of t(nu) is 6/(nu-4) = 6 for nu=5
         x = np.random.default_rng(13).standard_t(5, 100_000)
-        summary = scaled_distribution(x)
-        assert summary.excess_kurtosis == pytest.approx(6.0, abs=0.5)
+        summary, _ = scaled_distribution(x)
+        assert summary["excess_kurtosis"] == pytest.approx(6.0, abs=0.5)
 
     def test_self_scaled_std_is_one(self):
         x = np.random.default_rng(7).standard_normal(200) * 3.7 + 1.2
-        summary = scaled_distribution(x)
-        assert summary.std_dev == pytest.approx(1.0, abs=1e-9)
+        summary, _ = scaled_distribution(x)
+        assert summary["std_dev"] == pytest.approx(1.0, abs=1e-9)
 
     def test_external_scaling_vector(self):
         values = np.array([1.0, 2.0, 3.0, 4.0])
         reference = np.array([0.0, 2.0])  # sample std sqrt(2)
-        summary = scaled_distribution(values, scale_by=reference)
-        np.testing.assert_allclose(summary.scaled_values, values / math.sqrt(2.0))
+        _, scaled = scaled_distribution(values, scale_by=reference)
+        np.testing.assert_allclose(scaled, values / math.sqrt(2.0))
 
     def test_scaling_idempotence(self):
         x = np.random.default_rng(8).standard_normal(500)
-        once = scaled_distribution(x).scaled_values
-        twice = scaled_distribution(once).scaled_values
+        _, once = scaled_distribution(x)
+        _, twice = scaled_distribution(once)
         np.testing.assert_allclose(twice, once, rtol=1e-9)
 
     def test_zero_variance(self):
@@ -231,11 +248,11 @@ class TestScaledDistribution:
 
     def test_constant_scaled_values_have_no_kurtosis(self):
         direct = [1.0, 2.0, 3.5, -1.0, 0.5]
-        summary = scaled_distribution([0.5] * 5, scale_by=direct)
-        assert summary.excess_kurtosis is None
-        assert summary.n == 5 and summary.std_dev == 0.0
-        assert summary.mean == 0.5 / float(np.std(direct, ddof=1))
-        assert scaled_distribution(direct).excess_kurtosis is not None
+        summary, _ = scaled_distribution([0.5] * 5, scale_by=direct)
+        assert summary["excess_kurtosis"] is None
+        assert summary["n"] == 5 and summary["std_dev"] == 0.0
+        assert summary["mean"] == 0.5 / float(np.std(direct, ddof=1))
+        assert scaled_distribution(direct)[0]["excess_kurtosis"] is not None
 
     @pytest.mark.parametrize("values, scale_by", [
         ([1e-300, 2e-300, 3e-300, 4e-300], [1, 2, 3, 4]),  # m2 underflows
@@ -244,18 +261,19 @@ class TestScaledDistribution:
     def test_underflowing_variance_has_no_kurtosis(self, values, scale_by):
         # The scaled values differ, but the variance, or its square, that
         # the kurtosis divides by underflows to 0.
-        summary = scaled_distribution(values, scale_by=scale_by)
-        assert summary.scaled_values.min() < summary.scaled_values.max()
-        assert summary.excess_kurtosis is None
+        summary, scaled = scaled_distribution(values, scale_by=scale_by)
+        assert scaled.min() < scaled.max()
+        assert summary["excess_kurtosis"] is None
         with pytest.raises(ZeroVariance):
-            excess_kurtosis(summary.scaled_values)
+            excess_kurtosis(scaled)
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_kurtosis_of_constant_values_raises(self, n):
         # Six or seven copies of 0.1 have a mean that rounds away from 0.1.
         with pytest.raises(ZeroVariance):
             excess_kurtosis(np.full(n, 0.1))
-        assert scaled_distribution(np.full(n, 0.1), scale_by=[0.0, 1.0]).excess_kurtosis is None
+        summary, _ = scaled_distribution(np.full(n, 0.1), scale_by=[0.0, 1.0])
+        assert summary["excess_kurtosis"] is None
 
     def test_kurtosis_matches_scipy_oracle(self):
         rng = np.random.default_rng(9)

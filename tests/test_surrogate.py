@@ -5,6 +5,7 @@ from surrokit import (
     MissingPrePeriod,
     ModelSource,
     NumericalError,
+    OutOfRange,
     RankDeficient,
     SimConfig,
     SurrogateModel,
@@ -231,6 +232,35 @@ class TestFitPretest:
         panel = simulate_experiment(config, 0).panel
         with pytest.raises(MissingPrePeriod):
             fit_pretest(panel, 6)
+
+    def test_target_spans_the_first_horizon_pre_days(self):
+        # With order = horizon the features hold the target's whole window,
+        # so the model is the running mean and its read is the direct read.
+        config = SimConfig(n_experiments=3, users_per_arm=300, pre_period=70, seed=5)
+        for index in range(3):
+            panel = simulate_experiment(config, index).panel
+            model = fit_pretest(panel, 63)
+            assert model == fit_pretest(panel, 63, horizon=63)
+            pre = window(panel, -70, -8)
+            oracle = fit_nested(pre, pre.mean(axis=1), [63], ModelSource.PRE_TEST)[0]
+            assert model == oracle
+            for arm in panel.treatment_arms:
+                assert surrogate_effect(model, panel, arm).point == pytest.approx(
+                    direct_effect(panel, arm, 63).point, rel=1e-8
+                )
+
+    def test_pre_period_shorter_than_horizon(self):
+        config = SimConfig(users_per_arm=10, horizon=8, pre_period=5, seed=104)
+        panel = simulate_experiment(config, 0).panel
+        pre = window(panel, -5, -1)
+        assert fit_pretest(panel, 2, horizon=5) == fit_nested(
+            pre, pre.mean(axis=1), [2], ModelSource.PRE_TEST)[0]
+        with pytest.raises(MissingPrePeriod, match="horizon 8 exceeds the 5-day pre-period"):
+            fit_pretest(panel, 2)  # the horizon defaults to the panel's last day
+        with pytest.raises(MissingPrePeriod, match="horizon 6 exceeds the 5-day pre-period"):
+            fit_pretest(panel, 2, horizon=6)
+        with pytest.raises(OutOfRange, match="order 4 exceeds horizon 3"):
+            fit_pretest(panel, [2, 4], horizon=3)
 
 
 class TestFitSimilar:

@@ -18,7 +18,8 @@ Run it from the repository root::
 copy of this script can measure two trees. The run is appended to the
 ``runs`` list of ``--out`` (created if absent) with min and median ms per
 layer, the peaks, and the environment: ``nproc``, the BLAS thread variables
-as found, the Python and numpy versions and the tree's git commit.
+as found, the Python and numpy versions and the tree's git commit, marked
+``-dirty`` when the tree has uncommitted edits.
 """
 
 from __future__ import annotations
@@ -52,9 +53,16 @@ CONFIG = {
 
 
 def _commit(src: Path) -> str | None:
-    done = subprocess.run(["git", "-C", str(src), "rev-parse", "HEAD"],
-                          capture_output=True, text=True, check=False)
-    return done.stdout.strip() or None
+    """The checkout's HEAD hash, with ``-dirty`` appended when it has uncommitted edits."""
+    def git(*args: str) -> str:
+        done = subprocess.run(["git", "-C", str(src), *args],
+                              capture_output=True, text=True, check=False)
+        return done.stdout.strip()
+
+    head = git("rev-parse", "HEAD")
+    if not head:
+        return None
+    return head + "-dirty" if git("status", "--porcelain") else head
 
 
 def _peak_mib(call) -> float:
