@@ -37,7 +37,6 @@ from .estimators import (
     SE_FLOOR,
     Z_CRIT_95,
     EffectEstimate,
-    EstimatorKind,
     SignificanceClass,
     direct_effect,
     estimate_to_record,

@@ -13,9 +13,10 @@ functions of the input files and flags: floats are serialized with full
 round-trip precision, directory scans are sorted, and worker pools merge
 results in deterministic order. Every run ends by atomically writing a
 manifest recording the command, the values it read, its inputs, outputs, and
-tool version. Exit codes: 0 success, 2 usage, 3 data validation failure,
-4 numerical failure, including a statistic that overflows; no output file
-holds a NaN or infinity. A warning prints as one ``surrokit: warning:`` line.
+tool version. Exit codes: 0 success, 2 usage, 3 data validation failure or
+an input too large for memory, 4 numerical failure, including a statistic
+that overflows; no output file holds a NaN or infinity. A warning prints as
+one ``surrokit: warning:`` line.
 
 Set SURROKIT_LOG to a logging level name (DEBUG, INFO, WARNING, ...) to
 control log verbosity; an unknown name is a usage error.
@@ -48,7 +49,7 @@ from .estimators import (
 from .evaluation import decision_report
 from .panel import DEFAULT_HORIZON, load_panel, write_panel
 from .simulator import load_config, simulate_experiment
-from .surrogate import fit_pretest, fit_similar, running_mean_model
+from .surrogate import ModelSource, fit_pretest, fit_similar, running_mean_model
 
 logger = logging.getLogger("surrokit")
 
@@ -56,8 +57,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-REGIMES = ("pretest", "similar", "running-mean")
 
 
 def _dump_json(payload) -> str:
@@ -143,18 +142,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _analyze_one(task: tuple) -> str:
     """Write one panel's direct and surrogate records.
 
-    ``models`` is None for the pretest regime, whose models are fitted on
-    each panel's own pre-period with a ``horizon``-day target; otherwise
-    every panel shares them.
+    The direct reads come first, so a horizon past the panel's last day
+    fails before a model of any order up to it is made. ``models`` holds the
+    donor's models under the similar regime; under the others each panel
+    makes its own: pretest models fitted on its pre-period with a
+    ``horizon``-day target, or the fixed running-mean ones.
     """
-    panel_path, out_path, horizon, direct_days, orders, models = task
+    panel_path, out_path, regime, horizon, direct_days, orders, models = task
     panel = load_panel(panel_path)
     arms = sorted(arm.name for arm in panel.treatment_arms)
     records = []
     for days in direct_days:
         records += [estimate_to_record(direct_effect(panel, arm, days)) for arm in arms]
-    if models is None:
+    if regime == "pretest":
         models = fit_pretest(panel, orders, horizon)
+    elif regime == "running-mean":
+        models = map(running_mean_model, orders)
     for model in models:
         records += [estimate_to_record(surrogate_effect(model, panel, arm)) for arm in arms]
     records.sort(key=lambda r: (r["kind"], r["T"], r["arm"]))
@@ -165,14 +168,13 @@ def _analyze_one(task: tuple) -> str:
 def cmd_analyze(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     horizon = args.horizon
-    orders = list(range(1, horizon + 1)) if args.sweep_T else [args.T]
+    # A range, not a list: a horizon past the panels' last day fails at its
+    # first read, before the sweep's orders 1..horizon are listed.
+    orders = range(1, horizon + 1) if args.sweep_T else [args.T]
     direct_days = orders if args.sweep_T else [horizon]
+    models = None
     if args.regime == "similar":
         models = fit_similar(load_panel(args.donor), orders, horizon)
-    elif args.regime == "running-mean":
-        models = tuple(running_mean_model(order) for order in orders)
-    else:
-        models = None
 
     if args.panel is not None:
         out_path = Path(args.out)
@@ -189,7 +191,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         inputs = {"panel_dir": args.panel_dir}
 
     tasks = [
-        (panel_path, str(out_path), horizon, direct_days, orders, models)
+        (panel_path, str(out_path), args.regime, horizon, direct_days, orders, models)
         for panel_path, out_path in targets
     ]
     outputs = _run_pool(_analyze_one, tasks, args.jobs)
@@ -232,7 +234,7 @@ def _load_estimates(estimates_dir: str) -> tuple[list, list]:
                 if not isinstance(record, dict):
                     raise ValueError("an estimate record must be a JSON object")
                 estimate = record_to_estimate(record)
-                (direct if estimate.kind.method == "direct" else surrogate).append(estimate)
+                (direct if estimate.kind == "direct" else surrogate).append(estimate)
         # OverflowError: a JSON integer past the float range; RecursionError:
         # arrays or objects nested past the recursion limit.
         except (TypeError, ValueError, OverflowError, RecursionError) as exc:
@@ -330,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     panel_group = p_an.add_mutually_exclusive_group(required=True)
     panel_group.add_argument("--panel", help="one panel CSV")
     panel_group.add_argument("--panel-dir", help="directory of panel CSVs")
-    p_an.add_argument("--regime", required=True, choices=REGIMES,
+    p_an.add_argument("--regime", required=True, choices=[s.value for s in ModelSource],
                       help="surrogate training regime")
     p_an.add_argument("--donor", default=None,
                       help="donor panel CSV (required for --regime similar)")
@@ -406,6 +408,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except OSError as exc:
         print(f"surrokit: io error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # an input too large to hold, such as a config's panel
+        print(f"surrokit: out of memory: {str(exc) or 'an input is too large'}", file=sys.stderr)
         return EXIT_DATA
 
 

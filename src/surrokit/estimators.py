@@ -37,6 +37,9 @@ SE_FLOOR = 1e-12
 
 DEFAULT_ALPHA = 0.05
 
+# The kinds an estimate may have: a direct read, or a surrogate read by source.
+_KINDS = ("direct", *(f"surrogate:{source.value}" for source in ModelSource))
+
 
 class SignificanceClass(Enum):
     """Three-way read of a two-sided test: sign if significant, else NotSig."""
@@ -47,47 +50,32 @@ class SignificanceClass(Enum):
 
 
 @dataclass(frozen=True)
-class EstimatorKind:
-    """Which estimator produced an estimate.
-
-    Stores ``days``, the measurement horizon for direct estimates and the
-    model order for surrogate ones, and ``source``, the surrogate training
-    source (None for direct). ``method`` is derived: "direct" iff there is
-    no source, else "surrogate".
-    """
-
-    days: int
-    source: ModelSource | None = None
-
-    def __post_init__(self) -> None:
-        if self.days < 1:
-            raise ValueError(f"days must be positive, got {self.days}")
-
-    @property
-    def method(self) -> str:
-        return "direct" if self.source is None else "surrogate"
-
-
-@dataclass(frozen=True)
 class EffectEstimate:
     """A point estimate and its standard error, with derived inference.
 
-    ``arm`` is the treatment arm's name, which pairs the direct and
-    surrogate reads of one arm. Stores the point and standard error;
-    everything else derives from them: z = point / std_error,
-    p = 2 * (1 - Phi(|z|)), and the 95% confidence interval is
-    point +/- Z_CRIT_95 * std_error. The point and standard error must be
-    finite with a positive standard error, and the z statistic and interval
-    bounds must not overflow.
+    Stores the fields of its JSON record. ``arm`` is the treatment arm's
+    name, which pairs the direct and surrogate reads of one arm. ``kind`` is
+    "direct" or "surrogate:<source>" for a ModelSource value, and ``T``, at
+    least 1, is the horizon of a direct read or the order of a surrogate
+    model. The rest derives from the point and standard error:
+    z = point / std_error, p = 2 * (1 - Phi(|z|)), and the 95% confidence
+    interval is point +/- Z_CRIT_95 * std_error. The point and standard
+    error must be finite with a positive standard error, and the z
+    statistic and interval bounds must not overflow.
     """
 
     experiment_id: str
     arm: str
-    kind: EstimatorKind
+    kind: str
+    T: int
     point: float
     std_error: float
 
     def __post_init__(self) -> None:
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown estimate kind {self.kind!r}")
+        if not self.T >= 1:
+            raise ValueError(f"T must be positive, got {self.T}")
         if not self.std_error > 0.0:
             raise ValueError(f"std_error must be positive, got {self.std_error}")
         if not all(map(math.isfinite, (self.point, self.std_error, self.z_stat, *self.ci_95))):
@@ -141,12 +129,14 @@ def mean_difference_effect(
     *,
     experiment_id: str,
     arm: ArmLabel | str,
-    kind: EstimatorKind,
+    kind: str,
+    T: int,
 ) -> EffectEstimate:
     """Difference in group means with a Welch standard error.
 
     ``arm`` is an arm label or its name; the estimate stores the name.
-    Raises NumericalError when the point, the standard error, the z
+    ``kind`` and ``T`` are as in EffectEstimate, which raises ValueError on
+    one it refuses. Raises NumericalError when the point, the standard error, the z
     statistic or a 95% interval bound is not finite (an overflow).
     """
     name = arm if isinstance(arm, str) else arm.name
@@ -154,8 +144,11 @@ def mean_difference_effect(
     c = np.asarray(control, dtype=float)
     point, se = float(t.mean() - c.mean()), welch_se(t, c)
     try:
-        return EffectEstimate(experiment_id, name, kind, point, se)
-    except ValueError as exc:  # the point, the SE or a statistic derived from them overflowed
+        return EffectEstimate(experiment_id, name, kind, T, point, se)
+    except ValueError as exc:
+        if kind not in _KINDS or not T >= 1:
+            raise
+        # Else the point, the SE or a statistic derived from them overflowed.
         raise NumericalError(f"effect of arm {name!r} in {experiment_id!r}: {exc}") from None
 
 
@@ -173,7 +166,7 @@ def _resolve_treatment_arm(panel: OutcomePanel, arm: ArmLabel | str) -> str:
 
 
 def _arm_contrast(
-    panel: OutcomePanel, values: np.ndarray, arm: str, kind: EstimatorKind
+    panel: OutcomePanel, values: np.ndarray, arm: str, kind: str, T: int
 ) -> EffectEstimate:
     """The per-user ``values`` of the arm named ``arm`` against those of the control arm."""
     return mean_difference_effect(
@@ -182,6 +175,7 @@ def _arm_contrast(
         experiment_id=panel.experiment_id,
         arm=arm,
         kind=kind,
+        T=T,
     )
 
 
@@ -200,7 +194,7 @@ def direct_effect(
         raise MissingDay(
             f"panel {panel.experiment_id!r} lacks post-allocation days 1..{days}"
         ) from exc
-    return _arm_contrast(panel, win.mean(axis=1), name, EstimatorKind(days))
+    return _arm_contrast(panel, win.mean(axis=1), name, "direct", days)
 
 
 def surrogate_effect(
@@ -212,8 +206,8 @@ def surrogate_effect(
     first-stage fitting uncertainty is propagated.
     """
     name = _resolve_treatment_arm(panel, arm)
-    kind = EstimatorKind(model.order, model.source)
-    return _arm_contrast(panel, predict(model, panel), name, kind)
+    kind = f"surrogate:{model.source.value}"
+    return _arm_contrast(panel, predict(model, panel), name, kind, model.order)
 
 
 def z_test(estimate: EffectEstimate, alpha: float = DEFAULT_ALPHA) -> SignificanceClass:
@@ -230,14 +224,12 @@ def z_test(estimate: EffectEstimate, alpha: float = DEFAULT_ALPHA) -> Significan
 
 
 def estimate_to_record(estimate: EffectEstimate) -> dict:
-    """Flat JSON record; surrogate kinds embed their source as kind:source."""
-    kind = estimate.kind
-    kind_str = "direct" if kind.method == "direct" else f"surrogate:{kind.source.value}"
+    """Flat JSON record: the stored fields and the derived statistics."""
     return {
         "experiment_id": estimate.experiment_id,
         "arm": estimate.arm,
-        "kind": kind_str,
-        "T": kind.days,
+        "kind": estimate.kind,
+        "T": estimate.T,
         "point": estimate.point,
         "std_error": estimate.std_error,
         "z": estimate.z_stat,
@@ -257,8 +249,8 @@ _RECORD_TYPES = {"experiment_id": _STRING, "arm": _STRING, "kind": _STRING,
 def record_to_estimate(record: dict) -> EffectEstimate:
     """Rebuild an estimate from its JSON record.
 
-    Only the point and standard error are read: the derived statistics
-    they determine reproduce the stored values exactly. A missing field,
+    Only the six stored fields are read: the derived statistics the point
+    and standard error determine reproduce the written values exactly. A missing field,
     or one of another JSON type, such as ``"T": 14.5`` or ``"point": "0.5"``,
     raises ValueError naming it; nothing is coerced.
     """
@@ -268,9 +260,6 @@ def record_to_estimate(record: dict) -> EffectEstimate:
         value = record[name]
         if isinstance(value, bool) or not isinstance(value, types):
             raise ValueError(f"estimate field {name!r} must be a JSON {json_type}, got {value!r}")
-    method, colon, source = record["kind"].partition(":")
-    if (method, colon) not in (("direct", ""), ("surrogate", ":")):
-        raise ValueError(f"unknown estimate kind {record['kind']!r}")
-    kind = EstimatorKind(record["T"], ModelSource(source) if colon else None)
     point, std_error = float(record["point"]), float(record["std_error"])
-    return EffectEstimate(record["experiment_id"], record["arm"], kind, point, std_error)
+    return EffectEstimate(record["experiment_id"], record["arm"], record["kind"], record["T"],
+                          point, std_error)

@@ -162,13 +162,19 @@ def simulate_experiment(config: SimConfig, index: int) -> SimulatedExperiment:
             f"experiment index {index} outside [0, {config.n_experiments})"
         )
     n_treat = _treatment_arm_count(config.arms_per_experiment, index)
+    n_users = config.users_per_arm * (n_treat + 1)
+    n_days = config.pre_period + config.horizon
+    # The block of normals below, a baseline draw and n_days shocks per
+    # user, is allocated before any per-user or per-day list is built, so a
+    # config too large for memory raises MemoryError at once.
+    if n_users * (n_days + 1) > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"experiment {index}'s users x days array is past numpy's size limit")
+    raw = np.empty((n_users, n_days + 1), dtype=float)
     arms = [ArmLabel("control", True)]
     arms += [ArmLabel(f"t{j}", False) for j in range(1, n_treat + 1)]
-    n_users = config.users_per_arm * len(arms)
     pre_days = list(range(-config.pre_period, 0))
     post_days = list(range(1, config.horizon + 1))
     all_days = pre_days + post_days
-    n_days = len(all_days)
 
     # One Philox per experiment, keyed by (seed, index) as uint64 (a plain
     # list of ints would become float64 for seeds from 2^63). Its fresh state
@@ -192,7 +198,6 @@ def simulate_experiment(config: SimConfig, index: int) -> SimulatedExperiment:
     # baseline level, the rest are the shocks of the AR(1) chain. The chain
     # runs day-major over a (days, users) copy of the block, which then
     # holds the outcomes in place of the shocks.
-    raw = np.empty((n_users, n_days + 1), dtype=float)
     for u in range(n_users):
         counter[2] = u
         bitgen.state = restart

@@ -210,12 +210,13 @@ def _fit_window(panel: OutcomePanel, first_day: int, days: int, order, source: M
 
     The target is each user's mean over those days and the features are the
     first ``order`` of them. Raises OutOfRange when an order exceeds
-    ``days``.
+    ``days``. The window is cut first, so ``days`` past the panel's range
+    fails before the orders up to it are listed.
     """
+    full = window(panel, first_day, first_day + days - 1)
     orders, single = _as_orders(order)
     if max(orders) > days:
         raise OutOfRange(f"order {max(orders)} exceeds horizon {days}")
-    full = window(panel, first_day, first_day + days - 1)
     models = fit_nested(full, full.mean(axis=1), orders, source)
     return models[0] if single else models
 

@@ -1,10 +1,12 @@
 """Acceptance suite: one test per release criterion, each printing a
-pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``).
+pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``), and a
+check of the README's 95% confidence intervals against the simulator's truth.
 
 The heavy Monte Carlo criteria share a module-scoped replication run. All
 tolerances are fixed here, not calibrated at runtime.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -14,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from surrokit import (
-    EstimatorKind,
     SignificanceClass,
     SimConfig,
     capacity_gain,
@@ -133,6 +134,29 @@ def test_criterion_3_variance_reduction():
         )
 
 
+def test_ci_95_covers_the_truth():
+    # 400 replications of criterion 2's config under a seed of their own:
+    # the direct read's and the T=7 and T=14 surrogate reads' intervals must
+    # each cover the truth at a rate within 4 binomial SEs of 0.95.
+    config = dataclasses.replace(REPLICATION_CONFIG, n_experiments=400, seed=313_013)
+    covered = {"direct": 0, "T=7": 0, "T=14": 0}
+    for index in range(config.n_experiments):
+        experiment = simulate_experiment(config, index)
+        panel, truth = experiment.panel, experiment.true_effects["t1"]
+        reads = {"direct": direct_effect(panel, "t1")}
+        for order in (7, 14):
+            reads[f"T={order}"] = surrogate_effect(fit_pretest(panel, order), panel, "t1")
+        for name, estimate in reads.items():
+            low, high = estimate.ci_95
+            covered[name] += low <= truth <= high
+    coverage = {name: hits / config.n_experiments for name, hits in covered.items()}
+    print("95% CI coverage of the truth:",
+          ", ".join(f"{name} {rate:.3f}" for name, rate in coverage.items()))
+    tolerance = 4.0 * math.sqrt(0.95 * 0.05 / config.n_experiments)
+    for name, rate in coverage.items():
+        assert abs(rate - 0.95) <= tolerance, f"{name}: coverage {rate:.3f}"
+
+
 def test_criterion_4_throughput_arithmetic():
     with criterion(4, "throughput arithmetic", 5):
         assert capacity_gain(56, 14) == 3.0
@@ -214,7 +238,7 @@ def test_criterion_8_size_control():
                 estimate = mean_difference_effect(
                     means[experiment.panel.arm_mask(arm)], control,
                     experiment_id=experiment.panel.experiment_id,
-                    arm=arm, kind=EstimatorKind(63),
+                    arm=arm, kind="direct", T=63,
                 )
                 total += 1
                 if z_test(estimate, 0.05) is SignificanceClass.NOT_SIG:

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,6 @@ from hypothesis import strategies as st
 import surrokit
 from surrokit import (
     EffectEstimate,
-    EstimatorKind,
-    ModelSource,
     SimConfig,
     direct_effect,
     estimate_to_record,
@@ -129,6 +128,21 @@ class TestSimulate:
                      "--out-dir", str(tmp_path / "x")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("surrokit:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("overrides", [
+        {"users_per_arm": 10**12},  # numpy cannot allocate the array
+        {"arms_per_experiment": 1e308},  # past numpy's array size limit
+        {"pre_period": 10**15},
+    ], ids=["users", "arms", "pre-period"])
+    def test_config_too_large_for_memory_exits_3(self, tmp_path, overrides):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"n_experiments": 1, **overrides}))
+        out_dir = tmp_path / "corpus"
+        result = run_cli("simulate", "--config", config_path, "--out-dir", out_dir, capped=True)
+        assert result.returncode == 3, result.stderr
+        assert result.stderr.startswith("surrokit: out of memory: ")
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+        assert not list(out_dir.glob("*.csv"))
 
     def test_nan_config_field_exits_3_naming_the_field(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -319,9 +333,23 @@ class TestAnalyze:
         # two arms, five orders, direct plus surrogate
         assert len(records) == 2 * 5 * 2
 
+    @pytest.mark.parametrize("regime", ["pretest", "similar", "running-mean"])
+    def test_sweep_horizon_too_large_for_memory_exits_3(self, tmp_path, regime):
+        # The sweep's orders run 1..horizon: they must not be listed, nor
+        # their models made, before the horizon is checked against a panel.
+        out_dir = simulate_toy(tmp_path)
+        donor_args = ["--donor", out_dir / "sim-00000.csv"] if regime == "similar" else []
+        est_dir = tmp_path / "est"
+        result = run_cli("analyze", "--panel-dir", out_dir, "--regime", regime, *donor_args,
+                         "--sweep-T", "--horizon", 10**13, "--out", est_dir, capped=True)
+        assert result.returncode == 3, result.stderr
+        assert result.stderr.startswith("surrokit: data validation error: ")
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+        assert not est_dir.exists()
+
     def test_pretest_sweep_is_identical_across_jobs_and_matches_the_library(self, tmp_path):
-        # Also the similar and running-mean sweeps, whose models are built
-        # once and sent to the --jobs 2 workers as objects.
+        # Also the similar sweep, whose donor models are built once and sent
+        # to the --jobs 2 workers as objects, and the running-mean sweep.
         out_dir = simulate_toy(tmp_path)
         donor_path = out_dir / "sim-00000.csv"
         donor = load_panel(donor_path)
@@ -440,9 +468,9 @@ class TestEvaluate:
         records = []
         for arm, (z_direct, z_surrogate) in z_pairs.items():
             records.append(estimate_to_record(EffectEstimate(
-                "e1", arm, EstimatorKind(5), z_direct, 1.0)))
+                "e1", arm, "direct", 5, z_direct, 1.0)))
             records.append(estimate_to_record(EffectEstimate(
-                "e1", arm, EstimatorKind(2, ModelSource.PRE_TEST),
+                "e1", arm, "surrogate:pretest", 2,
                 z_surrogate, 1.0)))
         (est_dir / "e1.estimates.json").write_text(json.dumps(records))
 
@@ -479,9 +507,9 @@ class TestEvaluate:
         records = []
         for arm, surrogate_point in (("t1", 4.0), ("t2", 0.0), ("t3", 1.0)):
             records.append(estimate_to_record(EffectEstimate(
-                "e1", arm, EstimatorKind(5), 4.0, 1.0)))
+                "e1", arm, "direct", 5, 4.0, 1.0)))
             records.append(estimate_to_record(EffectEstimate(
-                "e1", arm, EstimatorKind(2, ModelSource.PRE_TEST),
+                "e1", arm, "surrogate:pretest", 2,
                 surrogate_point, 1.0)))
         (est_dir / "e1.estimates.json").write_text(json.dumps(records))
         report_path = tmp_path / "report.json"
@@ -501,9 +529,9 @@ class TestEvaluate:
         for k, direct_point in enumerate((1.0, 2.0, 3.5, -1.0, 0.5)):
             arm = f"t{k + 1}"
             records.append(estimate_to_record(EffectEstimate(
-                "e1", arm, EstimatorKind(5), direct_point, 1.0)))
+                "e1", arm, "direct", 5, direct_point, 1.0)))
             records.append(estimate_to_record(EffectEstimate(
-                "e1", arm, EstimatorKind(2, ModelSource.PRE_TEST), 0.5, 1.0)))
+                "e1", arm, "surrogate:pretest", 2, 0.5, 1.0)))
         (est_dir / "e1.estimates.json").write_text(json.dumps(records))
         report_path = tmp_path / "report.json"
         assert main(["evaluate", "--estimates", str(est_dir), "--out", str(report_path)]) == 0
@@ -529,9 +557,9 @@ class TestEvaluate:
         for k, (direct_point, surrogate_point) in enumerate(points, 1):
             arm = f"t{k}"
             records.append(estimate_to_record(EffectEstimate(
-                "e1", arm, EstimatorKind(5), direct_point, 1.0)))
+                "e1", arm, "direct", 5, direct_point, 1.0)))
             records.append(estimate_to_record(EffectEstimate(
-                "e1", arm, EstimatorKind(2, ModelSource.PRE_TEST),
+                "e1", arm, "surrogate:pretest", 2,
                 surrogate_point, 1.0)))
         (est_dir / "e1.estimates.json").write_text(json.dumps(records))
         report_path = tmp_path / "report.json"
@@ -549,9 +577,9 @@ class TestEvaluate:
         direct, surrogate = [], []
         for arm, (z_direct, z_surrogate) in {"t1": (4.0, 4.0), "t2": (4.0, 0.0),
                                              "t3": (0.0, 0.0)}.items():
-            direct.append(EffectEstimate("e1", arm, EstimatorKind(5), z_direct, 1.0))
+            direct.append(EffectEstimate("e1", arm, "direct", 5, z_direct, 1.0))
             surrogate.append(EffectEstimate(
-                "e1", arm, EstimatorKind(2, ModelSource.PRE_TEST), z_surrogate, 1.0))
+                "e1", arm, "surrogate:pretest", 2, z_surrogate, 1.0))
         records = [estimate_to_record(e) for pair in zip(direct, surrogate) for e in pair]
         (est_dir / "e1.estimates.json").write_text(json.dumps(records))
         report_path = tmp_path / "report.json"
@@ -569,9 +597,9 @@ class TestEvaluate:
         est_dir.mkdir()
         arm = "t1"
         records = [
-            estimate_to_record(EffectEstimate("e1", arm, EstimatorKind(5), 1.0, 1.0)),
+            estimate_to_record(EffectEstimate("e1", arm, "direct", 5, 1.0, 1.0)),
             estimate_to_record(EffectEstimate(
-                "e2", arm, EstimatorKind(2, ModelSource.PRE_TEST), 1.0, 1.0)),
+                "e2", arm, "surrogate:pretest", 2, 1.0, 1.0)),
         ]
         (est_dir / "e1.estimates.json").write_text(json.dumps(records))
         assert main(["evaluate", "--estimates", str(est_dir),
@@ -585,9 +613,9 @@ class TestEvaluate:
         est_dir.mkdir()
         arm = "t1"
         records = [
-            estimate_to_record(EffectEstimate("e1", arm, EstimatorKind(5), 1.0, 1.0)),
+            estimate_to_record(EffectEstimate("e1", arm, "direct", 5, 1.0, 1.0)),
             estimate_to_record(EffectEstimate(
-                "e1", arm, EstimatorKind(2, ModelSource.PRE_TEST), 1.0, 1.0)),
+                "e1", arm, "surrogate:pretest", 2, 1.0, 1.0)),
         ]
         records[1][field] = value  # json.dumps writes Infinity / NaN
         (est_dir / "e1.estimates.json").write_text(json.dumps(records))
@@ -703,11 +731,21 @@ def small_panel_text(value=base_outcome):
     return "".join(rows)
 
 
-def run_cli(*args):
-    """Run the CLI in a fresh interpreter, as a user would."""
+def _cap_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+
+def run_cli(*args, capped=False):
+    """Run the CLI in a fresh interpreter, as a user would.
+
+    ``capped`` gives it 2 GiB of address space and 30 s: an input too large
+    for memory must fail at once, and were it to fill memory instead, the
+    cap would stop the child rather than the machine.
+    """
     return subprocess.run(
         [sys.executable, "-m", "surrokit.cli", *map(str, args)], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(Path(surrokit.__file__).parents[1])},
+        timeout=30 if capped else None, preexec_fn=_cap_address_space if capped else None,
     )
 
 
@@ -789,10 +827,10 @@ class TestOverflow:
         arm = "t1"
         for i in range(1, 7):
             records = [
-                estimate_to_record(EffectEstimate(f"e{i}", arm, EstimatorKind(63),
+                estimate_to_record(EffectEstimate(f"e{i}", arm, "direct", 63,
                                                   float(i), 1.0)),
                 estimate_to_record(EffectEstimate(
-                    f"e{i}", arm, EstimatorKind(14, ModelSource.PRE_TEST),
+                    f"e{i}", arm, "surrogate:pretest", 14,
                     i * 1e80, 1.0)),
             ]
             (est_dir / f"e{i}.estimates.json").write_text(json.dumps(records))

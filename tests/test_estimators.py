@@ -18,7 +18,6 @@ from surrokit import (
     UnknownArm,
     Z_CRIT_95,
     ArmLabel,
-    EstimatorKind,
     ModelSource,
     NumericalError,
     direct_effect,
@@ -40,7 +39,7 @@ ARM = "t1"
 
 
 def toy_estimate(point, std_error):
-    return EffectEstimate("e", ARM, EstimatorKind(63), point, std_error)
+    return EffectEstimate("e", ARM, "direct", 63, point, std_error)
 
 
 class TestWelchSE:
@@ -130,7 +129,7 @@ class TestDirectEffect:
         assert surrogate_effect(model, panel, T1) == surrogate_effect(model, panel, "t1")
         assert direct_effect(panel, T1).arm == surrogate_effect(model, panel, T1).arm == "t1"
         estimate = mean_difference_effect([1.0, 3.0], [0.0, 1.0], experiment_id="e", arm=T1,
-                                          kind=EstimatorKind(3))
+                                          kind="direct", T=3)
         assert estimate.arm == "t1"
 
     def test_missing_horizon_days(self):
@@ -195,7 +194,7 @@ class TestSurrogateEffect:
         config = SimConfig(users_per_arm=30, seed=205)
         panel = simulate_experiment(config, 0).panel
         estimate = surrogate_effect(fit_pretest(panel, 5), panel, "t1")
-        assert estimate.kind == EstimatorKind(5, ModelSource.PRE_TEST)
+        assert (estimate.kind, estimate.T) == ("surrogate:pretest", 5)
 
 
 class TestZTest:
@@ -250,11 +249,22 @@ class TestEstimateInvariants:
     def test_overflowing_effect_is_a_numerical_error(self):
         with pytest.raises(NumericalError, match="must be finite"), np.errstate(over="ignore"):
             mean_difference_effect([0.0, 1e200], [0.0, 1.0], experiment_id="e", arm=ARM,
-                                   kind=EstimatorKind(63))
+                                   kind="direct", T=63)
 
-    def test_method_derives_from_source(self):
-        assert EstimatorKind(5).method == "direct"
-        assert EstimatorKind(5, ModelSource.PRE_TEST).method == "surrogate"
+    @pytest.mark.parametrize("kind, T, message", [
+        ("surrogate:", 5, "unknown estimate kind 'surrogate:'"),
+        ("surrogate", 5, "unknown estimate kind"),
+        ("direct:pretest", 5, "unknown estimate kind"),
+        ("direct", 0, "T must be positive, got 0"),
+        ("surrogate:similar", -1, "T must be positive"),
+    ], ids=["empty-source", "no-source", "direct-with-source", "zero-T", "negative-T"])
+    def test_unknown_kind_or_nonpositive_T_rejected(self, kind, T, message):
+        with pytest.raises(ValueError, match=message):
+            EffectEstimate("e", ARM, kind, T, 1.0, 1.0)
+        # a caller's mistake, not an overflow
+        with pytest.raises(ValueError, match=message):
+            mean_difference_effect([0.0, 1.0], [0.0, 2.0], experiment_id="e", arm=ARM,
+                                   kind=kind, T=T)
 
 
 class TestRecords:
@@ -280,17 +290,17 @@ class TestRecords:
     @given(
         experiment_id=st.text(max_size=8),
         arm=st.text(max_size=8),
-        days=st.integers(1, 63),
+        T=st.integers(1, 63),
         source=st.none() | st.sampled_from(ModelSource),
         point=st.floats(allow_nan=False, allow_infinity=False),
         std_error=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
     )
     def test_record_round_trip_is_the_identity(
-        self, experiment_id, arm, days, source, point, std_error
+        self, experiment_id, arm, T, source, point, std_error
     ):
+        kind = "direct" if source is None else f"surrogate:{source.value}"
         try:
-            estimate = EffectEstimate(experiment_id, arm, EstimatorKind(days, source),
-                                      point, std_error)
+            estimate = EffectEstimate(experiment_id, arm, kind, T, point, std_error)
         except ValueError:
             # Only an overflowing z statistic or interval bound is refused.
             low, high = point - Z_CRIT_95 * std_error, point + Z_CRIT_95 * std_error
@@ -305,7 +315,7 @@ class TestRecords:
     @pytest.mark.parametrize("kind", ["direct:", "surrogate", "surrogate:", "surrogate:x", "x"])
     def test_unknown_kind_rejected(self, kind):
         record = {**estimate_to_record(toy_estimate(1.0, 0.5)), "kind": kind}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^unknown estimate kind {kind!r}$"):
             record_to_estimate(record)
 
     @pytest.mark.parametrize("field, value", [

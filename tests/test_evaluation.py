@@ -10,11 +10,9 @@ from surrokit import (
     CLASS_ORDER,
     EffectEstimate,
     EmptyInput,
-    EstimatorKind,
     InvalidCycle,
     InvalidRecall,
     KeyMismatch,
-    ModelSource,
     NumericalError,
     SignificanceClass,
     SimConfig,
@@ -37,12 +35,11 @@ NS = SignificanceClass.NOT_SIG
 NEG = SignificanceClass.SIG_NEGATIVE
 
 
-def estimate_with_z(experiment_id, arm, z, kind=None):
-    kind = kind or EstimatorKind(63)
-    return EffectEstimate(experiment_id, arm, kind, float(z), 1.0)
+def estimate_with_z(experiment_id, arm, z, kind=("direct", 63)):
+    return EffectEstimate(experiment_id, arm, *kind, float(z), 1.0)
 
 
-SURROGATE_KIND = EstimatorKind(14, ModelSource.PRE_TEST)
+SURROGATE_KIND = ("surrogate:pretest", 14)
 
 # A z statistic of each class at alpha 0.05.
 Z_OF = {POS: 4.0, NS: 0.0, NEG: -4.0}
@@ -298,9 +295,9 @@ def shuffled_reads(draw):
     std_error = st.floats(0.1, 10)
     rows = draw(st.lists(st.tuples(point, std_error, point, std_error), min_size=1, max_size=12))
     labels = [(f"e{i // 3}", f"t{i % 3 + 1}") for i in range(len(rows))]
-    direct = [EffectEstimate(e, arm, EstimatorKind(63), d, d_se)
+    direct = [EffectEstimate(e, arm, "direct", 63, d, d_se)
               for (e, arm), (d, d_se, _, _) in zip(labels, rows)]
-    surrogate = [EffectEstimate(e, arm, SURROGATE_KIND, s, s_se)
+    surrogate = [EffectEstimate(e, arm, *SURROGATE_KIND, s, s_se)
                  for (e, arm), (_, _, s, s_se) in zip(labels, rows)]
     return direct, surrogate, draw(st.permutations(direct)), draw(st.permutations(surrogate))
 

@@ -6,12 +6,12 @@ first statement of a module, class or function) is not code, so its lines
 do not count unless code shares them. A multi-line string that is not a
 docstring counts on every line it spans.
 
-Run it from the root of the tree to count::
+Run it from any directory::
 
     python3 tools/count_code_lines.py
 
-It prints one ``<lines> <path>`` row per module under ``src/``, sorted by
-path, and then ``<total> total``.
+It prints one ``<lines> <path>`` row per module under the tree's ``src/``,
+sorted by path relative to the tree's root, and then ``<total> total``.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import ast
 import io
 import tokenize
 from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
 
 NON_CODE = {
     tokenize.COMMENT,
@@ -65,10 +67,10 @@ def count_code_lines(source: str) -> int:
 
 def main() -> int:
     total = 0
-    for file in sorted(Path("src").rglob("*.py")):
+    for file in sorted((REPO / "src").rglob("*.py")):
         lines = count_code_lines(file.read_text(encoding="utf-8"))
         total += lines
-        print(f"{lines:6d} {file}")
+        print(f"{lines:6d} {file.relative_to(REPO)}")
     print(f"{total:6d} total")
     return 0
 
