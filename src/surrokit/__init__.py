@@ -69,11 +69,9 @@ from .simulator import (
     SimConfig,
     SimulatedExperiment,
     config_from_dict,
-    config_to_dict,
     corpus_treatment_arms,
     load_config,
     novelty_profile,
-    simulate_corpus,
     simulate_experiment,
 )
 from .surrogate import (

@@ -25,7 +25,7 @@ from .errors import (
     OutOfRange,
     UnknownArm,
 )
-from .panel import ArmLabel, OutcomePanel, window
+from .panel import OutcomePanel, window
 from .surrogate import ModelSource, SurrogateModel, predict
 
 # Two-sided 95% normal critical value, pinned so confidence intervals are
@@ -128,41 +128,39 @@ def mean_difference_effect(
     control: np.ndarray,
     *,
     experiment_id: str,
-    arm: ArmLabel | str,
+    arm: str,
     kind: str,
     T: int,
 ) -> EffectEstimate:
     """Difference in group means with a Welch standard error.
 
-    ``arm`` is an arm label or its name; the estimate stores the name.
-    ``kind`` and ``T`` are as in EffectEstimate, which raises ValueError on
-    one it refuses. Raises NumericalError when the point, the standard error, the z
-    statistic or a 95% interval bound is not finite (an overflow).
+    ``arm`` is the treatment arm's name. ``kind`` and ``T`` are as in
+    EffectEstimate, which raises ValueError on one it refuses. Raises
+    NumericalError when the point, the standard error, the z statistic or a
+    95% interval bound is not finite (an overflow).
     """
-    name = arm if isinstance(arm, str) else arm.name
     t = np.asarray(treated, dtype=float)
     c = np.asarray(control, dtype=float)
     point, se = float(t.mean() - c.mean()), welch_se(t, c)
     try:
-        return EffectEstimate(experiment_id, name, kind, T, point, se)
+        return EffectEstimate(experiment_id, arm, kind, T, point, se)
     except ValueError as exc:
         if kind not in _KINDS or not T >= 1:
             raise
         # Else the point, the SE or a statistic derived from them overflowed.
-        raise NumericalError(f"effect of arm {name!r} in {experiment_id!r}: {exc}") from None
+        raise NumericalError(f"effect of arm {arm!r} in {experiment_id!r}: {exc}") from None
 
 
-def _resolve_treatment_arm(panel: OutcomePanel, arm: ArmLabel | str) -> str:
-    """The name of ``arm``, which must be a treatment arm of ``panel``."""
-    name = arm if isinstance(arm, str) else arm.name
+def _check_treatment_arm(panel: OutcomePanel, arm: str) -> None:
+    """Raise unless ``arm`` names a treatment arm of ``panel``."""
     for label in panel.arm_labels:
-        if label.name == name:
+        if label.name == arm:
             if label.is_control:
                 raise ControlAsTreatment(
-                    f"arm {name!r} is the control arm of {panel.experiment_id!r}"
+                    f"arm {arm!r} is the control arm of {panel.experiment_id!r}"
                 )
-            return name
-    raise UnknownArm(f"no arm {name!r} in panel {panel.experiment_id!r}")
+            return
+    raise UnknownArm(f"no arm {arm!r} in panel {panel.experiment_id!r}")
 
 
 def _arm_contrast(
@@ -171,7 +169,7 @@ def _arm_contrast(
     """The per-user ``values`` of the arm named ``arm`` against those of the control arm."""
     return mean_difference_effect(
         values[panel.arm_mask(arm)],
-        values[panel.arm_mask(panel.control_arm)],
+        values[panel.arm_mask(panel.control_arm.name)],
         experiment_id=panel.experiment_id,
         arm=arm,
         kind=kind,
@@ -180,13 +178,13 @@ def _arm_contrast(
 
 
 def direct_effect(
-    panel: OutcomePanel, arm: ArmLabel | str, horizon: int | None = None
+    panel: OutcomePanel, arm: str, horizon: int | None = None
 ) -> EffectEstimate:
     """Difference in means of observed per-user averages over days 1..horizon.
 
-    ``horizon`` defaults to the panel's last day.
+    ``arm`` names a treatment arm; ``horizon`` defaults to the panel's last day.
     """
-    name = _resolve_treatment_arm(panel, arm)
+    _check_treatment_arm(panel, arm)
     days = panel.horizon if horizon is None else horizon
     try:
         win = window(panel, 1, days)
@@ -194,20 +192,19 @@ def direct_effect(
         raise MissingDay(
             f"panel {panel.experiment_id!r} lacks post-allocation days 1..{days}"
         ) from exc
-    return _arm_contrast(panel, win.mean(axis=1), name, "direct", days)
+    return _arm_contrast(panel, win.mean(axis=1), arm, "direct", days)
 
 
-def surrogate_effect(
-    model: SurrogateModel, panel: OutcomePanel, arm: ArmLabel | str
-) -> EffectEstimate:
+def surrogate_effect(model: SurrogateModel, panel: OutcomePanel, arm: str) -> EffectEstimate:
     """Difference in means of surrogate-predicted long-term averages.
 
-    The standard error treats the model coefficients as constants; no
-    first-stage fitting uncertainty is propagated.
+    ``arm`` names a treatment arm. The standard error treats the model
+    coefficients as constants; no first-stage fitting uncertainty is
+    propagated.
     """
-    name = _resolve_treatment_arm(panel, arm)
+    _check_treatment_arm(panel, arm)
     kind = f"surrogate:{model.source.value}"
-    return _arm_contrast(panel, predict(model, panel), name, kind, model.order)
+    return _arm_contrast(panel, predict(model, panel), arm, kind, model.order)
 
 
 def z_test(estimate: EffectEstimate, alpha: float = DEFAULT_ALPHA) -> SignificanceClass:

@@ -108,19 +108,26 @@ def excess_kurtosis(values: np.ndarray) -> float:
 
     Uses the standard small-sample correction
     G2 = ((n-1) / ((n-2)(n-3))) * ((n+1) g2 + 6) with g2 = m4/m2^2 - 3.
-    Raises ZeroVariance for constant values, whose mean can round away
-    from them, and for values whose second central moment m2, or m2
-    squared, underflows to 0; NumericalError when the fourth central
-    moment m4 overflows, which m2 overflowing implies.
+    g2 is scale-free, so deviations from the mean whose largest lies
+    outside [2^-129, 2^128), where m2 squared could underflow or the fourth
+    central moment m4 overflow, are first rescaled by the exact power of
+    two that brings it into [0.5, 1). Deviations inside that range are used
+    as they are: numpy's power of a rescaled value may differ in its last
+    bit. Raises ZeroVariance for constant values, whose mean can round away
+    from them; NumericalError when a deviation is not finite, as when the
+    mean overflows.
     """
     x = np.asarray(values, dtype=float)
     n = x.size
     if n < 4:
         raise DegenerateGroup(f"excess kurtosis needs at least 4 values, got {n}")
+    if x.min() == x.max():
+        raise ZeroVariance("excess kurtosis undefined: constant values")
     centered = x - x.mean()
+    exponent = np.frexp(abs(centered).max())[1]
+    if not -128 <= exponent <= 128:
+        centered = np.ldexp(centered, -exponent)
     m2 = float(np.mean(centered**2))
-    if m2 * m2 == 0.0 or x.min() == x.max():
-        raise ZeroVariance("excess kurtosis undefined: constant values or underflowing variance")
     m4 = float(np.mean(centered**4))
     if not math.isfinite(m4):
         raise NumericalError(f"excess kurtosis overflows: fourth central moment is {m4}")
@@ -139,8 +146,7 @@ def scaled_distribution(
     sample standard deviation 1. Raises ZeroVariance when the scale is
     undefined: fewer than 2 values in ``scale_by`` or a zero sample standard
     deviation. The excess kurtosis is None exactly when ``excess_kurtosis``
-    finds it undefined: fewer than 4 values, or values that are constant or
-    whose variance underflows to zero.
+    finds it undefined: fewer than 4 values, or constant values.
     """
     x = np.asarray(values, dtype=float)
     reference = x if scale_by is None else np.asarray(scale_by, dtype=float)

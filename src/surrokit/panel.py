@@ -188,10 +188,9 @@ class OutcomePanel:
     def n_users(self) -> int:
         return len(self.user_ids)
 
-    def arm_mask(self, arm: ArmLabel | str) -> np.ndarray:
-        """Boolean row mask selecting users in ``arm``."""
-        name = arm if isinstance(arm, str) else arm.name
-        code = next((k for k, a in enumerate(self.arm_labels) if a.name == name), -1)
+    def arm_mask(self, arm: str) -> np.ndarray:
+        """Boolean row mask selecting users in the arm named ``arm``."""
+        code = next((k for k, a in enumerate(self.arm_labels) if a.name == arm), -1)
         return self._arm_codes == code
 
     @classmethod

@@ -31,9 +31,9 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO
 
 import numpy as np
 
@@ -145,7 +145,7 @@ def _treatment_arm_count(arms_per_experiment: float, index: int) -> int:
 
 
 def corpus_treatment_arms(config: SimConfig) -> int:
-    """Total treatment arms simulate_corpus will produce."""
+    """Total treatment arms over the experiments 0..n_experiments-1 of ``config``."""
     return int(math.floor(config.n_experiments * float(config.arms_per_experiment) + 1e-9))
 
 
@@ -241,20 +241,6 @@ def simulate_experiment(config: SimConfig, index: int) -> SimulatedExperiment:
     return SimulatedExperiment(panel=panel, true_effects=true_effects)
 
 
-def simulate_corpus(config: SimConfig) -> Iterator[SimulatedExperiment]:
-    """Lazily generate all experiments of a corpus in index order.
-
-    Yields one experiment at a time so corpora can be written to disk in
-    constant memory.
-    """
-    for index in range(config.n_experiments):
-        yield simulate_experiment(config, index)
-
-
-def config_to_dict(config: SimConfig) -> dict:
-    return asdict(config)
-
-
 def config_from_dict(payload: dict) -> SimConfig:
     """Build a config from a JSON object; unknown keys are an error."""
     known = {f.name for f in fields(SimConfig)}
@@ -272,10 +258,7 @@ def config_from_dict(payload: dict) -> SimConfig:
             values["effect_tail_df"] = math.inf
         else:
             raise InvalidConfig(f"unparseable effect_tail_df {df!r}")
-    try:
-        return SimConfig(**values)
-    except TypeError as exc:
-        raise InvalidConfig(str(exc)) from None
+    return SimConfig(**values)
 
 
 def load_config(source: str | Path | IO[str]) -> SimConfig:

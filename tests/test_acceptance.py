@@ -19,7 +19,6 @@ from surrokit import (
     SignificanceClass,
     SimConfig,
     capacity_gain,
-    config_to_dict,
     direct_effect,
     extra_experiments_needed,
     fit_nested,
@@ -28,7 +27,6 @@ from surrokit import (
     launch_metrics,
     mean_difference_effect,
     scaled_distribution,
-    simulate_corpus,
     simulate_experiment,
     surrogate_effect,
     window,
@@ -186,9 +184,10 @@ def _effect_estimate_points(effect_tail_df, seed):
         novelty_halflife=10.0, seed=seed,
     )
     points = []
-    for experiment in simulate_corpus(config):
-        for arm in experiment.panel.treatment_arms:
-            points.append(direct_effect(experiment.panel, arm).point)
+    for index in range(config.n_experiments):
+        panel = simulate_experiment(config, index).panel
+        for arm in panel.treatment_arms:
+            points.append(direct_effect(panel, arm.name).point)
     return np.array(points)
 
 
@@ -231,14 +230,15 @@ def test_criterion_8_size_control():
     with criterion(8, "pre-period placebo size control", 300):
         not_significant = 0
         total = 0
-        for experiment in simulate_corpus(config):
-            means = window(experiment.panel, -63, -1).mean(axis=1)
-            control = means[experiment.panel.arm_mask("control")]
-            for arm in experiment.panel.treatment_arms:
+        for index in range(config.n_experiments):
+            panel = simulate_experiment(config, index).panel
+            means = window(panel, -63, -1).mean(axis=1)
+            control = means[panel.arm_mask("control")]
+            for arm in panel.treatment_arms:
                 estimate = mean_difference_effect(
-                    means[experiment.panel.arm_mask(arm)], control,
-                    experiment_id=experiment.panel.experiment_id,
-                    arm=arm, kind="direct", T=63,
+                    means[panel.arm_mask(arm.name)], control,
+                    experiment_id=panel.experiment_id,
+                    arm=arm.name, kind="direct", T=63,
                 )
                 total += 1
                 if z_test(estimate, 0.05) is SignificanceClass.NOT_SIG:
@@ -259,7 +259,7 @@ def _run_pipeline(tmp_path: Path, tag: str, jobs: int) -> dict[str, bytes]:
     root = tmp_path / tag
     root.mkdir()
     config_path = root / "config.json"
-    config_path.write_text(json.dumps(config_to_dict(config)))
+    config_path.write_text(json.dumps(dataclasses.asdict(config)))
     corpus = root / "corpus"
     estimates = root / "estimates"
     report = root / "report.json"

@@ -11,16 +11,19 @@ from hypothesis import strategies as st
 
 import surrokit
 from surrokit import (
+    CLASS_ORDER,
     EffectEstimate,
     SimConfig,
     direct_effect,
     estimate_to_record,
+    excess_kurtosis,
     fit_pretest,
     fit_similar,
     load_panel,
     running_mean_model,
     simulate_experiment,
     surrogate_effect,
+    z_test,
 )
 from surrokit.cli import main
 
@@ -117,9 +120,11 @@ class TestSimulate:
             b'{"effect_scale": 1' + b"0" * 400 + b"}",
             b'{"seed": 1' + b"0" * 5000 + b"}",
             b"[" * 200000 + b"]" * 200000,
+            b"[1, 2]",
+            json.dumps({"effect_tail_df": "abc"}).encode(),
         ],
         ids=["fractional-users", "non-utf8", "infinite-arms", "huge-int-scale",
-             "over-digit-limit", "deep-nesting"],
+             "over-digit-limit", "deep-nesting", "array", "unparseable-tail-df"],
     )
     def test_malformed_config_exits_3_without_traceback(self, tmp_path, capsys, content):
         config_path = tmp_path / "config.json"
@@ -143,6 +148,14 @@ class TestSimulate:
         assert result.stderr.startswith("surrokit: out of memory: ")
         assert len(result.stderr.splitlines()) == 1, result.stderr
         assert not list(out_dir.glob("*.csv"))
+
+    def test_null_tail_df_means_gaussian_effects(self, tmp_path):
+        corpora = {df: simulate_toy(tmp_path, f"corpus-{df}", effect_tail_df=df)
+                   for df in ("inf", None)}
+        assert (read_bytes_by_name(corpora["inf"], "*.csv")
+                == read_bytes_by_name(corpora[None], "*.csv"))
+        assert (corpora["inf"] / "ground_truth.json").read_bytes() == (
+            corpora[None] / "ground_truth.json").read_bytes()
 
     def test_nan_config_field_exits_3_naming_the_field(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -411,6 +424,16 @@ class TestAnalyze:
         assert names == ["sim-00000.estimates.json", "sim-00001.estimates.json"]
         assert (est_dir / "manifest.json").exists()
 
+    def test_panel_dir_without_csvs_exits_3(self, tmp_path, capsys):
+        panel_dir = tmp_path / "panels"
+        panel_dir.mkdir()
+        (panel_dir / "notes.txt").write_text("no panels here\n")
+        out_dir = tmp_path / "estimates"
+        assert main(["analyze", "--panel-dir", str(panel_dir), "--regime", "running-mean",
+                     "--T", "2", "--horizon", "5", "--out", str(out_dir)]) == 3
+        assert capsys.readouterr().err.startswith("surrokit: data validation error: no panel CSVs")
+        assert not out_dir.exists()
+
     def test_rank_deficient_panel_exits_4(self, tmp_path):
         # constant pre-period column collides with the intercept
         rows = ["experiment_id,user_id,arm,is_control,day,outcome"]
@@ -546,11 +569,13 @@ class TestEvaluate:
     @pytest.mark.parametrize("points", [
         [(1.0, 1e-300), (2.0, 2e-300), (3.0, 3e-300), (4.0, 4e-300)],  # m2 underflows
         [(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (1.0, 3.3e-97)],  # m2 squared underflows
+        [(float(i), i * 1e80) for i in range(1, 7)],  # m4 overflows
     ])
-    def test_underflowing_surrogate_variance_reports_null_kurtosis(self, tmp_path, points):
-        # The scaled surrogate values differ, but their variance, or its
-        # square, underflows to 0: the kurtosis is undefined, not a
-        # numerical failure or a traceback.
+    def test_extreme_surrogate_scale_reports_its_kurtosis(self, tmp_path, points):
+        # At the scale of the direct points, the surrogate points' variance,
+        # or its square, underflows to 0, or their fourth central moment
+        # overflows; the kurtosis, which does not depend on their scale, is
+        # reported: that of the same points near unit scale.
         est_dir = tmp_path / "estimates"
         est_dir.mkdir()
         records = []
@@ -566,10 +591,45 @@ class TestEvaluate:
         assert main(["evaluate", "--estimates", str(est_dir), "--out", str(report_path)]) == 0
         report = json.loads(report_path.read_text())
         surrogate = report["distributions"]["surrogate"]
-        assert report["kurtosis"]["surrogate"] is None and surrogate["excess_kurtosis"] is None
-        assert surrogate["n"] == 4
+        assert report["kurtosis"]["surrogate"] == surrogate["excess_kurtosis"]
+        unit_scale = [s / max(abs(s) for _, s in points) for _, s in points]
+        assert surrogate["excess_kurtosis"] == pytest.approx(excess_kurtosis(unit_scale),
+                                                             rel=1e-12)
+        assert surrogate["n"] == len(points)
         for name in ("direct", "differences"):
             assert isinstance(report["kurtosis"][name], float)
+
+    @pytest.mark.parametrize("value", ["0", "1", "-0.1", "nan"])
+    def test_alpha_outside_the_unit_interval_is_usage_error(self, tmp_path, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["evaluate", "--estimates", str(tmp_path), "--out", str(tmp_path / "r.json"),
+                  f"--alpha={value}"])  # "=" keeps argparse from reading "-0.1" as a flag
+        assert excinfo.value.code == 2
+
+    def test_alpha_sets_the_significance_level(self, tmp_path):
+        # |z| = 1.5 is significant at 0.2 but not at 0.05.
+        z_pairs = [(1.5, 0.5), (1.5, 1.5), (-1.5, -2.5), (0.5, 1.5), (3.0, -1.5), (0.0, 0.0)]
+        direct, surrogate = [], []
+        for k, (z_direct, z_surrogate) in enumerate(z_pairs, 1):
+            direct.append(EffectEstimate("e1", f"t{k}", "direct", 63, z_direct, 1.0))
+            surrogate.append(EffectEstimate("e1", f"t{k}", "surrogate:pretest", 14,
+                                            z_surrogate, 1.0))
+        est_dir = tmp_path / "estimates"
+        est_dir.mkdir()
+        records = [estimate_to_record(e) for pair in zip(direct, surrogate) for e in pair]
+        (est_dir / "e1.estimates.json").write_text(json.dumps(records))
+        confusions = {}
+        for alpha in ("0.2", "0.05"):
+            report_path = tmp_path / f"report-{alpha}.json"
+            assert main(["evaluate", "--estimates", str(est_dir), "--out", str(report_path),
+                         "--alpha", alpha]) == 0
+            report = json.loads(report_path.read_text())
+            assert report["alpha"] == float(alpha)
+            confusions[alpha] = report["confusion"]
+        counts = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+        for d, s in zip(direct, surrogate):
+            counts[CLASS_ORDER.index(z_test(d, 0.2))][CLASS_ORDER.index(z_test(s, 0.2))] += 1
+        assert confusions["0.2"] == counts != confusions["0.05"]
 
     def test_library_report_equals_cli_report(self, tmp_path):
         est_dir = tmp_path / "estimates"
@@ -831,7 +891,7 @@ class TestOverflow:
                                                   float(i), 1.0)),
                 estimate_to_record(EffectEstimate(
                     f"e{i}", arm, "surrogate:pretest", 14,
-                    i * 1e80, 1.0)),
+                    i * 1e200, 1.0)),
             ]
             (est_dir / f"e{i}.estimates.json").write_text(json.dumps(records))
         report_dir = tmp_path / "report"

@@ -17,7 +17,6 @@ from surrokit import (
     SimConfig,
     UnknownArm,
     Z_CRIT_95,
-    ArmLabel,
     ModelSource,
     NumericalError,
     direct_effect,
@@ -109,10 +108,7 @@ class TestDirectEffect:
         with pytest.raises(ControlAsTreatment):
             direct_effect(panel, "control")
 
-    @pytest.mark.parametrize("arm, error", [
-        ("nope", UnknownArm), (ArmLabel("nope", False), UnknownArm),
-        ("control", ControlAsTreatment), (CONTROL, ControlAsTreatment),
-    ])
+    @pytest.mark.parametrize("arm, error", [("nope", UnknownArm), ("control", ControlAsTreatment)])
     def test_arm_is_resolved_before_the_horizon(self, arm, error):
         panel = build_panel(np.random.default_rng(3).standard_normal((4, 3)),
                             [CONTROL, CONTROL, T1, T1])
@@ -120,17 +116,6 @@ class TestDirectEffect:
             direct_effect(panel, arm, horizon=10)
         with pytest.raises(error):
             surrogate_effect(running_mean_model(10), panel, arm)
-
-    def test_label_or_name_gives_one_estimate_that_stores_the_name(self):
-        panel = build_panel(np.random.default_rng(4).standard_normal((4, 3)),
-                            [CONTROL, CONTROL, T1, T1])
-        model = running_mean_model(2)
-        assert direct_effect(panel, T1) == direct_effect(panel, "t1")
-        assert surrogate_effect(model, panel, T1) == surrogate_effect(model, panel, "t1")
-        assert direct_effect(panel, T1).arm == surrogate_effect(model, panel, T1).arm == "t1"
-        estimate = mean_difference_effect([1.0, 3.0], [0.0, 1.0], experiment_id="e", arm=T1,
-                                          kind="direct", T=3)
-        assert estimate.arm == "t1"
 
     def test_missing_horizon_days(self):
         panel = build_panel(np.random.default_rng(3).standard_normal((4, 3)),

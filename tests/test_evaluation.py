@@ -53,6 +53,13 @@ def reads(points):
     return direct, surrogate
 
 
+def at_unit_scale(values):
+    """``values`` times the power of two that brings their largest deviation
+    from the mean into [0.5, 1)."""
+    x = np.asarray(values, dtype=float)
+    return np.ldexp(x, -np.frexp(np.abs(x - x.mean()).max())[1])
+
+
 def total(matrix):
     return sum(map(sum, matrix))
 
@@ -255,14 +262,13 @@ class TestScaledDistribution:
         ([1e-300, 2e-300, 3e-300, 4e-300], [1, 2, 3, 4]),  # m2 underflows
         ([0.0, 0.0, 0.0, 3.3e-97], [0, 0, 0, 1]),  # m2 squared underflows
     ])
-    def test_underflowing_variance_has_no_kurtosis(self, values, scale_by):
-        # The scaled values differ, but the variance, or its square, that
-        # the kurtosis divides by underflows to 0.
+    def test_underflowing_variance_keeps_its_kurtosis(self, values, scale_by):
+        # The variance of the scaled values, or its square, underflows to 0,
+        # but the kurtosis is scale-free: it is that of the values near 1.
         summary, scaled = scaled_distribution(values, scale_by=scale_by)
-        assert scaled.min() < scaled.max()
-        assert summary["excess_kurtosis"] is None
-        with pytest.raises(ZeroVariance):
-            excess_kurtosis(scaled)
+        assert np.var(scaled) ** 2 == 0.0
+        assert summary["excess_kurtosis"] == excess_kurtosis(at_unit_scale(scaled))
+        assert excess_kurtosis(scaled) == excess_kurtosis(at_unit_scale(scaled))
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_kurtosis_of_constant_values_raises(self, n):
@@ -282,10 +288,15 @@ class TestScaledDistribution:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_kurtosis_overflow_raises_instead_of_nan(self):
+        # Fourth central moments past the float range are rescaled away ...
+        values = [1e80, 2e80, 3e80, 4e80, 5e80]
+        assert excess_kurtosis(values) == excess_kurtosis(at_unit_scale(values))
+        summary, scaled = scaled_distribution([i * 1e80 for i in range(1, 7)],
+                                              scale_by=range(1, 7))
+        assert summary["excess_kurtosis"] == excess_kurtosis(at_unit_scale(scaled))
+        # ... but a mean that overflows leaves no finite moment.
         with pytest.raises(NumericalError):
-            excess_kurtosis([1e80, 2e80, 3e80, 4e80, 5e80])
-        with pytest.raises(NumericalError):
-            scaled_distribution([i * 1e80 for i in range(1, 7)], scale_by=range(1, 7))
+            excess_kurtosis([1.5e308, 1.5e308, -1e308, 0.0])
 
 
 @st.composite
@@ -319,6 +330,14 @@ class TestDecisionReport:
             counts[order.index(z_test(d, alpha))][order.index(z_test(s, alpha))] += 1
         assert report["confusion"] == counts
         assert report["n_pairs"] == len(direct)
+
+    def test_points_far_apart_in_scale_have_a_kurtosis(self):
+        # Scaled by the direct SD of 3.5e-129, the surrogate point 1 becomes
+        # 2.8e128, whose fourth power is past the float range.
+        points = [(0.0, 0.0), (0.0, 0.0), (0.0, 1.0), (7.02e-129, 0.0)]
+        report, _ = decision_report(*reads(points), 0.05, 56.0, 14.0)
+        for name in ("direct", "surrogate", "differences"):
+            assert report["kurtosis"][name] == pytest.approx(4.0, rel=1e-12)
 
     def test_one_arm_has_null_distributions(self):
         report, scaled = decision_report(*reads([(4.0, 4.0)]), 0.05, 56.0, 14.0)
@@ -393,8 +412,8 @@ class TestSimulatedAgreement:
             experiment = simulate_experiment(config, index)
             model = fit_pretest(experiment.panel, 14)
             for arm in experiment.panel.treatment_arms:
-                direct.append(direct_effect(experiment.panel, arm))
-                surrogate.append(surrogate_effect(model, experiment.panel, arm))
+                direct.append(direct_effect(experiment.panel, arm.name))
+                surrogate.append(surrogate_effect(model, experiment.panel, arm.name))
         report, _ = decision_report(direct, surrogate, 0.05, 56.0, 14.0)
         assert 0.90 <= report["agreement"] <= 0.99
         assert report["false_launch_negatives"] == 0

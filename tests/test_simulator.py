@@ -15,7 +15,6 @@ from surrokit import (
     corpus_treatment_arms,
     direct_effect,
     novelty_profile,
-    simulate_corpus,
     simulate_experiment,
     window,
 )
@@ -129,15 +128,15 @@ class TestCorpus:
     def test_fractional_mix_per_experiment_counts(self):
         config = SimConfig(n_experiments=20, arms_per_experiment=5.49,
                            users_per_arm=2, horizon=2, pre_period=0, seed=84)
-        counts = [len(e.panel.treatment_arms) for e in simulate_corpus(config)]
+        counts = [len(simulate_experiment(config, i).panel.treatment_arms) for i in range(20)]
         assert set(counts) <= {5, 6}
         assert sum(counts) == corpus_treatment_arms(config) == 109
 
     def test_same_seed_is_bit_identical(self):
         config = SimConfig(n_experiments=2, users_per_arm=6, horizon=9,
                            pre_period=3, seed=85)
-        first = [e.panel for e in simulate_corpus(config)]
-        second = [e.panel for e in simulate_corpus(config)]
+        first = [simulate_experiment(config, i).panel for i in range(2)]
+        second = [simulate_experiment(config, i).panel for i in range(2)]
         assert first == second
         np.testing.assert_array_equal(first[0].matrix, second[0].matrix)
 
@@ -289,12 +288,11 @@ class TestValidation:
             SimConfig(**overrides)
 
     def test_config_json_round_trip_with_infinite_df(self, tmp_path):
-        from surrokit import config_to_dict, load_config
-        import json
+        from surrokit import load_config
 
         config = SimConfig(users_per_arm=3, effect_tail_df=math.inf, seed=91)
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config_to_dict(config)))
+        path.write_text(json.dumps(dataclasses.asdict(config)))
         assert load_config(path) == config
 
     def test_non_utf8_config_is_invalid(self, tmp_path):

@@ -245,8 +245,8 @@ class TestFitPretest:
             oracle = fit_nested(pre, pre.mean(axis=1), [63], ModelSource.PRE_TEST)[0]
             assert model == oracle
             for arm in panel.treatment_arms:
-                assert surrogate_effect(model, panel, arm).point == pytest.approx(
-                    direct_effect(panel, arm, 63).point, rel=1e-8
+                assert surrogate_effect(model, panel, arm.name).point == pytest.approx(
+                    direct_effect(panel, arm.name, 63).point, rel=1e-8
                 )
 
     def test_pre_period_shorter_than_horizon(self):
@@ -269,8 +269,8 @@ class TestFitSimilar:
         panel = simulate_experiment(config, 0).panel
         model = fit_similar(panel, 63)
         for arm in panel.treatment_arms:
-            direct = direct_effect(panel, arm)
-            surrogate = surrogate_effect(model, panel, arm)
+            direct = direct_effect(panel, arm.name)
+            surrogate = surrogate_effect(model, panel, arm.name)
             assert surrogate.point == pytest.approx(direct.point, rel=1e-8)
 
     def test_zero_noise_donor_perfect_r_squared(self):
