@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DataValidationError, NumericalError, SurrokitError
+from .errors import DataValidationError, NumericalError
 from .estimators import (
     DEFAULT_ALPHA,
     direct_effect,
@@ -103,7 +103,7 @@ def _run_pool(worker, tasks: list, jobs: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+        return list(pool.map(worker, tasks))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -154,9 +154,9 @@ def _analyze_one(task: tuple) -> str:
     records = []
     for days in direct_days:
         records += [estimate_to_record(direct_effect(panel, arm, days)) for arm in arms]
-    if regime == "pretest":
+    if regime == ModelSource.PRE_TEST:
         models = fit_pretest(panel, orders, horizon)
-    elif regime == "running-mean":
+    elif regime == ModelSource.RUNNING_MEAN:
         models = map(running_mean_model, orders)
     for model in models:
         records += [estimate_to_record(surrogate_effect(model, panel, arm)) for arm in arms]
@@ -173,7 +173,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     orders = range(1, horizon + 1) if args.sweep_T else [args.T]
     direct_days = orders if args.sweep_T else [horizon]
     models = None
-    if args.regime == "similar":
+    if args.regime == ModelSource.SIMILAR_TEST:
         models = fit_similar(load_panel(args.donor), orders, horizon)
 
     if args.panel is not None:
@@ -369,9 +369,9 @@ def _validate_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace)
         args.T = DEFAULT_T
     if not args.sweep_T and args.T > args.horizon:
         parser.error(f"--T {args.T} exceeds --horizon {args.horizon}")
-    if args.regime == "similar" and args.donor is None:
+    if args.regime == ModelSource.SIMILAR_TEST and args.donor is None:
         parser.error("--regime similar requires --donor")
-    if args.regime != "similar" and args.donor is not None:
+    if args.regime != ModelSource.SIMILAR_TEST and args.donor is not None:
         parser.error("--donor is only valid with --regime similar")
 
 
@@ -403,9 +403,6 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"surrokit: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except SurrokitError as exc:
-        print(f"surrokit: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except OSError as exc:
         print(f"surrokit: io error: {exc}", file=sys.stderr)
         return EXIT_DATA

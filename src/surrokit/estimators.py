@@ -222,18 +222,9 @@ def z_test(estimate: EffectEstimate, alpha: float = DEFAULT_ALPHA) -> Significan
 
 def estimate_to_record(estimate: EffectEstimate) -> dict:
     """Flat JSON record: the stored fields and the derived statistics."""
-    return {
-        "experiment_id": estimate.experiment_id,
-        "arm": estimate.arm,
-        "kind": estimate.kind,
-        "T": estimate.T,
-        "point": estimate.point,
-        "std_error": estimate.std_error,
-        "z": estimate.z_stat,
-        "p": estimate.p_value,
-        "ci_low": estimate.ci_95[0],
-        "ci_high": estimate.ci_95[1],
-    }
+    ci_low, ci_high = estimate.ci_95
+    return {**vars(estimate), "z": estimate.z_stat, "p": estimate.p_value,
+            "ci_low": ci_low, "ci_high": ci_high}
 
 
 # Each field a record is read from: its Python types and JSON type name. A

@@ -37,12 +37,7 @@ from .errors import (
 from .estimators import EffectEstimate, SignificanceClass, z_test
 
 # Fixed row/column order of the confusion matrix.
-CLASS_ORDER: tuple[SignificanceClass, ...] = (
-    SignificanceClass.SIG_POSITIVE,
-    SignificanceClass.NOT_SIG,
-    SignificanceClass.SIG_NEGATIVE,
-)
-_CLASS_INDEX = {cls: i for i, cls in enumerate(CLASS_ORDER)}
+CLASS_ORDER: tuple[SignificanceClass, ...] = tuple(SignificanceClass)
 
 
 def _paired_estimates(
@@ -50,7 +45,8 @@ def _paired_estimates(
 ) -> dict[tuple[str, str], tuple[EffectEstimate, EffectEstimate]]:
     """``{(experiment, arm): (direct, surrogate)}`` in direct-list order.
 
-    Both lists must cover exactly the same keys, once each.
+    Both lists must cover exactly the same keys, once each, so a sweep's
+    reads of one arm at several T raise KeyMismatch.
     """
 
     def keyed(estimates: list[EffectEstimate], label: str) -> dict:
@@ -58,7 +54,8 @@ def _paired_estimates(
         for est in estimates:
             key = (est.experiment_id, est.arm)
             if key in out:
-                raise KeyMismatch(f"duplicate {label} estimate for {key}")
+                raise KeyMismatch(f"duplicate {label} estimate for {key}, at T {out[key].T} and "
+                                  f"T {est.T}: reads pair one direct and one surrogate per arm")
             out[key] = est
         return out
 
@@ -103,19 +100,49 @@ def launch_metrics(counts: Sequence[Sequence[int]]) -> dict:
     }
 
 
+def _deviations(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """The deviations of ``x`` from its mean divided by 2**e, and the exponent e.
+
+    When the largest deviation lies outside [2^-129, 2^128), where a square
+    could underflow or a fourth power overflow, e is the exponent of the
+    exact power of two that brings it into [0.5, 1). Inside that range e is
+    0 and the deviations are used as they are: numpy's power of a rescaled
+    value may differ in its last bit. Raises NumericalError when a
+    deviation is not finite, as when the mean overflows.
+    """
+    centered = x - x.mean()
+    largest = float(abs(centered).max())
+    if not math.isfinite(largest):
+        raise NumericalError(f"a deviation from the mean is not finite ({largest})")
+    exponent = int(np.frexp(largest)[1])
+    if -128 <= exponent <= 128:
+        return centered, 0
+    return np.ldexp(centered, -exponent), exponent
+
+
+def _sample_std(x: np.ndarray) -> float:
+    """``x.std(ddof=1)`` of two or more values, finite wherever its value is.
+
+    Raises NumericalError when the value itself is past the float range, or
+    a deviation from the mean is not finite.
+    """
+    centered, exponent = _deviations(x)
+    root = math.sqrt(float(np.sum(centered**2)) / (x.size - 1))
+    if math.frexp(root)[1] + exponent > 1024:
+        raise NumericalError(f"the sample standard deviation overflows ({root} * 2**{exponent})")
+    return math.ldexp(root, exponent)
+
+
 def excess_kurtosis(values: np.ndarray) -> float:
     """Bias-corrected sample excess kurtosis (0 for normal data).
 
     Uses the standard small-sample correction
     G2 = ((n-1) / ((n-2)(n-3))) * ((n+1) g2 + 6) with g2 = m4/m2^2 - 3.
-    g2 is scale-free, so deviations from the mean whose largest lies
-    outside [2^-129, 2^128), where m2 squared could underflow or the fourth
-    central moment m4 overflow, are first rescaled by the exact power of
-    two that brings it into [0.5, 1). Deviations inside that range are used
-    as they are: numpy's power of a rescaled value may differ in its last
-    bit. Raises ZeroVariance for constant values, whose mean can round away
-    from them; NumericalError when a deviation is not finite, as when the
-    mean overflows.
+    g2 is scale-free, so the central moments m2 and m4 are taken over the
+    deviations that ``_deviations`` rescales where m2 squared could
+    underflow or m4 overflow. Raises ZeroVariance for constant values,
+    whose mean can round away from them; NumericalError when a deviation
+    is not finite, as when the mean overflows.
     """
     x = np.asarray(values, dtype=float)
     n = x.size
@@ -123,14 +150,9 @@ def excess_kurtosis(values: np.ndarray) -> float:
         raise DegenerateGroup(f"excess kurtosis needs at least 4 values, got {n}")
     if x.min() == x.max():
         raise ZeroVariance("excess kurtosis undefined: constant values")
-    centered = x - x.mean()
-    exponent = np.frexp(abs(centered).max())[1]
-    if not -128 <= exponent <= 128:
-        centered = np.ldexp(centered, -exponent)
+    centered, _ = _deviations(x)
     m2 = float(np.mean(centered**2))
     m4 = float(np.mean(centered**4))
-    if not math.isfinite(m4):
-        raise NumericalError(f"excess kurtosis overflows: fourth central moment is {m4}")
     g2 = m4 / (m2 * m2) - 3.0
     return (n - 1) / ((n - 2) * (n - 3)) * ((n + 1) * g2 + 6.0)
 
@@ -143,10 +165,13 @@ def scaled_distribution(
     Returns the report's ``{n, mean, std_dev, excess_kurtosis}`` entry for
     the scaled values, and the read-only scaled values. ``scale_by``
     defaults to the values themselves, in which case the scaled values have
-    sample standard deviation 1. Raises ZeroVariance when the scale is
+    sample standard deviation 1. Both standard deviations are computed
+    without squaring a value whose square overflows or underflows, so each
+    is finite where its true value is. Raises ZeroVariance when the scale is
     undefined: fewer than 2 values in ``scale_by`` or a zero sample standard
-    deviation. The excess kurtosis is None exactly when ``excess_kurtosis``
-    finds it undefined: fewer than 4 values, or constant values.
+    deviation; NumericalError when a deviation from a mean is not finite.
+    The excess kurtosis is None exactly when ``excess_kurtosis`` finds it
+    undefined: fewer than 4 values, or constant values.
     """
     x = np.asarray(values, dtype=float)
     reference = x if scale_by is None else np.asarray(scale_by, dtype=float)
@@ -154,7 +179,7 @@ def scaled_distribution(
         raise ZeroVariance(
             f"scaling vector needs at least 2 values, got {reference.size}"
         )
-    scale = float(reference.std(ddof=1))
+    scale = _sample_std(reference)
     if scale == 0.0:
         raise ZeroVariance("scaling vector has zero sample standard deviation")
     scaled = x / scale
@@ -166,7 +191,7 @@ def scaled_distribution(
     summary = {
         "n": scaled.size,
         "mean": float(scaled.mean()),
-        "std_dev": float(scaled.std(ddof=1)) if scaled.size >= 2 else 0.0,
+        "std_dev": _sample_std(scaled) if scaled.size >= 2 else 0.0,
         "excess_kurtosis": kurt,
     }
     return summary, scaled
@@ -229,7 +254,7 @@ def decision_report(
         raise EmptyInput("cannot tabulate zero decision pairs")
     counts = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
     for _, (d, s) in paired:
-        counts[_CLASS_INDEX[z_test(d, alpha)]][_CLASS_INDEX[z_test(s, alpha)]] += 1
+        counts[CLASS_ORDER.index(z_test(d, alpha))][CLASS_ORDER.index(z_test(s, alpha))] += 1
     metrics = launch_metrics(counts)
     direct_points = np.array([d.point for _, (d, s) in paired])
     surrogate_points = np.array([s.point for _, (d, s) in paired])

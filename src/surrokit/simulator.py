@@ -38,7 +38,7 @@ from typing import IO
 import numpy as np
 
 from .errors import InvalidConfig
-from .panel import ArmLabel, OutcomePanel
+from .panel import DEFAULT_HORIZON, ArmLabel, OutcomePanel
 
 _MASK64 = 2**64 - 1
 
@@ -60,7 +60,7 @@ class SimConfig:
     n_experiments: int = 1
     arms_per_experiment: float = 2.0
     users_per_arm: int = 100
-    horizon: int = 63
+    horizon: int = DEFAULT_HORIZON
     pre_period: int = 63
     baseline_mean: float = 1.0
     baseline_sd: float = 0.5

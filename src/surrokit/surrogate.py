@@ -148,7 +148,8 @@ def fit_nested(
 
     Raises:
         ValueError: ``features`` is not 2-D, ``targets`` does not match its
-            rows, or an order is outside 1..P.
+            rows, there is no order, or an order is outside 1..P.
+        TypeError: an order is not an integer.
         NonFiniteOutcome: a used feature or a target is not finite.
         TooFewRows: n <= T + 1 for an order T.
         NumericalError: the targets' total sum of squares is not finite.
@@ -193,29 +194,19 @@ def fit_nested(
     return tuple(models[order] for order in orders)
 
 
-def _as_orders(order: int | Iterable[int]) -> tuple[list[int], bool]:
-    """The orders to fit, and whether a single model was asked for.
-
-    Raises ValueError unless there is at least one order and all are positive.
-    """
-    single = not isinstance(order, Iterable)
-    orders = [operator.index(o) for o in ([order] if single else order)]
-    if not orders or min(orders) < 1:
-        raise ValueError(f"orders must be positive, got {orders}")
-    return orders, single
-
-
 def _fit_window(panel: OutcomePanel, first_day: int, days: int, order, source: ModelSource):
     """Fit ``order`` on ``days`` days of ``panel`` from ``first_day``.
 
     The target is each user's mean over those days and the features are the
     first ``order`` of them. Raises OutOfRange when an order exceeds
-    ``days``. The window is cut first, so ``days`` past the panel's range
-    fails before the orders up to it are listed.
+    ``days``, and otherwise as :func:`fit_nested` does. The window is cut
+    first, so ``days`` past the panel's range fails before the orders up to
+    it are listed.
     """
     full = window(panel, first_day, first_day + days - 1)
-    orders, single = _as_orders(order)
-    if max(orders) > days:
+    single = not isinstance(order, Iterable)
+    orders = [order] if single else list(order)
+    if orders and max(orders) > days:
         raise OutOfRange(f"order {max(orders)} exceeds horizon {days}")
     models = fit_nested(full, full.mean(axis=1), orders, source)
     return models[0] if single else models

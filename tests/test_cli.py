@@ -3,7 +3,9 @@ import os
 import resource
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
+from statistics import stdev
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -58,6 +60,11 @@ def simulate_toy(tmp_path, name="corpus", **overrides):
     out_dir = tmp_path / name
     assert main(["simulate", "--config", str(config_path), "--out-dir", str(out_dir)]) == 0
     return out_dir
+
+
+def exact_stdev(values):
+    """The sample standard deviation of exact arithmetic, as a float."""
+    return float(stdev(map(Decimal, values)))
 
 
 def read_bytes_by_name(directory, pattern):
@@ -570,12 +577,19 @@ class TestEvaluate:
         [(1.0, 1e-300), (2.0, 2e-300), (3.0, 3e-300), (4.0, 4e-300)],  # m2 underflows
         [(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (1.0, 3.3e-97)],  # m2 squared underflows
         [(float(i), i * 1e80) for i in range(1, 7)],  # m4 overflows
+        [(float(i), i * 1e200) for i in range(1, 7)],  # the surrogate points' squares overflow
+        # The direct points' squares overflow.
+        [(i * 1e200, i * 1e200 + (-1) ** i * 3e199 * i) for i in range(1, 7)],
+        # The direct points' squares underflow to 0.
+        [(0.0, 0.0), (0.0, 1e-300), (0.0, 2e-300), (1e-300, 3e-300)],
     ])
     def test_extreme_surrogate_scale_reports_its_kurtosis(self, tmp_path, points):
         # At the scale of the direct points, the surrogate points' variance,
         # or its square, underflows to 0, or their fourth central moment
         # overflows; the kurtosis, which does not depend on their scale, is
-        # reported: that of the same points near unit scale.
+        # reported: that of the same points near unit scale. Each standard
+        # deviation is that of exact arithmetic, also where the squares of
+        # the points' deviations are past the float range.
         est_dir = tmp_path / "estimates"
         est_dir.mkdir()
         records = []
@@ -598,6 +612,27 @@ class TestEvaluate:
         assert surrogate["n"] == len(points)
         for name in ("direct", "differences"):
             assert isinstance(report["kurtosis"][name], float)
+        direct, differences = [d for d, _ in points], [s - d for d, s in points]
+        expected_std = {"direct": 1.0, "differences": 1.0,
+                        "surrogate": exact_stdev([s for _, s in points]) / exact_stdev(direct)}
+        for name, std_dev in expected_std.items():
+            assert report["distributions"][name]["std_dev"] == pytest.approx(std_dev, rel=1e-12)
+        scaled = report_path.with_name(report["scaled_values_path"]).read_text().split()[1:]
+        assert [float(v) for v in scaled] == pytest.approx(
+            [v / exact_stdev(differences) for v in differences], rel=1e-12)
+
+    def test_sweep_output_exits_3_naming_the_pairing(self, tmp_path, capsys):
+        out_dir = simulate_toy(tmp_path)
+        est_dir = tmp_path / "estimates"
+        assert main(["analyze", "--panel-dir", str(out_dir), "--regime", "pretest",
+                     "--sweep-T", "--horizon", "5", "--out", str(est_dir)]) == 0
+        report_path = tmp_path / "report" / "report.json"
+        assert main(["evaluate", "--estimates", str(est_dir), "--out", str(report_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("surrokit: data validation error: duplicate direct estimate "
+                              "for ('sim-00000', 't1'), at T 1 and T 2: "), err
+        assert "one direct and one surrogate per arm" in err
+        assert not report_path.parent.exists()
 
     @pytest.mark.parametrize("value", ["0", "1", "-0.1", "nan"])
     def test_alpha_outside_the_unit_interval_is_usage_error(self, tmp_path, value):
@@ -881,24 +916,39 @@ class TestOverflow:
         assert all(line.startswith("surrokit: warning: two-sample variance is degenerate")
                    for line in lines), result.stderr
 
-    def test_overflowing_report_statistic_exits_4(self, tmp_path, capsys):
+    @staticmethod
+    def evaluate_points(tmp_path, points):
+        """Exit code of ``evaluate`` on one (direct, surrogate) point pair per experiment."""
         est_dir = tmp_path / "estimates"
         est_dir.mkdir()
         arm = "t1"
-        for i in range(1, 7):
+        for i, (direct_point, surrogate_point) in enumerate(points, 1):
             records = [
                 estimate_to_record(EffectEstimate(f"e{i}", arm, "direct", 63,
-                                                  float(i), 1.0)),
+                                                  direct_point, 1.0)),
                 estimate_to_record(EffectEstimate(
                     f"e{i}", arm, "surrogate:pretest", 14,
-                    i * 1e200, 1.0)),
+                    surrogate_point, 1.0)),
             ]
             (est_dir / f"e{i}.estimates.json").write_text(json.dumps(records))
-        report_dir = tmp_path / "report"
-        report_dir.mkdir()
-        assert main(["evaluate", "--estimates", str(est_dir),
-                     "--out", str(report_dir / "report.json")]) == 4
-        assert_one_line_numerical_error(capsys, report_dir)
+        (tmp_path / "report").mkdir()
+        return main(["evaluate", "--estimates", str(est_dir),
+                     "--out", str(tmp_path / "report" / "report.json")])
+
+    def test_overflowing_report_statistic_exits_4(self, tmp_path, capsys):
+        # Scaled by the direct points' standard deviation, the surrogate
+        # points lie past the float range.
+        points = [(i * 1e-8, i * 1e300) for i in range(1, 7)]
+        assert self.evaluate_points(tmp_path, points) == 4
+        assert_one_line_numerical_error(capsys, tmp_path / "report")
+
+    @pytest.mark.parametrize("points", [
+        [(1.5e308 - i * 1e300, float(i)) for i in range(1, 7)],  # their mean overflows
+        [(1.7e308, 1.0), (-1.7e308, 2.0)],  # their standard deviation overflows
+    ])
+    def test_overflowing_direct_scale_exits_4(self, tmp_path, capsys, points):
+        assert self.evaluate_points(tmp_path, points) == 4
+        assert_one_line_numerical_error(capsys, tmp_path / "report")
 
 
 # Tokens spliced into a valid panel: CSV structure, a non-UTF-8 byte, a

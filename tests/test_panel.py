@@ -192,6 +192,11 @@ class TestLoadPanel:
             with pytest.raises(MalformedRow, match="^line 5: field larger than field limit"):
                 load_text(text)
 
+    def test_header_field_limit(self):
+        text = MINIMAL_CSV.replace("experiment_id,", "x" * (FIELD_LIMIT + 1) + ",", 1)
+        with pytest.raises(MalformedRow, match="^line 1: field larger than field limit"):
+            load_text(text)
+
     @pytest.mark.parametrize("day, outcome", [("1_0", "1.0"), ("10", "1_0.5")])
     def test_underscore_digits_rejected(self, day, outcome):
         with pytest.raises(MalformedRow, match="^line 8: could not convert"):
@@ -419,6 +424,10 @@ class TestConstruction:
         assert panel.horizon == 3
         assert panel.arm_labels == (CONTROL, T1)
 
+    def test_no_days(self):
+        with pytest.raises(OutOfRange, match="no usable days"):
+            OutcomePanel.from_matrix("exp", ["u0", "u1"], [CONTROL, T1], [], np.empty((2, 0)))
+
     def test_duplicate_user_id(self):
         with pytest.raises(DuplicateObservation):
             OutcomePanel.from_matrix(
@@ -514,6 +523,11 @@ class TestWindow:
         days = [-2, -1, 1, 2]
         panel = build_panel([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]], [CONTROL, T1], days=days)
         np.testing.assert_array_equal(window(panel, -1, 1), [[2.0, 3.0], [6.0, 7.0]])
+
+    def test_window_of_day_zero_is_empty(self):
+        panel = build_panel([[1.0, 2.0], [3.0, 4.0]], [CONTROL, T1], days=[-1, 1])
+        with pytest.raises(OutOfRange, match="contains no usable days"):
+            window(panel, 0, 0)
 
     def test_window_is_read_only(self):
         panel = build_panel([[1.0, 2.0], [3.0, 4.0]], [CONTROL, T1])

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -117,6 +118,16 @@ class TestSimulateExperiment:
         config = SimConfig(n_experiments=2, users_per_arm=3, seed=82)
         with pytest.raises(InvalidConfig):
             simulate_experiment(config, 2)
+
+    def test_too_large_experiment_fails_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="past numpy's size limit"):
+                simulate_experiment(SimConfig(users_per_arm=10**17), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestCorpus:

@@ -4,6 +4,7 @@ import pytest
 from surrokit import (
     MissingPrePeriod,
     ModelSource,
+    NonFiniteOutcome,
     NumericalError,
     OutOfRange,
     RankDeficient,
@@ -191,6 +192,19 @@ class TestFitNested:
         with pytest.raises(ValueError):
             fit_nested(rng.standard_normal((20, 6)), rng.standard_normal(20), orders)
 
+    def test_malformed_features_and_targets_are_rejected(self):
+        rng = np.random.default_rng(17)
+        features, targets = rng.standard_normal((20, 3)), rng.standard_normal(20)
+        with pytest.raises(ValueError, match="features must be 2-D"):
+            fit_nested(features[:, 0], targets, [1])
+        with pytest.raises(ValueError, match="does not match 20 rows"):
+            fit_nested(features, targets[:19], [1])
+        bad_features, bad_targets = features.copy(), targets.copy()
+        bad_features[4, 0], bad_targets[7] = np.nan, np.inf
+        for x, y in ((bad_features, targets), (features, bad_targets)):
+            with pytest.raises(NonFiniteOutcome):
+                fit_nested(x, y, [1])
+
 
 class TestFitPretest:
     def test_constant_users_zero_noise(self):
@@ -232,6 +246,14 @@ class TestFitPretest:
         panel = simulate_experiment(config, 0).panel
         with pytest.raises(MissingPrePeriod):
             fit_pretest(panel, 6)
+
+    @pytest.mark.parametrize("order, error", [(0, ValueError), ([], ValueError),
+                                              (2.5, TypeError)])
+    def test_invalid_order_is_rejected(self, order, error):
+        config = SimConfig(users_per_arm=10, horizon=5, pre_period=5, seed=105)
+        panel = simulate_experiment(config, 0).panel
+        with pytest.raises(error):
+            fit_pretest(panel, order)
 
     def test_target_spans_the_first_horizon_pre_days(self):
         # With order = horizon the features hold the target's whole window,
