@@ -61,7 +61,6 @@ from .panel import (
     OutcomePanel,
     days_in_range,
     load_panel,
-    panel_to_csv_text,
     window,
     write_panel,
 )

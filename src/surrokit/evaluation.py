@@ -107,17 +107,24 @@ def _deviations(x: np.ndarray) -> tuple[np.ndarray, int]:
     could underflow or a fourth power overflow, e is the exponent of the
     exact power of two that brings it into [0.5, 1). Inside that range e is
     0 and the deviations are used as they are: numpy's power of a rescaled
-    value may differ in its last bit. Raises NumericalError when a
-    deviation is not finite, as when the mean overflows.
+    value may differ in its last bit. When the sum behind the mean of
+    finite values overflows, the deviations are those of x / 2**s, where s
+    is the exponent of the largest |x|, and s is added to e. Raises
+    NumericalError when a deviation is not finite.
     """
+    shift = 0
+    with np.errstate(over="ignore"):
+        if not math.isfinite(x.mean()) and np.isfinite(x).all():
+            shift = int(np.frexp(abs(x).max())[1])
+            x = np.ldexp(x, -shift)
     centered = x - x.mean()
     largest = float(abs(centered).max())
     if not math.isfinite(largest):
         raise NumericalError(f"a deviation from the mean is not finite ({largest})")
     exponent = int(np.frexp(largest)[1])
     if -128 <= exponent <= 128:
-        return centered, 0
-    return np.ldexp(centered, -exponent), exponent
+        return centered, shift
+    return np.ldexp(centered, -exponent), exponent + shift
 
 
 def _sample_std(x: np.ndarray) -> float:
@@ -142,7 +149,7 @@ def excess_kurtosis(values: np.ndarray) -> float:
     deviations that ``_deviations`` rescales where m2 squared could
     underflow or m4 overflow. Raises ZeroVariance for constant values,
     whose mean can round away from them; NumericalError when a deviation
-    is not finite, as when the mean overflows.
+    from the mean lies past the float range.
     """
     x = np.asarray(values, dtype=float)
     n = x.size

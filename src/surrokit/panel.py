@@ -70,8 +70,7 @@ class OutcomePanel:
     ``arms[i]``; column ``j`` is day ``days[j]``. The constructor stores
     ``user_ids``, ``arms`` and ``days`` as tuples and ``matrix`` as a
     private read-only contiguous float copy, so later writes to the
-    caller's array do not reach the panel. :meth:`from_matrix` and
-    :func:`load_panel` build panels the same way. Invariants enforced at
+    caller's array do not reach the panel. Invariants enforced at
     construction:
 
     * the matrix has one row per user and one column per day;
@@ -202,13 +201,7 @@ class OutcomePanel:
         days: Iterable[int],
         matrix: np.ndarray,
     ) -> "OutcomePanel":
-        """Build a panel from an (n_users, n_days) matrix.
-
-        ``days`` gives the column day indices in ascending order. Like the
-        constructor, the panel holds a read-only contiguous float copy of
-        the matrix, so the caller's array stays writeable and later writes
-        to it do not reach the panel.
-        """
+        """The constructor, under the name that ``perfbench`` patches to time it."""
         return cls(experiment_id, user_ids, arms, days, matrix)
 
 
@@ -443,9 +436,3 @@ def write_panel(panel: OutcomePanel, dest: str | Path | IO[str]) -> None:
             "".join(f"{prefix},{day},{value!r}\n" for day, value in zip(panel.days, row))
         )
 
-
-def panel_to_csv_text(panel: OutcomePanel) -> str:
-    """Render a panel to CSV text (used by tests and small tools)."""
-    buf = io.StringIO()
-    write_panel(panel, buf)
-    return buf.getvalue()

@@ -136,17 +136,19 @@ def novelty_profile(days: np.ndarray, floor: float, halflife: float) -> np.ndarr
     return floor + (1.0 - floor) * np.exp2(-(t - 1.0) / halflife)
 
 
-def _treatment_arm_count(arms_per_experiment: float, index: int) -> int:
+def _arms_before(arms_per_experiment: float, index: int) -> int:
     # Bresenham-style spreading: fractional configs alternate floor/ceil so
-    # that n experiments total floor(n * x) treatment arms.
-    x = float(arms_per_experiment)
-    eps = 1e-9
-    return int(math.floor((index + 1) * x + eps) - math.floor(index * x + eps))
+    # that experiments 0..index-1 total floor(index * x) treatment arms.
+    return math.floor(index * float(arms_per_experiment) + 1e-9)
+
+
+def _treatment_arm_count(arms_per_experiment: float, index: int) -> int:
+    return _arms_before(arms_per_experiment, index + 1) - _arms_before(arms_per_experiment, index)
 
 
 def corpus_treatment_arms(config: SimConfig) -> int:
     """Total treatment arms over the experiments 0..n_experiments-1 of ``config``."""
-    return int(math.floor(config.n_experiments * float(config.arms_per_experiment) + 1e-9))
+    return _arms_before(config.arms_per_experiment, config.n_experiments)
 
 
 @functools.lru_cache

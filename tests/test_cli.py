@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import resource
 import subprocess
@@ -943,12 +944,21 @@ class TestOverflow:
         assert_one_line_numerical_error(capsys, tmp_path / "report")
 
     @pytest.mark.parametrize("points", [
-        [(1.5e308 - i * 1e300, float(i)) for i in range(1, 7)],  # their mean overflows
+        # Their sum overflows, and so does their standard deviation.
+        [(1.7e308, 1.0), (1.7e308, 2.0), (-1.7e308, 3.0)],
         [(1.7e308, 1.0), (-1.7e308, 2.0)],  # their standard deviation overflows
     ])
     def test_overflowing_direct_scale_exits_4(self, tmp_path, capsys, points):
         assert self.evaluate_points(tmp_path, points) == 4
         assert_one_line_numerical_error(capsys, tmp_path / "report")
+
+    def test_direct_points_whose_sum_overflows_exit_0(self, tmp_path):
+        # Their sum overflows, but their mean and every report statistic are finite.
+        points = [(1e308, 0.5), (1.1e308, 1.0), (1.2e308, 1.5), (1.3e308, 2.0)]
+        assert self.evaluate_points(tmp_path, points) == 0
+        report = json.loads((tmp_path / "report" / "report.json").read_text())
+        for summary in report["distributions"].values():
+            assert all(math.isfinite(statistic) for statistic in summary.values())
 
 
 # Tokens spliced into a valid panel: CSV structure, a non-UTF-8 byte, a

@@ -24,6 +24,7 @@ from surrokit import (
     extra_experiments_needed,
     fit_pretest,
     launch_metrics,
+    running_mean_model,
     scaled_distribution,
     simulate_experiment,
     surrogate_effect,
@@ -294,9 +295,21 @@ class TestScaledDistribution:
         summary, scaled = scaled_distribution([i * 1e80 for i in range(1, 7)],
                                               scale_by=range(1, 7))
         assert summary["excess_kurtosis"] == excess_kurtosis(at_unit_scale(scaled))
-        # ... but a mean that overflows leaves no finite moment.
+        # ... but a deviation from the mean past the float range leaves none.
         with pytest.raises(NumericalError):
-            excess_kurtosis([1.5e308, 1.5e308, -1e308, 0.0])
+            excess_kurtosis([-1.7e308, 1.7e308, 1.7e308, 0.0])
+
+    def test_values_whose_sum_overflows(self):
+        # Their mean is representable: every statistic is that of the values
+        # divided by 2**1024, and the scale is that value times 2**1024.
+        values = np.array([1e308, 1.1e308, 1.2e308, 1.3e308])
+        small = np.ldexp(values, -1024)
+        summary, _ = scaled_distribution(values)
+        assert summary == scaled_distribution(small)[0]
+        assert all(math.isfinite(statistic) for statistic in summary.values())
+        _, scaled = scaled_distribution([1.0], scale_by=values)
+        assert scaled[0] == 1.0 / math.ldexp(float(np.std(small, ddof=1)), 1024)
+        assert excess_kurtosis(values) == excess_kurtosis(small)
 
 
 @st.composite
@@ -417,3 +430,26 @@ class TestSimulatedAgreement:
         report, _ = decision_report(direct, surrogate, 0.05, 56.0, 14.0)
         assert 0.90 <= report["agreement"] <= 0.99
         assert report["false_launch_negatives"] == 0
+
+    def test_pretest_and_running_mean_calls_agree_at_t1(self):
+        # At T=1 the pretest read of an arm is b_1 times its running-mean
+        # read, point and SE alike, so where b_1 > 0 the z values, and so
+        # the calls, are equal. The corpus has the README's shape.
+        config = SimConfig(
+            n_experiments=20, arms_per_experiment=2, users_per_arm=200,
+            horizon=63, pre_period=63, effect_scale=0.1, effect_tail_df=3.0,
+            novelty_floor=0.85, novelty_halflife=10.0, seed=2021,
+        )
+        compared = 0
+        for index in range(config.n_experiments):
+            panel = simulate_experiment(config, index).panel
+            model = fit_pretest(panel, 1)
+            if model.coefficients[0] <= 0:
+                continue
+            for arm in panel.treatment_arms:
+                pretest = surrogate_effect(model, panel, arm.name)
+                running = surrogate_effect(running_mean_model(1), panel, arm.name)
+                assert z_test(pretest) == z_test(running)
+                assert pretest.z_stat == pytest.approx(running.z_stat, rel=1e-9, abs=0)
+                compared += 1
+        assert compared == 40  # every fitted b_1 of this corpus is positive

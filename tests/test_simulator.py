@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -137,11 +138,16 @@ class TestCorpus:
         assert corpus_treatment_arms(config) == 1098
 
     def test_fractional_mix_per_experiment_counts(self):
-        config = SimConfig(n_experiments=20, arms_per_experiment=5.49,
-                           users_per_arm=2, horizon=2, pre_period=0, seed=84)
-        counts = [len(simulate_experiment(config, i).panel.treatment_arms) for i in range(20)]
-        assert set(counts) <= {5, 6}
-        assert sum(counts) == corpus_treatment_arms(config) == 109
+        # Experiments 0..k-1 hold floor(k * x) treatment arms in exact decimal
+        # arithmetic, also where floats miss it: 10 * 2.3 is 22.999999999999996.
+        for x in ("5.49", "2.5", "2.3", "1.1", "3.0", "1.0"):
+            config = SimConfig(n_experiments=20, arms_per_experiment=float(x),
+                               users_per_arm=2, horizon=2, pre_period=0, seed=84)
+            counts = [len(simulate_experiment(config, i).panel.treatment_arms) for i in range(20)]
+            assert set(counts) <= {math.floor(float(x)), math.ceil(float(x))}
+            for k in range(21):
+                assert sum(counts[:k]) == math.floor(k * Fraction(x))
+            assert sum(counts) == corpus_treatment_arms(config)
 
     def test_same_seed_is_bit_identical(self):
         config = SimConfig(n_experiments=2, users_per_arm=6, horizon=9,
