@@ -46,7 +46,9 @@ def _paired_estimates(
     """``{(experiment, arm): (direct, surrogate)}`` in direct-list order.
 
     Both lists must cover exactly the same keys, once each, so a sweep's
-    reads of one arm at several T raise KeyMismatch.
+    reads of one arm at several T raise KeyMismatch. So do direct reads at
+    more than one T, or surrogate reads of more than one (kind, T), which
+    one report could not name.
     """
 
     def keyed(estimates: list[EffectEstimate], label: str) -> dict:
@@ -68,6 +70,11 @@ def _paired_estimates(
             f"estimate keys differ; missing surrogate for {missing[:5]}, "
             f"missing direct for {extra[:5]}"
         )
+    for label, by_key in (("direct", direct_by_key), ("surrogate", surrogate_by_key)):
+        groups = sorted({f"{est.kind} at T {est.T}" for est in by_key.values()})
+        if len(groups) > 1:
+            raise KeyMismatch(f"{label} reads mix {groups[0]} and {groups[1]}: a report "
+                              "pairs the reads of one direct T and one surrogate kind and T")
     return {key: (est, surrogate_by_key[key]) for key, est in direct_by_key.items()}
 
 
@@ -100,40 +107,37 @@ def launch_metrics(counts: Sequence[Sequence[int]]) -> dict:
     }
 
 
-def _deviations(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """The deviations of ``x`` from its mean divided by 2**e, and the exponent e.
+def _centered(x: np.ndarray) -> tuple[float, np.ndarray, int]:
+    """The mean of ``x``, its deviations from it divided by 2**e, and e.
 
-    When the largest deviation lies outside [2^-129, 2^128), where a square
-    could underflow or a fourth power overflow, e is the exponent of the
-    exact power of two that brings it into [0.5, 1). Inside that range e is
-    0 and the deviations are used as they are: numpy's power of a rescaled
-    value may differ in its last bit. When the sum behind the mean of
-    finite values overflows, the deviations are those of x / 2**s, where s
-    is the exponent of the largest |x|, and s is added to e. Raises
-    NumericalError when a deviation is not finite.
+    e is 0 when every deviation is finite and the largest lies in
+    [2^-129, 2^128), where no square underflows and no fourth power
+    overflows. Otherwise the values themselves are first divided by the
+    exact power of two 2**e that brings the largest |x| into [0.5, 1), so
+    the mean is finite, every deviation is below 2 and the largest nonzero
+    one is at least 2^-54. Raises NumericalError when a value is not finite.
     """
-    shift = 0
-    with np.errstate(over="ignore"):
-        if not math.isfinite(x.mean()) and np.isfinite(x).all():
-            shift = int(np.frexp(abs(x).max())[1])
-            x = np.ldexp(x, -shift)
-    centered = x - x.mean()
-    largest = float(abs(centered).max())
-    if not math.isfinite(largest):
-        raise NumericalError(f"a deviation from the mean is not finite ({largest})")
-    exponent = int(np.frexp(largest)[1])
-    if -128 <= exponent <= 128:
-        return centered, shift
-    return np.ldexp(centered, -exponent), exponent + shift
+    exponent = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean()
+        centered = x - mean
+        if not 2.0**-129 <= abs(centered).max() < 2.0**128:
+            exponent = int(np.frexp(abs(x).max())[1])
+            x = np.ldexp(x, -exponent)
+            mean = x.mean()
+            centered = x - mean
+    if not np.isfinite(centered).all():
+        raise NumericalError("a value is not finite")
+    return math.ldexp(float(mean), exponent), centered, exponent
 
 
 def _sample_std(x: np.ndarray) -> float:
     """``x.std(ddof=1)`` of two or more values, finite wherever its value is.
 
     Raises NumericalError when the value itself is past the float range, or
-    a deviation from the mean is not finite.
+    a value is not finite.
     """
-    centered, exponent = _deviations(x)
+    _, centered, exponent = _centered(x)
     root = math.sqrt(float(np.sum(centered**2)) / (x.size - 1))
     if math.frexp(root)[1] + exponent > 1024:
         raise NumericalError(f"the sample standard deviation overflows ({root} * 2**{exponent})")
@@ -146,10 +150,9 @@ def excess_kurtosis(values: np.ndarray) -> float:
     Uses the standard small-sample correction
     G2 = ((n-1) / ((n-2)(n-3))) * ((n+1) g2 + 6) with g2 = m4/m2^2 - 3.
     g2 is scale-free, so the central moments m2 and m4 are taken over the
-    deviations that ``_deviations`` rescales where m2 squared could
-    underflow or m4 overflow. Raises ZeroVariance for constant values,
-    whose mean can round away from them; NumericalError when a deviation
-    from the mean lies past the float range.
+    deviations that ``_centered`` returns. Raises ZeroVariance for constant
+    values, whose mean can round away from them; NumericalError when a
+    value is not finite.
     """
     x = np.asarray(values, dtype=float)
     n = x.size
@@ -157,7 +160,7 @@ def excess_kurtosis(values: np.ndarray) -> float:
         raise DegenerateGroup(f"excess kurtosis needs at least 4 values, got {n}")
     if x.min() == x.max():
         raise ZeroVariance("excess kurtosis undefined: constant values")
-    centered, _ = _deviations(x)
+    _, centered, _ = _centered(x)
     m2 = float(np.mean(centered**2))
     m4 = float(np.mean(centered**4))
     g2 = m4 / (m2 * m2) - 3.0
@@ -172,11 +175,11 @@ def scaled_distribution(
     Returns the report's ``{n, mean, std_dev, excess_kurtosis}`` entry for
     the scaled values, and the read-only scaled values. ``scale_by``
     defaults to the values themselves, in which case the scaled values have
-    sample standard deviation 1. Both standard deviations are computed
-    without squaring a value whose square overflows or underflows, so each
-    is finite where its true value is. Raises ZeroVariance when the scale is
-    undefined: fewer than 2 values in ``scale_by`` or a zero sample standard
-    deviation; NumericalError when a deviation from a mean is not finite.
+    sample standard deviation 1. The mean and both standard deviations
+    follow ``_centered``'s one rescale rule, so each is finite where its
+    true value is. Raises ZeroVariance when the scale is undefined: fewer
+    than 2 values in ``scale_by`` or a zero sample standard deviation;
+    NumericalError when a scaled value is not finite.
     The excess kurtosis is None exactly when ``excess_kurtosis`` finds it
     undefined: fewer than 4 values, or constant values.
     """
@@ -197,7 +200,7 @@ def scaled_distribution(
         kurt = None
     summary = {
         "n": scaled.size,
-        "mean": float(scaled.mean()),
+        "mean": _centered(scaled)[0],
         "std_dev": _sample_std(scaled) if scaled.size >= 2 else 0.0,
         "excess_kurtosis": kurt,
     }

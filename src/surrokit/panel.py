@@ -183,10 +183,6 @@ class OutcomePanel:
     def treatment_arms(self) -> tuple[ArmLabel, ...]:
         return tuple(a for a in self.arm_labels if not a.is_control)
 
-    @property
-    def n_users(self) -> int:
-        return len(self.user_ids)
-
     def arm_mask(self, arm: str) -> np.ndarray:
         """Boolean row mask selecting users in the arm named ``arm``."""
         code = next((k for k, a in enumerate(self.arm_labels) if a.name == arm), -1)

@@ -635,6 +635,20 @@ class TestEvaluate:
         assert "one direct and one surrogate per arm" in err
         assert not report_path.parent.exists()
 
+    def test_reads_of_two_regimes_and_orders_exit_3(self, tmp_path, capsys):
+        out_dir = simulate_toy(tmp_path)
+        est_dir = tmp_path / "estimates"
+        for panel, regime, T in (("sim-00000", "pretest", "2"), ("sim-00001", "running-mean", "4")):
+            assert main(["analyze", "--panel", str(out_dir / f"{panel}.csv"), "--regime", regime,
+                         "--T", T, "--horizon", "5",
+                         "--out", str(est_dir / f"{panel}.estimates.json")]) == 0
+        report_path = tmp_path / "report" / "report.json"
+        assert main(["evaluate", "--estimates", str(est_dir), "--out", str(report_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("surrokit: data validation error: surrogate reads mix "
+                              "surrogate:pretest at T 2 and surrogate:running-mean at T 4: "), err
+        assert not report_path.parent.exists()
+
     @pytest.mark.parametrize("value", ["0", "1", "-0.1", "nan"])
     def test_alpha_outside_the_unit_interval_is_usage_error(self, tmp_path, value):
         with pytest.raises(SystemExit) as excinfo:
@@ -959,6 +973,20 @@ class TestOverflow:
         report = json.loads((tmp_path / "report" / "report.json").read_text())
         for summary in report["distributions"].values():
             assert all(math.isfinite(statistic) for statistic in summary.values())
+
+    @pytest.mark.parametrize("points, name, statistic, value", [
+        # The direct points' mean is finite, but a deviation from it overflows.
+        ([(-1.7e308, 1.0), (1.7e308, 2.0), (1.7e308, 3.0), (0.0, 4.0)],
+         "direct", "excess_kurtosis", -1.2892561983471085),
+        # The sum of the surrogate points scaled by the direct points' SD overflows.
+        ([(1.0, 1e308), (2.0, 1.1e308), (3.0, 1.2e308), (4.0, 1.3e308)],
+         "surrogate", "mean", 8.907861696277059e307),
+    ])
+    def test_representable_statistics_past_a_sum_or_deviation_exit_0(
+            self, tmp_path, points, name, statistic, value):
+        assert self.evaluate_points(tmp_path, points) == 0
+        report = json.loads((tmp_path / "report" / "report.json").read_text())
+        assert report["distributions"][name][statistic] == value
 
 
 # Tokens spliced into a valid panel: CSV structure, a non-UTF-8 byte, a

@@ -115,6 +115,18 @@ class TestClassifyPairs:
         with pytest.raises(KeyMismatch):
             decision_report(direct, surrogate, 0.05, 56.0, 14.0)
 
+    @pytest.mark.parametrize("label, kinds", [
+        ("direct", [("direct", 63), ("direct", 14)]),
+        ("surrogate", [SURROGATE_KIND, ("surrogate:similar", 14)]),
+    ])
+    def test_reads_of_two_kinds_or_horizons_raise(self, label, kinds):
+        # Each key is read once, but the report could name neither group.
+        one = [estimate_with_z(f"e{i}", "t1", 1.0, kind) for i, kind in enumerate(kinds)]
+        other = [estimate_with_z(f"e{i}", "t1", 1.0, kinds[0]) for i in range(2)]
+        direct, surrogate = (one, other) if label == "direct" else (other, one)
+        with pytest.raises(KeyMismatch, match=f"^{label} reads mix "):
+            decision_report(direct, surrogate, 0.05, 56.0, 14.0)
+
 
 class TestConfusion:
     """The report's confusion matrix."""
@@ -295,21 +307,27 @@ class TestScaledDistribution:
         summary, scaled = scaled_distribution([i * 1e80 for i in range(1, 7)],
                                               scale_by=range(1, 7))
         assert summary["excess_kurtosis"] == excess_kurtosis(at_unit_scale(scaled))
-        # ... but a deviation from the mean past the float range leaves none.
+        # ... but a value that is not finite leaves none.
         with pytest.raises(NumericalError):
-            excess_kurtosis([-1.7e308, 1.7e308, 1.7e308, 0.0])
+            excess_kurtosis([math.inf, 1.0, 2.0, 3.0])
 
     def test_values_whose_sum_overflows(self):
-        # Their mean is representable: every statistic is that of the values
-        # divided by 2**1024, and the scale is that value times 2**1024.
-        values = np.array([1e308, 1.1e308, 1.2e308, 1.3e308])
-        small = np.ldexp(values, -1024)
-        summary, _ = scaled_distribution(values)
-        assert summary == scaled_distribution(small)[0]
-        assert all(math.isfinite(statistic) for statistic in summary.values())
-        _, scaled = scaled_distribution([1.0], scale_by=values)
-        assert scaled[0] == 1.0 / math.ldexp(float(np.std(small, ddof=1)), 1024)
-        assert excess_kurtosis(values) == excess_kurtosis(small)
+        # The sum of the first values overflows; the mean of the second is
+        # finite but their deviations from it overflow. Every statistic is
+        # that of the values divided by 2**1024, and the scale is that value
+        # times 2**1024.
+        for values in ([1e308, 1.1e308, 1.2e308, 1.3e308], [-1.7e308, 1.7e308, 1.7e308, 0.0]):
+            values = np.array(values)
+            small = np.ldexp(values, -1024)
+            summary, _ = scaled_distribution(values)
+            assert summary == scaled_distribution(small)[0]
+            assert all(math.isfinite(statistic) for statistic in summary.values())
+            _, scaled = scaled_distribution([1.0], scale_by=values)
+            assert scaled[0] == 1.0 / math.ldexp(float(np.std(small, ddof=1)), 1024)
+            assert excess_kurtosis(values) == excess_kurtosis(small)
+            # The summary mean follows the same rule.
+            summary, scaled = scaled_distribution(values, scale_by=[1.0, 2.0, 3.0, 4.0])
+            assert summary["mean"] == math.ldexp(float(np.ldexp(scaled, -1024).mean()), 1024)
 
 
 @st.composite

@@ -28,7 +28,7 @@ from surrokit import (
     window,
     write_panel,
 )
-from surrokit.panel import CHUNK, FIELD_LIMIT
+from surrokit.panel import CHUNK, FIELD_LIMIT, _malformed
 
 from conftest import CONTROL, T1, build_panel
 
@@ -58,7 +58,6 @@ class TestLoadPanel:
         panel = load_text(MINIMAL_CSV)
         assert panel.experiment_id == "e1"
         assert panel.day_range == (1, 3)
-        assert panel.n_users == 2
         assert panel.user_ids == ("u1", "u2")
         assert panel.days == (1, 2, 3)
         np.testing.assert_array_equal(panel.matrix, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
@@ -79,7 +78,7 @@ class TestLoadPanel:
     def test_four_user_fixture_arm_counts(self, fixture_dir):
         panel = load_panel(fixture_dir / "four_users.csv")
         # hand count of the fixture rows: 2 control users, 2 t1 users
-        assert panel.n_users == 4
+        assert len(panel.user_ids) == 4
         assert panel.arm_mask("control").sum() == 2
         assert panel.arm_mask("t1").sum() == 2
         assert panel.day_range == (1, 3)
@@ -248,6 +247,11 @@ class TestLoadPanelPastFirstChunk:
         with pytest.raises(error, match=f"^line {index + 1}: .*{message}"):
             load_text("".join(lines))
 
+    def test_loadtxt_message_naming_no_row_names_the_chunk(self):
+        # The chunk follows 1024 data rows, so its first row is on line 1026.
+        error = _malformed(ValueError("bad"), 1024)
+        assert type(error) is MalformedRow and str(error) == "a row after line 1025: bad"
+
     @pytest.mark.parametrize(
         "early, late, reported, error, message",
         [
@@ -397,6 +401,11 @@ class TestConstruction:
         assert not via_matrix.matrix.flags.writeable
         assert via_matrix != build_panel([[1.0, 2.0], [3.0, 5.0]], [CONTROL, T1])
 
+    def test_a_panel_is_unequal_to_another_type(self):
+        panel = build_panel([[1.0, 2.0], [3.0, 4.0]], [CONTROL, T1])
+        assert (panel == object()) is False
+        assert (panel != 5) is True
+
     def test_direct_construction_normalises_like_from_matrix(self):
         matrix = np.array([[1.0, 2.0], [3.0, 4.0]])
         direct = OutcomePanel("e", ["u0", "u1"], [CONTROL, T1], [1, 2], matrix)
@@ -483,7 +492,7 @@ class TestConstruction:
         arms = [CONTROL] * 3 + [T1] * 4 + [ArmLabel("t2", False)] * 2
         panel = build_panel(rng.standard_normal((9, 3)), arms)
         by_arm = [int(panel.arm_mask(a.name).sum()) for a in panel.arm_labels]
-        assert sum(by_arm) == panel.n_users
+        assert sum(by_arm) == len(panel.user_ids)
         assert sorted(by_arm) == [2, 3, 4]
         for label in panel.arm_labels:
             expected = [a.name == label.name for a in panel.arms]

@@ -319,8 +319,8 @@ class TestFitSimilar:
             features = window(panel, 1, order)
             targets = window(panel, 1, panel.horizon).mean(axis=1)
             ssr = np.sum(residuals(model, features, targets) ** 2)
-            design = np.column_stack([np.ones(panel.n_users), features])
-            cov = ssr / (panel.n_users - order - 1) * np.linalg.inv(design.T @ design)
+            design = np.column_stack([np.ones(len(panel.user_ids)), features])
+            cov = ssr / (len(panel.user_ids) - order - 1) * np.linalg.inv(design.T @ design)
             return np.array((model.intercept, *model.coefficients)), np.sqrt(np.diag(cov))
 
         beta_a, se_a = coefficients_and_se(simulate_experiment(config, 0).panel)

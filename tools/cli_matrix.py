@@ -1,0 +1,165 @@
+"""Run the CLI matrix on two repository roots and report every difference.
+
+    python3 tools/cli_matrix.py BASE CHANGE
+
+BASE and CHANGE are repository roots. For each, one fresh interpreter with
+that root's ``src`` first on the path runs, in-process and from its own
+scratch directory with relative paths (so that messages compare equal):
+
+- ``simulate`` of each corpus in CORPORA at ``--jobs 1`` and ``2``;
+- ``analyze`` of the ``--jobs 1`` corpus under the pretest, similar and
+  running-mean regimes, each at ``--T 7`` and ``--sweep-T``, at ``--jobs
+  1`` and ``2``, through both ``--panel`` and ``--panel-dir``;
+- ``evaluate`` of each ``analyze`` output at default flags and at
+  ``--alpha 0.1 --long-cycle-days 63``.
+
+The two roots' exit codes, stderr text and the bytes of every output file
+except ``*manifest.json`` (which holds timings) are compared. The tool
+prints one line per difference and exits 0 only when there is none, 1
+otherwise. The interpreters run with one BLAS thread: fork-started pool
+workers that inherit a threaded BLAS can spin for seconds on each small fit.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# Two small corpora: 2.5 treatment arms per experiment over 21 + 21 days,
+# and 2 arms over 63 + 63 days.
+CORPORA = {
+    "arms2.5-h21": {"n_experiments": 2, "arms_per_experiment": 2.5, "users_per_arm": 30,
+                    "horizon": 21, "pre_period": 21, "seed": 3},
+    "arms2-h63": {"n_experiments": 2, "arms_per_experiment": 2, "users_per_arm": 40,
+                  "horizon": 63, "pre_period": 63, "seed": 5},
+}
+REGIMES = ("pretest", "similar", "running-mean")
+ORDERS = {"T7": ["--T", "7"], "sweep": ["--sweep-T"]}
+EVALUATE_FLAGS = {"default": [], "alpha0.1-long63": ["--alpha", "0.1", "--long-cycle-days", "63"]}
+
+
+def matrix() -> list[list[str]]:
+    """Every command of the matrix, as ``surrokit`` argv lists, in run order."""
+    commands = []
+    for corpus, config in CORPORA.items():
+        horizon = ["--horizon", str(config["horizon"])]
+        for jobs in ("1", "2"):
+            commands.append(["simulate", "--config", f"{corpus}/config.json",
+                             "--out-dir", f"{corpus}/sim-j{jobs}", "--jobs", jobs])
+        panels = f"{corpus}/sim-j1"
+        for regime in REGIMES:
+            donor = ["--donor", f"{panels}/sim-00000.csv"] if regime == "similar" else []
+            for order, order_flags in ORDERS.items():
+                for jobs in ("1", "2"):
+                    for source in ("panel", "panel-dir"):
+                        estimates = f"{corpus}/estimates/{regime}-{order}-j{jobs}-{source}"
+                        if source == "panel":
+                            read = ["--panel", f"{panels}/sim-00001.csv",
+                                    "--out", f"{estimates}/sim-00001.estimates.json"]
+                        else:
+                            read = ["--panel-dir", panels, "--out", estimates]
+                        commands.append(["analyze", *read, "--regime", regime, *donor,
+                                         *order_flags, *horizon, "--jobs", jobs])
+                        for name, flags in EVALUATE_FLAGS.items():
+                            report = estimates.replace("/estimates/", "/reports/") + f"-{name}"
+                            commands.append(["evaluate", "--estimates", estimates,
+                                             "--out", f"{report}/report.json", *flags])
+    return commands
+
+
+def run_commands(commands: list[list[str]], results_path: str) -> None:
+    """Run each command through ``surrokit.cli.main`` in this process and
+    write ``[{"argv", "exit", "stderr"}, ...]`` as JSON to ``results_path``.
+
+    stderr is captured at the file descriptor, so lines from forked pool
+    workers are kept too.
+    """
+    from surrokit.cli import main
+
+    for corpus, config in CORPORA.items():
+        Path(corpus).mkdir()
+        Path(corpus, "config.json").write_text(json.dumps(config), encoding="utf-8")
+    results = []
+    saved = os.dup(2)
+    for argv in commands:
+        with tempfile.TemporaryFile() as captured:
+            sys.stderr.flush()
+            os.dup2(captured.fileno(), 2)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # a usage error
+                code = exc.code
+            finally:
+                sys.stderr.flush()
+                os.dup2(saved, 2)
+            captured.seek(0)
+            stderr = captured.read().decode("utf-8", "replace")
+        results.append({"argv": argv, "exit": code, "stderr": stderr})
+    Path(results_path).write_text(json.dumps(results), encoding="utf-8")
+
+
+def run_root(root: Path, work: Path) -> list[dict]:
+    """The matrix's results for ``root``, run in a fresh interpreter in ``work``."""
+    work.mkdir(parents=True)
+    env = {key: value for key, value in os.environ.items() if key != "SURROKIT_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(Path(__file__).resolve().parent)]
+    )
+    env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = env["MKL_NUM_THREADS"] = "1"
+    results_path = work.parent / f"{work.name}.results.json"
+    script = ("import json, sys, cli_matrix; "
+              "cli_matrix.run_commands(json.loads(sys.argv[1]), sys.argv[2])")
+    subprocess.run([sys.executable, "-c", script, json.dumps(matrix()), str(results_path)],
+                   cwd=work, env=env, check=True)
+    return json.loads(results_path.read_text(encoding="utf-8"))
+
+
+def output_files(work: Path) -> dict[str, bytes]:
+    """``{relative path: bytes}`` of every file under ``work`` but the manifests."""
+    return {path.relative_to(work).as_posix(): path.read_bytes()
+            for path in sorted(work.rglob("*"))
+            if path.is_file() and not path.name.endswith("manifest.json")}
+
+
+def compare(base_results: list[dict], change_results: list[dict],
+            base_work: Path, change_work: Path) -> list[str]:
+    """One line per difference between two roots' results and output trees."""
+    lines = []
+    for base, change in zip(base_results, change_results):
+        command = " ".join(base["argv"])
+        if base["exit"] != change["exit"]:
+            lines.append(f"exit code of `{command}`: BASE {base['exit']}, CHANGE {change['exit']}")
+        if base["stderr"] != change["stderr"]:
+            lines.append(f"stderr of `{command}`: BASE {base['stderr']!r}, "
+                         f"CHANGE {change['stderr']!r}")
+    base_files, change_files = output_files(base_work), output_files(change_work)
+    for path in sorted(base_files.keys() | change_files.keys()):
+        if path not in change_files:
+            lines.append(f"only in BASE: {path}")
+        elif path not in base_files:
+            lines.append(f"only in CHANGE: {path}")
+        elif base_files[path] != change_files[path]:
+            lines.append(f"bytes differ: {path}")
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2 or not all(Path(root, "src", "surrokit").is_dir() for root in argv):
+        print("usage: python3 tools/cli_matrix.py BASE CHANGE "
+              "(two repository roots, each with src/surrokit)", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="cli-matrix-") as scratch:
+        works = [Path(scratch, "base"), Path(scratch, "change")]
+        base, change = (run_root(Path(root).resolve(), work) for root, work in zip(argv, works))
+        lines = compare(base, change, *works)
+    for line in lines:
+        print(line)
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
