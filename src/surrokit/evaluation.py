@@ -85,14 +85,17 @@ def launch_metrics(counts: Sequence[Sequence[int]]) -> dict:
     CLASS_ORDER. Returns ``precision``, ``recall``, ``agreement``,
     ``ns_rates`` (direct and surrogate) and ``false_launch_negatives``, the
     pairs the surrogate launches and the direct read scores significantly
-    negative. Raises ValueError unless the matrix is 3x3 and nonnegative,
-    and EmptyInput when it holds no pairs.
+    negative. Raises ValueError unless the matrix is 3x3 and its counts are
+    nonnegative whole numbers (of any numeric type), and EmptyInput when it
+    holds no pairs.
     """
-    m = [[int(c) for c in row] for row in counts]
+    m = [list(row) for row in counts]
     if len(m) != 3 or any(len(row) != 3 for row in m):
         raise ValueError("confusion matrix must be 3x3")
-    if any(c < 0 for row in m for c in row):
-        raise ValueError("confusion matrix counts must be nonnegative")
+    # The bound rejects NaN and infinity before the remainder could see them.
+    if not all(0 <= c < math.inf and c % 1 == 0 for row in m for c in row):
+        raise ValueError("confusion matrix counts must be nonnegative whole numbers")
+    m = [[int(c) for c in row] for row in m]
     total = sum(map(sum, m))
     if total == 0:
         raise EmptyInput("confusion matrix is empty")
@@ -179,7 +182,8 @@ def scaled_distribution(
     follow ``_centered``'s one rescale rule, so each is finite where its
     true value is. Raises ZeroVariance when the scale is undefined: fewer
     than 2 values in ``scale_by`` or a zero sample standard deviation;
-    NumericalError when a scaled value is not finite.
+    EmptyInput when ``values`` is empty but the scale is not; NumericalError
+    when a scaled value is not finite.
     The excess kurtosis is None exactly when ``excess_kurtosis`` finds it
     undefined: fewer than 4 values, or constant values.
     """
@@ -192,6 +196,8 @@ def scaled_distribution(
     scale = _sample_std(reference)
     if scale == 0.0:
         raise ZeroVariance("scaling vector has zero sample standard deviation")
+    if not x.size:
+        raise EmptyInput("no values to scale")
     scaled = x / scale
     scaled.setflags(write=False)
     try:

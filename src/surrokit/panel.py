@@ -16,7 +16,6 @@ import csv
 import io
 import re
 import warnings
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
@@ -52,6 +51,13 @@ _ROW = np.dtype([(name, object) for name in COLUMNS[:4]] + [("day", np.int64), (
 def days_in_range(d_min: int, d_max: int) -> list[int]:
     """All usable day indices in [d_min, d_max]; day 0 is skipped."""
     return [d for d in range(d_min, d_max + 1) if d != 0]
+
+
+def _column(first_day, day):
+    """Column of ``day`` (an int or an int64 array) in a range starting at
+    ``first_day``; day 0 has no column, so day 1 takes it when the range
+    starts before allocation."""
+    return day - first_day - ((first_day < 0) & (day > 0))
 
 
 @dataclass(frozen=True)
@@ -103,8 +109,8 @@ class OutcomePanel:
         n_users = len(self.user_ids)
         if not self.days:
             raise OutOfRange(f"panel {self.experiment_id!r} has no usable days")
-        d_min, d_max = self.day_range
-        n_days = d_max - d_min + 1 - (d_min < 0 < d_max)
+        d_min, d_max = self.days[0], self.horizon
+        n_days = _column(d_min, d_max) + 1
         if len(self.days) != n_days or list(self.days) != days_in_range(d_min, d_max):
             raise OutOfRange(
                 f"days must be the ascending range [{d_min}, {d_max}] without "
@@ -166,11 +172,6 @@ class OutcomePanel:
         return hash((self.experiment_id, self.user_ids, self.arms, self.days))
 
     @property
-    def day_range(self) -> tuple[int, int]:
-        """First and last usable day index."""
-        return self.days[0], self.days[-1]
-
-    @property
     def horizon(self) -> int:
         """The last day, where the default long-term window ends."""
         return self.days[-1]
@@ -207,16 +208,15 @@ def window(panel: OutcomePanel, from_day: int, to_day: int) -> np.ndarray:
     The window must lie inside the panel's day range. Day 0 is skipped if
     the window straddles allocation. Returns a read-only array view.
     """
-    d_min, d_max = panel.day_range
+    d_min, d_max = panel.days[0], panel.horizon
     if from_day > to_day:
         raise OutOfRange(f"empty window [{from_day}, {to_day}]")
     if from_day < d_min or to_day > d_max:
         raise OutOfRange(
             f"window [{from_day}, {to_day}] outside panel range [{d_min}, {d_max}]"
         )
-    days = panel.days
-    lo = bisect_left(days, from_day)
-    hi = bisect_right(days, to_day)
+    # A window bound at day 0 falls between days -1 and 1.
+    lo, hi = _column(d_min, from_day), _column(d_min, to_day) + (to_day != 0)
     if lo == hi:
         raise OutOfRange(f"window [{from_day}, {to_day}] contains no usable days")
     return panel.matrix[:, lo:hi]
@@ -369,16 +369,15 @@ def load_panel(source: str | Path | IO[str]) -> OutcomePanel:
 
     d_min = min(int(day.min()) for day in day_parts)
     d_max = max(int(day.max()) for day in day_parts)
-    straddles = d_min < 0 < d_max
     # Count the range before listing it: one stray huge day must not allocate it.
-    n_days = d_max - d_min + 1 - straddles
+    n_days = _column(d_min, d_max) + 1
     n_cells = len(users) * n_days
     user_ids = list(users)
     offsets = range(0, n_rows, CHUNK)  # every chunk but the last holds CHUNK rows
     if n_cells <= n_rows:
         cell = np.empty(n_rows, dtype=np.int64)
         for lo, user, day in zip(offsets, user_parts, day_parts):
-            cell[lo:lo + CHUNK] = user * np.int64(n_days) + (day - d_min - (straddles & (day > 0)))
+            cell[lo:lo + CHUNK] = user * np.int64(n_days) + _column(d_min, day)
         if np.bincount(cell, minlength=n_cells).max() > 1:
             user, day = np.concatenate(user_parts), np.concatenate(day_parts)
             repeated = np.flatnonzero(np.bincount(cell)[cell] > 1)
@@ -391,7 +390,9 @@ def load_panel(source: str | Path | IO[str]) -> OutcomePanel:
         user, day = np.concatenate(user_parts), np.concatenate(day_parts)
         k = int(np.argmax(np.bincount(user) < n_days))
         present = set(day[user == k].tolist())
-        missing = next(d for d in range(d_min, d_max + 1) if d and d not in present)
+        # The first missing day is among the first len(present) + 1 days of
+        # the range, so a stray huge day does not make this list long.
+        missing = min(set(days_in_range(d_min, d_min + len(present) + 1)) - present)
         raise MissingDay(
             f"user {user_ids[k]!r} lacks day {missing} inside declared range [{d_min}, {d_max}]"
         )

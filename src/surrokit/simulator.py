@@ -38,7 +38,7 @@ from typing import IO
 import numpy as np
 
 from .errors import InvalidConfig
-from .panel import DEFAULT_HORIZON, ArmLabel, OutcomePanel
+from .panel import DEFAULT_HORIZON, ArmLabel, OutcomePanel, days_in_range
 
 _MASK64 = 2**64 - 1
 
@@ -174,9 +174,6 @@ def simulate_experiment(config: SimConfig, index: int) -> SimulatedExperiment:
     raw = np.empty((n_users, n_days + 1), dtype=float)
     arms = [ArmLabel("control", True)]
     arms += [ArmLabel(f"t{j}", False) for j in range(1, n_treat + 1)]
-    pre_days = list(range(-config.pre_period, 0))
-    post_days = list(range(1, config.horizon + 1))
-    all_days = pre_days + post_days
 
     # One Philox per experiment, keyed by (seed, index) as uint64 (a plain
     # list of ints would become float64 for seeds from 2^63). Its fresh state
@@ -221,12 +218,12 @@ def simulate_experiment(config: SimConfig, index: int) -> SimulatedExperiment:
         outcomes[t] += config.ar1_rho * outcomes[t - 1]
     outcomes += baseline
 
-    profile = novelty_profile(np.array(post_days), config.novelty_floor, config.novelty_halflife)
-    post_offset = len(pre_days)
+    profile = novelty_profile(np.arange(1, config.horizon + 1),
+                              config.novelty_floor, config.novelty_halflife)
     for arm_index in range(n_treat):
         start = (arm_index + 1) * config.users_per_arm
         end = start + config.users_per_arm
-        outcomes[post_offset:, start:end] += tau[arm_index] * profile[:, None]
+        outcomes[config.pre_period:, start:end] += tau[arm_index] * profile[:, None]
 
     mean_profile = float(profile.mean())
     true_effects = {
@@ -237,7 +234,7 @@ def simulate_experiment(config: SimConfig, index: int) -> SimulatedExperiment:
         experiment_id=f"sim-{index:05d}",
         user_ids=_user_ids(n_users),
         arms=[arm for arm in arms for _ in range(config.users_per_arm)],
-        days=all_days,
+        days=days_in_range(-config.pre_period, config.horizon),
         matrix=outcomes.T,
     )
     return SimulatedExperiment(panel=panel, true_effects=true_effects)

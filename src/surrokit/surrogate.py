@@ -227,7 +227,7 @@ def fit_pretest(panel: OutcomePanel, order: int | Iterable[int], horizon: int | 
     pre-period is shorter than ``horizon``, and OutOfRange when an order
     exceeds ``horizon``.
     """
-    pre_days = sum(day < 0 for day in panel.days)
+    pre_days = max(0, -panel.days[0])
     if not pre_days:
         raise MissingPrePeriod(
             f"panel {panel.experiment_id!r} has no pre-allocation days"

@@ -178,6 +178,9 @@ class TestLaunchMetrics:
         assert metrics["ns_rates"]["surrogate"] == 52 / 80
         assert metrics["ns_rates"]["direct"] == 47 / 80
         assert metrics["false_launch_negatives"] == 2
+        # Whole counts of any numeric type read the same.
+        assert launch_metrics(np.array(counts, dtype=float)) == metrics
+        assert launch_metrics(np.array(counts, dtype=np.int64)) == metrics
 
     def test_paper_operating_point_shape(self):
         # An integer matrix near the reported operating point: 1098 arms,
@@ -224,6 +227,11 @@ class TestLaunchMetrics:
         (((1, 2, 3), (4, 5), (7, 8, 9)), "must be 3x3"),
         (((1, 2, 3), (4, 5, 6, 0), (7, 8, 9)), "must be 3x3"),
         (((1, 2, 3), (4, -1, 6), (7, 8, 9)), "must be nonnegative"),
+        (((1.5, 0, 0), (0, 0.9, 0), (0, 0, 0)), "whole numbers"),
+        (((0.4, 0, 0), (0, 0, 0), (0, 0, 0)), "whole numbers"),
+        (((math.inf, 0, 0), (0, 0, 0), (0, 0, 0)), "whole numbers"),
+        (((1, 2, 3), (4, np.nan, 6), (7, 8, 9)), "whole numbers"),
+        (np.array([[1, 2, 3], [4, 5, 6], [7, 8, np.inf]]), "whole numbers"),
     ])
     def test_malformed_matrix_raises_value_error(self, counts, message):
         with pytest.raises(ValueError, match=message):
@@ -262,6 +270,12 @@ class TestScaledDistribution:
     def test_zero_variance(self):
         with pytest.raises(ZeroVariance):
             scaled_distribution([1.0, 2.0], scale_by=[5.0, 5.0, 5.0])
+
+    def test_empty_values_with_a_scale_raise_empty_input(self):
+        with pytest.raises(EmptyInput, match="no values to scale"):
+            scaled_distribution([], scale_by=[1.0, 2.0])
+        with pytest.raises(ZeroVariance):
+            scaled_distribution([])
 
     def test_constant_scaled_values_have_no_kurtosis(self):
         direct = [1.0, 2.0, 3.5, -1.0, 0.5]

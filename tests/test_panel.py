@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -57,7 +58,7 @@ class TestLoadPanel:
     def test_minimal_complete_grid(self):
         panel = load_text(MINIMAL_CSV)
         assert panel.experiment_id == "e1"
-        assert panel.day_range == (1, 3)
+        assert (panel.days[0], panel.horizon) == (1, 3)
         assert panel.user_ids == ("u1", "u2")
         assert panel.days == (1, 2, 3)
         np.testing.assert_array_equal(panel.matrix, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
@@ -81,7 +82,7 @@ class TestLoadPanel:
         assert len(panel.user_ids) == 4
         assert panel.arm_mask("control").sum() == 2
         assert panel.arm_mask("t1").sum() == 2
-        assert panel.day_range == (1, 3)
+        assert (panel.days[0], panel.horizon) == (1, 3)
 
     def test_duplicate_observation(self):
         with pytest.raises(DuplicateObservation):
@@ -332,14 +333,20 @@ FIELD_TEXT = st.text(alphabet=list('ab, "\'é中ß;\r'), max_size=6)
 
 
 @st.composite
+def day_ranges(draw):
+    """A panel's days: pre-allocation only, post-allocation only, or both."""
+    d_min = draw(st.integers(-3, 3).filter(bool))
+    return days_in_range(d_min, draw(st.integers(d_min, 4).filter(bool)))
+
+
+@st.composite
 def small_panels(draw):
     n_arms = draw(st.integers(2, 3))
     arm_names = draw(st.lists(FIELD_TEXT, min_size=n_arms, max_size=n_arms, unique=True))
     labels = [ArmLabel(name, i == 0) for i, name in enumerate(arm_names)]
     n_users = draw(st.integers(n_arms, 5))
     user_ids = draw(st.lists(FIELD_TEXT, min_size=n_users, max_size=n_users, unique=True))
-    d_min = draw(st.integers(-3, 3).filter(bool))
-    days = days_in_range(d_min, draw(st.integers(d_min, 4).filter(bool)))
+    days = draw(day_ranges())
     values = st.floats(allow_nan=False, allow_infinity=False)
     rows = draw(st.lists(st.lists(values, min_size=len(days), max_size=len(days)),
                          min_size=n_users, max_size=n_users))
@@ -543,6 +550,21 @@ class TestWindow:
         panel = build_panel([[1.0, 2.0], [3.0, 4.0]], [CONTROL, T1], days=[-1, 1])
         with pytest.raises(OutOfRange, match="contains no usable days"):
             window(panel, 0, 0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(day_ranges())
+    def test_window_matches_list_oracle(self, days):
+        # Every window [a, b] with bounds in -5..6: day 0, and two days
+        # past either end of any drawn range (its days lie in -3..4).
+        matrix = np.arange(2.0 * len(days)).reshape(2, len(days))
+        panel = build_panel(matrix, [CONTROL, T1], days=days)
+        for a, b in itertools.product(range(-5, 7), repeat=2):
+            columns = [j for j, d in enumerate(days) if a <= d <= b]
+            if a <= b and days[0] <= a and b <= days[-1] and columns:
+                np.testing.assert_array_equal(window(panel, a, b), matrix[:, columns], strict=True)
+            else:
+                with pytest.raises(OutOfRange):
+                    window(panel, a, b)
 
     def test_window_is_read_only(self):
         panel = build_panel([[1.0, 2.0], [3.0, 4.0]], [CONTROL, T1])

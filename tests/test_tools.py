@@ -75,13 +75,20 @@ def test_cli_matrix_of_the_tree_against_itself_reports_no_difference():
 
 def test_cli_matrix_covers_every_stage_flag_and_input_mode():
     commands = cli_matrix.matrix()
+    edges = cli_matrix.edge_commands()
+    grid = commands[:-len(edges)]
+    assert commands[-len(edges):] == edges
     words = {word for argv in commands for word in argv}
     assert {"--sweep-T", "--panel", "--panel-dir", "--donor", "--alpha"} <= words
-    assert sum(argv[0] == "simulate" for argv in commands) == 2 * len(cli_matrix.CORPORA)
+    assert sum(argv[0] == "simulate" for argv in grid) == 2 * len(cli_matrix.CORPORA)
     # Each analyze run is evaluated twice: at default flags and at the others.
-    analyze = [argv for argv in commands if argv[0] == "analyze"]
+    analyze = [argv for argv in grid if argv[0] == "analyze"]
     assert len(analyze) == len(cli_matrix.CORPORA) * 3 * 2 * 2 * 2
-    assert sum(argv[0] == "evaluate" for argv in commands) == 2 * len(analyze)
+    assert sum(argv[0] == "evaluate" for argv in grid) == 2 * len(analyze)
+    # The edges: one simulate, five reads, and one evaluate per read that succeeds.
+    assert [argv[0] for argv in edges].count("simulate") == 1
+    assert [argv[0] for argv in edges].count("analyze") == 5
+    assert [argv[0] for argv in edges].count("evaluate") == 2
     assert not any(part.startswith("/") for argv in commands for part in argv)
 
 

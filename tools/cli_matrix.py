@@ -11,7 +11,10 @@ scratch directory with relative paths (so that messages compare equal):
   running-mean regimes, each at ``--T 7`` and ``--sweep-T``, at ``--jobs
   1`` and ``2``, through both ``--panel`` and ``--panel-dir``;
 - ``evaluate`` of each ``analyze`` output at default flags and at
-  ``--alpha 0.1 --long-cycle-days 63``.
+  ``--alpha 0.1 --long-cycle-days 63``;
+- the edge commands of ``edge_commands``, which read day windows at the
+  ends of a panel's range: a corpus without a pre-period, and horizons
+  short of and past the last day of a corpus.
 
 The two roots' exit codes, stderr text and the bytes of every output file
 except ``*manifest.json`` (which holds timings) are compared. The tool
@@ -37,6 +40,9 @@ CORPORA = {
     "arms2-h63": {"n_experiments": 2, "arms_per_experiment": 2, "users_per_arm": 40,
                   "horizon": 63, "pre_period": 63, "seed": 5},
 }
+# The edge commands' corpus: no pre-period, so the pretest regime exits 3.
+EDGE_CORPUS = ("pre0-h14", {"n_experiments": 2, "arms_per_experiment": 2, "users_per_arm": 30,
+                            "horizon": 14, "pre_period": 0, "seed": 7})
 REGIMES = ("pretest", "similar", "running-mean")
 ORDERS = {"T7": ["--T", "7"], "sweep": ["--sweep-T"]}
 EVALUATE_FLAGS = {"default": [], "alpha0.1-long63": ["--alpha", "0.1", "--long-cycle-days", "63"]}
@@ -68,6 +74,38 @@ def matrix() -> list[list[str]]:
                             report = estimates.replace("/estimates/", "/reports/") + f"-{name}"
                             commands.append(["evaluate", "--estimates", estimates,
                                              "--out", f"{report}/report.json", *flags])
+    return commands + edge_commands()
+
+
+def edge_commands() -> list[list[str]]:
+    """The commands at the day-window edges, as ``surrokit`` argv lists, in run order.
+
+    On ``EDGE_CORPUS``: ``simulate``, a pretest ``analyze`` that exits 3
+    (no pre-period) and a running-mean ``analyze --T 7`` with its
+    ``evaluate``. On the horizon-21 corpus of ``CORPORA``: a pretest
+    ``--sweep-T`` read at ``--horizon 14`` with its ``evaluate`` (windows
+    that end before the panel does), and pretest reads at ``--horizon 22``
+    with ``--T 7`` and ``--sweep-T``, which exit 3 (windows past its end).
+    """
+    pre0, h21 = EDGE_CORPUS[0], "arms2.5-h21"
+    t7, sweep = ORDERS["T7"], ORDERS["sweep"]
+    # (corpus, output name, flags, whether the read succeeds and is evaluated)
+    reads = [
+        (pre0, "pretest-T7", ["--regime", "pretest", *t7, "--horizon", "14"], False),
+        (pre0, "running-mean-T7", ["--regime", "running-mean", *t7, "--horizon", "14"], True),
+        (h21, "pretest-sweep-h14", ["--regime", "pretest", *sweep, "--horizon", "14"], True),
+        (h21, "pretest-T7-h22", ["--regime", "pretest", *t7, "--horizon", "22"], False),
+        (h21, "pretest-sweep-h22", ["--regime", "pretest", *sweep, "--horizon", "22"], False),
+    ]
+    commands = [["simulate", "--config", f"{pre0}/config.json",
+                 "--out-dir", f"{pre0}/sim-j1", "--jobs", "1"]]
+    for corpus, label, flags, succeeds in reads:
+        estimates = f"{corpus}/estimates/edge-{label}"
+        commands.append(["analyze", "--panel-dir", f"{corpus}/sim-j1", *flags,
+                         "--out", estimates, "--jobs", "1"])
+        if succeeds:
+            commands.append(["evaluate", "--estimates", estimates,
+                             "--out", f"{corpus}/reports/edge-{label}/report.json"])
     return commands
 
 
@@ -80,7 +118,7 @@ def run_commands(commands: list[list[str]], results_path: str) -> None:
     """
     from surrokit.cli import main
 
-    for corpus, config in CORPORA.items():
+    for corpus, config in [*CORPORA.items(), EDGE_CORPUS]:
         Path(corpus).mkdir()
         Path(corpus, "config.json").write_text(json.dumps(config), encoding="utf-8")
     results = []
