@@ -283,11 +283,13 @@ def load_panel(source: str | Path | IO[str]) -> OutcomePanel:
     row (20 bytes). Its text fields are coded and checked once per run of
     rows with equal text fields, and its days and outcomes once per chunk.
     Each check's first failing row is reported after the last chunk, the
-    first failing check in a fixed order winning. One cell index per row
-    then finds repeated and missing (user, day) cells, and the matrix is
-    filled chunk by chunk; users and arms keep their order of first
-    appearance. Errors name the file line, counting the header as line 1
-    and one line per data record (blank lines are skipped and not counted).
+    first failing check in a fixed order winning. Fewer rows than (user,
+    day) cells means a missing day. Otherwise each chunk's outcomes are
+    scattered into a matrix that starts all NaN: every outcome is finite,
+    so a cell left NaN, or a row beyond the cell count, means a repeated
+    cell. Users and arms keep their order of first appearance. Errors name
+    the file line, counting the header as line 1 and one line per data
+    record (blank lines are skipped and not counted).
 
     Args:
         source: path or open text stream positioned at the header row.
@@ -373,20 +375,7 @@ def load_panel(source: str | Path | IO[str]) -> OutcomePanel:
     n_days = _column(d_min, d_max) + 1
     n_cells = len(users) * n_days
     user_ids = list(users)
-    offsets = range(0, n_rows, CHUNK)  # every chunk but the last holds CHUNK rows
-    if n_cells <= n_rows:
-        cell = np.empty(n_rows, dtype=np.int64)
-        for lo, user, day in zip(offsets, user_parts, day_parts):
-            cell[lo:lo + CHUNK] = user * np.int64(n_days) + _column(d_min, day)
-        if np.bincount(cell, minlength=n_cells).max() > 1:
-            user, day = np.concatenate(user_parts), np.concatenate(day_parts)
-            repeated = np.flatnonzero(np.bincount(cell)[cell] > 1)
-            row = np.flatnonzero(cell == cell[repeated[0]])[1]
-            raise DuplicateObservation(
-                f"line {row + 2}: duplicate observation for user "
-                f"{user_ids[user[row]]!r} day {day[row]}"
-            )
-    if n_cells != n_rows:  # no cell repeats, so some user lacks a day
+    if n_cells > n_rows:  # some user lacks a day
         user, day = np.concatenate(user_parts), np.concatenate(day_parts)
         k = int(np.argmax(np.bincount(user) < n_days))
         present = set(day[user == k].tolist())
@@ -396,11 +385,21 @@ def load_panel(source: str | Path | IO[str]) -> OutcomePanel:
         raise MissingDay(
             f"user {user_ids[k]!r} lacks day {missing} inside declared range [{d_min}, {d_max}]"
         )
-    del user_parts, day_parts
-    matrix = np.empty((len(user_ids), n_days))
-    for lo, outcome in zip(offsets, outcome_parts):
-        matrix.reshape(-1)[cell[lo:lo + CHUNK]] = outcome
-    del outcome_parts, cell
+    matrix = np.full((len(user_ids), n_days), np.nan)
+    for user, day, outcome in zip(user_parts, day_parts, outcome_parts):
+        matrix.reshape(-1)[user * np.int64(n_days) + _column(d_min, day)] = outcome
+    # Every outcome is finite, so a cell left NaN was never written: with at
+    # least as many rows as cells, some other cell was written twice.
+    if n_rows > n_cells or np.isnan(matrix).any():
+        user, day = np.concatenate(user_parts), np.concatenate(day_parts)
+        cell = user * np.int64(n_days) + _column(d_min, day)
+        repeated = np.flatnonzero(np.bincount(cell)[cell] > 1)
+        row = np.flatnonzero(cell == cell[repeated[0]])[1]
+        raise DuplicateObservation(
+            f"line {row + 2}: duplicate observation for user "
+            f"{user_ids[user[row]]!r} day {day[row]}"
+        )
+    del user_parts, day_parts, outcome_parts
     labels = {name: ArmLabel(name, token == "true") for name, token in arms.items()}
     panel_arms = [labels[arm] for _, arm in users.values()]
     return OutcomePanel(experiment_id, user_ids, panel_arms, days_in_range(d_min, d_max), matrix)

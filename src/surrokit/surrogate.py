@@ -215,10 +215,11 @@ def _fit_window(panel: OutcomePanel, first_day: int, days: int, order, source: M
 def fit_pretest(panel: OutcomePanel, order: int | Iterable[int], horizon: int | None = None):
     """Fit on the panel's own pre-allocation window.
 
-    The pre-period days (-P..-1) are remapped to pseudo post-allocation
-    days 1..P. The target is each user's mean over the first ``horizon``
-    pseudo days, -P..-P+horizon-1, as the direct read averages post days
-    1..horizon; ``horizon`` defaults to the panel's last day, as in
+    The pre-period is the panel's pre-allocation days, from its first day
+    to day -1 or to its last day if that comes first. Its P days are
+    remapped to pseudo post-allocation days 1..P. The target is each user's
+    mean over the first ``horizon`` pseudo days, as the direct read averages
+    post days 1..horizon; ``horizon`` defaults to the panel's last day, as in
     ``direct_effect``. The features are the first ``order`` pseudo days.
     All arms are pooled: the pre-period predates randomization, so pooling
     is valid. ``order`` is as in :func:`fit_similar`.
@@ -227,7 +228,7 @@ def fit_pretest(panel: OutcomePanel, order: int | Iterable[int], horizon: int | 
     pre-period is shorter than ``horizon``, and OutOfRange when an order
     exceeds ``horizon``.
     """
-    pre_days = max(0, -panel.days[0])
+    pre_days = max(0, min(panel.horizon, -1) - panel.days[0] + 1)
     if not pre_days:
         raise MissingPrePeriod(
             f"panel {panel.experiment_id!r} has no pre-allocation days"
@@ -238,7 +239,7 @@ def fit_pretest(panel: OutcomePanel, order: int | Iterable[int], horizon: int | 
             f"horizon {days} exceeds the {pre_days}-day pre-period of panel "
             f"{panel.experiment_id!r}"
         )
-    return _fit_window(panel, -pre_days, days, order, ModelSource.PRE_TEST)
+    return _fit_window(panel, panel.days[0], days, order, ModelSource.PRE_TEST)
 
 
 def fit_similar(

@@ -286,6 +286,32 @@ class TestLoadPanelPastFirstChunk:
         with pytest.raises(DuplicateObservation, match=f"^line {index + 1}: "):
             load_text("".join(lines))
 
+    def test_first_repeated_row_decides_between_two_repeats(self):
+        """Cells A and B repeat in the order A, B, B', A', with A' in the second chunk.
+
+        The error names A', the second occurrence of the first repeated row,
+        though B' comes earlier in the file.
+        """
+        _, lines = long_panel_lines()
+        a, b, b_again, a_again = 40, 50, 60, CHUNK + 60
+        lines[b_again], lines[a_again] = lines[b], lines[a]
+        with pytest.raises(DuplicateObservation, match=f"^line {a_again + 1}: "):
+            load_text("".join(lines))
+
+    def test_repeat_in_first_chunk_with_its_hole_in_the_second(self):
+        """As many rows as cells: a repeat at lines 41 and 51, the cell left empty past the chunk."""
+        _, lines = long_panel_lines()
+        lines[50], lines[CHUNK + 60] = lines[40], lines[50]
+        with pytest.raises(DuplicateObservation, match="^line 51: "):
+            load_text("".join(lines))
+
+    def test_extra_repeated_row_names_the_later_occurrence(self):
+        """One row more than cells: a copy of a second-chunk row inserted at line 41."""
+        _, lines = long_panel_lines()
+        lines.insert(40, lines[CHUNK + 60])  # the original moves to line CHUNK + 62
+        with pytest.raises(DuplicateObservation, match=f"^line {CHUNK + 62}: "):
+            load_text("".join(lines))
+
     def test_exact_chunk_multiple_loads_without_warnings(self):
         matrix = np.arange(CHUNK, dtype=float).reshape(8, CHUNK // 8)
         panel = build_panel(matrix, [CONTROL, T1] * 4)
@@ -305,13 +331,14 @@ class TestLoadPanelPastFirstChunk:
 
 
 def test_readme_shape_load_peak_memory(tmp_path):
-    """A README-shape panel loads at a traced peak under 3 MiB, as the README says.
+    """A README-shape panel loads at a traced peak under 2.5 MiB, as the README says.
 
     The panel holds 600 x 126 outcomes (0.6 MB); a whole-file loadtxt parse
     of its CSV peaks above 20 MiB. Keeping per chunk an (n, 4) code matrix,
     days and outcomes, then joining them and masking the whole file, peaked
     at 4.92 MiB; keeping only user codes, days and outcomes (20 bytes a row)
-    and scattering chunk by chunk peaks at 2.77 MiB.
+    beside a per-row cell index and its counts peaked at 2.77 MiB; dropping
+    the index for one scatter into a NaN-filled matrix peaks at 2.26 MiB.
     """
     config = SimConfig(arms_per_experiment=2, users_per_arm=200, horizon=63, pre_period=63, seed=3)
     panel = simulate_experiment(config, 0).panel
@@ -324,7 +351,7 @@ def test_readme_shape_load_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert loaded == panel
-    assert peak < 3 * 2**20
+    assert peak < 2.5 * 2**20
 
 
 # Text fields that need CSV quoting: commas, both quote kinds, a bare

@@ -284,6 +284,23 @@ class TestFitPretest:
         with pytest.raises(OutOfRange, match="order 4 exceeds horizon 3"):
             fit_pretest(panel, [2, 4], horizon=3)
 
+    @pytest.mark.parametrize("last_day, horizon, pre_days", [(-2, 5, 4), (-3, 4, 3)])
+    def test_panel_ending_before_day_minus_one_counts_its_days(self, last_day, horizon, pre_days):
+        days = list(range(-5, last_day + 1))
+        panel = build_panel(np.random.default_rng(9).standard_normal((6, len(days))),
+                            [CONTROL, T1] * 3, days=days)
+        with pytest.raises(MissingPrePeriod,
+                           match=f"horizon {horizon} exceeds the {pre_days}-day pre-period"):
+            fit_pretest(panel, 2, horizon=horizon)
+
+    def test_panel_ending_at_day_minus_two_fits_its_days(self):
+        days = [-5, -4, -3, -2]
+        panel = build_panel(np.random.default_rng(9).standard_normal((6, 4)),
+                            [CONTROL, T1] * 3, days=days)
+        pre = window(panel, -5, -2)
+        assert fit_pretest(panel, 2, horizon=4) == fit_nested(
+            pre, pre.mean(axis=1), [2], ModelSource.PRE_TEST)[0]
+
 
 class TestFitSimilar:
     def test_self_donor_full_order_reproduces_direct_estimates(self):

@@ -13,8 +13,9 @@ scratch directory with relative paths (so that messages compare equal):
 - ``evaluate`` of each ``analyze`` output at default flags and at
   ``--alpha 0.1 --long-cycle-days 63``;
 - the edge commands of ``edge_commands``, which read day windows at the
-  ends of a panel's range: a corpus without a pre-period, and horizons
-  short of and past the last day of a corpus.
+  ends of a panel's range (a corpus without a pre-period, and horizons
+  short of and past the last day of a corpus) and the malformed panels of
+  ``MALFORMED``, which exit on a repeated cell or a missing day.
 
 The two roots' exit codes, stderr text and the bytes of every output file
 except ``*manifest.json`` (which holds timings) are compared. The tool
@@ -43,6 +44,21 @@ CORPORA = {
 # The edge commands' corpus: no pre-period, so the pretest regime exits 3.
 EDGE_CORPUS = ("pre0-h14", {"n_experiments": 2, "arms_per_experiment": 2, "users_per_arm": 30,
                             "horizon": 14, "pre_period": 0, "seed": 7})
+# Two users over days 1..3, each panel failing the loader's cell checks.
+_HEADER = "experiment_id,user_id,arm,is_control,day,outcome\n"
+MALFORMED = {
+    # As many rows as cells: u1 repeats day 2 (lines 3 and 4) and day 1 (lines 2
+    # and 6) and lacks day 3, u2 lacks day 2. Day 1 repeats first, so line 6 is named.
+    "repeated-cell": _HEADER + "e,u1,c,true,1,1.0\ne,u1,c,true,2,2.0\ne,u1,c,true,2,2.5\n"
+                     "e,u2,t,false,1,4.0\ne,u1,c,true,1,1.5\ne,u2,t,false,3,6.0\n",
+    # A complete grid and one more row, repeating u2 day 1.
+    "extra-row": _HEADER + "e,u1,c,true,1,1.0\ne,u1,c,true,2,2.0\ne,u1,c,true,3,3.0\n"
+                 "e,u2,t,false,1,4.0\ne,u2,t,false,2,5.0\ne,u2,t,false,3,6.0\n"
+                 "e,u2,t,false,1,4.5\n",
+    # u2 lacks day 2.
+    "missing-day": _HEADER + "e,u1,c,true,1,1.0\ne,u1,c,true,2,2.0\ne,u1,c,true,3,3.0\n"
+                   "e,u2,t,false,1,4.0\ne,u2,t,false,3,6.0\n",
+}
 REGIMES = ("pretest", "similar", "running-mean")
 ORDERS = {"T7": ["--T", "7"], "sweep": ["--sweep-T"]}
 EVALUATE_FLAGS = {"default": [], "alpha0.1-long63": ["--alpha", "0.1", "--long-cycle-days", "63"]}
@@ -86,6 +102,8 @@ def edge_commands() -> list[list[str]]:
     ``--sweep-T`` read at ``--horizon 14`` with its ``evaluate`` (windows
     that end before the panel does), and pretest reads at ``--horizon 22``
     with ``--T 7`` and ``--sweep-T``, which exit 3 (windows past its end).
+    Last, a running-mean ``analyze --panel`` of each panel of ``MALFORMED``,
+    which exits on its load error.
     """
     pre0, h21 = EDGE_CORPUS[0], "arms2.5-h21"
     t7, sweep = ORDERS["T7"], ORDERS["sweep"]
@@ -106,6 +124,10 @@ def edge_commands() -> list[list[str]]:
         if succeeds:
             commands.append(["evaluate", "--estimates", estimates,
                              "--out", f"{corpus}/reports/edge-{label}/report.json"])
+    for name in MALFORMED:
+        commands.append(["analyze", "--panel", f"malformed/{name}.csv", "--regime",
+                         "running-mean", "--T", "2", "--horizon", "3",
+                         "--out", f"malformed/estimates/{name}.estimates.json", "--jobs", "1"])
     return commands
 
 
@@ -121,6 +143,9 @@ def run_commands(commands: list[list[str]], results_path: str) -> None:
     for corpus, config in [*CORPORA.items(), EDGE_CORPUS]:
         Path(corpus).mkdir()
         Path(corpus, "config.json").write_text(json.dumps(config), encoding="utf-8")
+    Path("malformed").mkdir()
+    for name, text in MALFORMED.items():
+        Path("malformed", f"{name}.csv").write_text(text, encoding="utf-8")
     results = []
     saved = os.dup(2)
     for argv in commands:
