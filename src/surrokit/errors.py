@@ -34,7 +34,11 @@ class DuplicateObservation(DataValidationError):
 
 
 class MissingDay(DataValidationError):
-    """A user lacks an outcome for a day inside the declared range."""
+    """A user lacks an outcome for a day inside the declared range.
+
+    Raised only where a panel is built or loaded with a missing cell; a read
+    asking for days the panel lacks raises OutOfRange.
+    """
 
 
 class NoControlArm(DataValidationError):
@@ -54,7 +58,13 @@ class NonFiniteOutcome(DataValidationError):
 
 
 class OutOfRange(DataValidationError):
-    """A requested day window falls outside the panel's day range."""
+    """A requested day window falls outside the panel's day range.
+
+    Raised by a read whose window or horizon lies outside the panel's days
+    (``direct_effect``, ``surrogate_effect``, ``fit_similar``,
+    ``fit_pretest``, all through ``window``), naming the panel; also by a
+    built or loaded panel whose day range is itself unusable.
+    """
 
 
 # --- model fitting ---

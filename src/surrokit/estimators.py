@@ -20,9 +20,7 @@ from .errors import (
     ControlAsTreatment,
     DegenerateGroup,
     DegenerateVarianceWarning,
-    MissingDay,
     NumericalError,
-    OutOfRange,
     UnknownArm,
 )
 from .panel import OutcomePanel, window
@@ -183,16 +181,12 @@ def direct_effect(
     """Difference in means of observed per-user averages over days 1..horizon.
 
     ``arm`` names a treatment arm; ``horizon`` defaults to the panel's last day.
+    The arm is checked first; a panel that lacks days 1..horizon then raises
+    the OutOfRange of :func:`~surrokit.panel.window`, which names the panel.
     """
     _check_treatment_arm(panel, arm)
     days = panel.horizon if horizon is None else horizon
-    try:
-        win = window(panel, 1, days)
-    except OutOfRange as exc:
-        raise MissingDay(
-            f"panel {panel.experiment_id!r} lacks post-allocation days 1..{days}"
-        ) from exc
-    return _arm_contrast(panel, win.mean(axis=1), arm, "direct", days)
+    return _arm_contrast(panel, window(panel, 1, days).mean(axis=1), arm, "direct", days)
 
 
 def surrogate_effect(model: SurrogateModel, panel: OutcomePanel, arm: str) -> EffectEstimate:

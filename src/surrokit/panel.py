@@ -207,18 +207,23 @@ def window(panel: OutcomePanel, from_day: int, to_day: int) -> np.ndarray:
 
     The window must lie inside the panel's day range. Day 0 is skipped if
     the window straddles allocation. Returns a read-only array view.
+
+    This is the one check of a read's days: ``direct_effect``,
+    ``surrogate_effect``, ``fit_similar`` and ``fit_pretest`` read through it.
+    Raises OutOfRange, naming the panel, for an empty window, one outside the
+    panel's days or one holding day 0 alone.
     """
     d_min, d_max = panel.days[0], panel.horizon
     if from_day > to_day:
-        raise OutOfRange(f"empty window [{from_day}, {to_day}]")
+        raise OutOfRange(f"panel {panel.experiment_id!r}: empty window [{from_day}, {to_day}]")
     if from_day < d_min or to_day > d_max:
-        raise OutOfRange(
-            f"window [{from_day}, {to_day}] outside panel range [{d_min}, {d_max}]"
-        )
+        raise OutOfRange(f"panel {panel.experiment_id!r}: window [{from_day}, {to_day}] "
+                         f"outside its days [{d_min}, {d_max}]")
     # A window bound at day 0 falls between days -1 and 1.
     lo, hi = _column(d_min, from_day), _column(d_min, to_day) + (to_day != 0)
     if lo == hi:
-        raise OutOfRange(f"window [{from_day}, {to_day}] contains no usable days")
+        raise OutOfRange(f"panel {panel.experiment_id!r}: window [{from_day}, {to_day}] "
+                         f"contains no usable days")
     return panel.matrix[:, lo:hi]
 
 

@@ -207,7 +207,8 @@ def _fit_window(panel: OutcomePanel, first_day: int, days: int, order, source: M
     single = not isinstance(order, Iterable)
     orders = [order] if single else list(order)
     if orders and max(orders) > days:
-        raise OutOfRange(f"order {max(orders)} exceeds horizon {days}")
+        raise OutOfRange(
+            f"panel {panel.experiment_id!r}: order {max(orders)} exceeds horizon {days}")
     models = fit_nested(full, full.mean(axis=1), orders, source)
     return models[0] if single else models
 
@@ -224,21 +225,19 @@ def fit_pretest(panel: OutcomePanel, order: int | Iterable[int], horizon: int | 
     All arms are pooled: the pre-period predates randomization, so pooling
     is valid. ``order`` is as in :func:`fit_similar`.
 
-    Raises MissingPrePeriod, on which ``analyze`` exits 3, when the
-    pre-period is shorter than ``horizon``, and OutOfRange when an order
-    exceeds ``horizon``.
+    Raises OutOfRange when ``horizon`` is below 1 (given, or defaulted on a
+    panel without post-allocation days), MissingPrePeriod when the
+    pre-period is shorter than ``horizon`` (a panel without one has 0 days),
+    and OutOfRange when an order exceeds ``horizon``. Each names the panel,
+    and ``analyze`` exits 3 on each.
     """
     pre_days = max(0, min(panel.horizon, -1) - panel.days[0] + 1)
-    if not pre_days:
-        raise MissingPrePeriod(
-            f"panel {panel.experiment_id!r} has no pre-allocation days"
-        )
     days = panel.horizon if horizon is None else horizon
+    if days < 1:
+        raise OutOfRange(f"panel {panel.experiment_id!r}: horizon {days} is below 1")
     if days > pre_days:
-        raise MissingPrePeriod(
-            f"horizon {days} exceeds the {pre_days}-day pre-period of panel "
-            f"{panel.experiment_id!r}"
-        )
+        raise MissingPrePeriod(f"horizon {days} exceeds the {pre_days}-day pre-period of panel "
+                               f"{panel.experiment_id!r}")
     return _fit_window(panel, panel.days[0], days, order, ModelSource.PRE_TEST)
 
 
@@ -252,8 +251,8 @@ def fit_similar(
     their first ``order`` days. All donor arms are pooled. ``order`` is one
     order, which returns one model, or an iterable of orders, which returns
     a tuple of models from one factorisation (see :func:`fit_nested`); each
-    equals its single-order fit bit for bit. Raises OutOfRange when an
-    order exceeds the horizon.
+    equals its single-order fit bit for bit. Raises OutOfRange, naming the
+    donor, when it lacks days 1..horizon or an order exceeds the horizon.
     """
     days = donor.horizon if horizon is None else horizon
     return _fit_window(donor, 1, days, order, ModelSource.SIMILAR_TEST)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from surrokit import (
     DegenerateGroup,
     DegenerateVarianceWarning,
     EffectEstimate,
-    MissingDay,
+    MissingPrePeriod,
+    OutOfRange,
     SE_FLOOR,
     SignificanceClass,
     SimConfig,
@@ -120,7 +122,7 @@ class TestDirectEffect:
     def test_missing_horizon_days(self):
         panel = build_panel(np.random.default_rng(3).standard_normal((4, 3)),
                             [CONTROL, CONTROL, T1, T1])
-        with pytest.raises(MissingDay):
+        with pytest.raises(OutOfRange, match="panel 'exp': window"):
             direct_effect(panel, "t1", horizon=10)
 
     def test_shift_covariance(self):
@@ -180,6 +182,51 @@ class TestSurrogateEffect:
         panel = simulate_experiment(config, 0).panel
         estimate = surrogate_effect(fit_pretest(panel, 5), panel, "t1")
         assert (estimate.kind, estimate.T) == ("surrogate:pretest", 5)
+
+
+class TestReadsOfMissingDays:
+    """Each read of days its panel lacks raises one error that names the panel.
+
+    The expected messages are worked out from the panel's first and last day
+    and the days asked for.
+    """
+
+    ID = "sim-00007"
+
+    def panel(self, first, last):
+        days = [day for day in range(first, last + 1) if day != 0]
+        return build_panel(np.random.default_rng(4).standard_normal((6, len(days))),
+                           [CONTROL, T1] * 3, days=days, experiment_id=self.ID)
+
+    @pytest.mark.parametrize("first, last", [(1, 3), (-4, 5)])
+    def test_reads_past_the_last_day(self, first, last):
+        panel, past = self.panel(first, last), last + 2
+        outside = f"panel '{self.ID}': window [1, {past}] outside its days [{first}, {last}]"
+        reads = [lambda: direct_effect(panel, ARM, past),
+                 lambda: surrogate_effect(running_mean_model(past), panel, ARM),
+                 lambda: fit_similar(panel, 1, past)]  # a donor shorter than the horizon
+        for read in reads:
+            with pytest.raises(OutOfRange, match=re.escape(outside)):
+                read()
+
+    def test_panel_without_post_allocation_days(self):
+        first, last = -5, -2  # every default horizon is the last day
+        panel = self.panel(first, last)
+        for horizon in (None, 0):
+            below = f"panel '{self.ID}': horizon {last if horizon is None else horizon} is below 1"
+            with pytest.raises(OutOfRange, match=re.escape(below)):
+                fit_pretest(panel, 1, horizon)
+        empty = f"panel '{self.ID}': empty window [1, {last}]"
+        for read in (lambda: direct_effect(panel, ARM), lambda: fit_similar(panel, 1)):
+            with pytest.raises(OutOfRange, match=re.escape(empty)):
+                read()
+
+    def test_panel_without_pre_period(self):
+        last = 5
+        panel = self.panel(1, last)
+        lacking = f"horizon {last} exceeds the 0-day pre-period of panel '{self.ID}'"
+        with pytest.raises(MissingPrePeriod, match=re.escape(lacking)):
+            fit_pretest(panel, 1)
 
 
 class TestZTest:

@@ -624,9 +624,9 @@ class TestLongTermMean:
     def test_missing_day(self):
         days = list(range(-3, 0))  # pre-period only
         panel = build_panel([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [CONTROL, T1], days=days)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(OutOfRange, match="panel 'exp': empty window"):
             window(panel, 1, panel.horizon)
-        with pytest.raises(MissingDay):
+        with pytest.raises(OutOfRange, match="panel 'exp': empty window"):
             direct_effect(panel, "t1")
 
     def test_window_means_match_fsum_oracle(self):

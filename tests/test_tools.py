@@ -85,13 +85,13 @@ def test_cli_matrix_covers_every_stage_flag_and_input_mode():
     analyze = [argv for argv in grid if argv[0] == "analyze"]
     assert len(analyze) == len(cli_matrix.CORPORA) * 3 * 2 * 2 * 2
     assert sum(argv[0] == "evaluate" for argv in grid) == 2 * len(analyze)
-    # The edges: one simulate, five window reads, one evaluate per window read
-    # that succeeds, and one --panel read of each malformed panel.
+    # The edges: one simulate, six window reads, one evaluate per window read
+    # that succeeds, and one --panel read of each bad panel.
     assert [argv[0] for argv in edges].count("simulate") == 1
-    assert [argv[0] for argv in edges].count("analyze") == 5 + len(cli_matrix.MALFORMED)
+    assert [argv[0] for argv in edges].count("analyze") == 6 + len(cli_matrix.BAD_PANELS)
     assert [argv[0] for argv in edges].count("evaluate") == 2
     assert [argv[argv.index("--panel") + 1] for argv in edges if "--panel" in argv] == [
-        f"malformed/{name}.csv" for name in cli_matrix.MALFORMED]
+        f"bad/{name}.csv" for name in cli_matrix.BAD_PANELS]
     assert not any(part.startswith("/") for argv in commands for part in argv)
 
 

@@ -14,8 +14,9 @@ scratch directory with relative paths (so that messages compare equal):
   ``--alpha 0.1 --long-cycle-days 63``;
 - the edge commands of ``edge_commands``, which read day windows at the
   ends of a panel's range (a corpus without a pre-period, and horizons
-  short of and past the last day of a corpus) and the malformed panels of
-  ``MALFORMED``, which exit on a repeated cell or a missing day.
+  short of and past the last day of a corpus, and a donor shorter than the
+  horizon) and the panels of ``BAD_PANELS``, which exit on a repeated cell,
+  a missing day or a read of post-allocation days the panel lacks.
 
 The two roots' exit codes, stderr text and the bytes of every output file
 except ``*manifest.json`` (which holds timings) are compared. The tool
@@ -44,9 +45,10 @@ CORPORA = {
 # The edge commands' corpus: no pre-period, so the pretest regime exits 3.
 EDGE_CORPUS = ("pre0-h14", {"n_experiments": 2, "arms_per_experiment": 2, "users_per_arm": 30,
                             "horizon": 14, "pre_period": 0, "seed": 7})
-# Two users over days 1..3, each panel failing the loader's cell checks.
+# Two-user panels that a read of days 1..3 refuses. The first three, over days
+# 1..3, fail the loader's cell checks; the last loads but holds days -3..-1 only.
 _HEADER = "experiment_id,user_id,arm,is_control,day,outcome\n"
-MALFORMED = {
+BAD_PANELS = {
     # As many rows as cells: u1 repeats day 2 (lines 3 and 4) and day 1 (lines 2
     # and 6) and lacks day 3, u2 lacks day 2. Day 1 repeats first, so line 6 is named.
     "repeated-cell": _HEADER + "e,u1,c,true,1,1.0\ne,u1,c,true,2,2.0\ne,u1,c,true,2,2.5\n"
@@ -58,6 +60,8 @@ MALFORMED = {
     # u2 lacks day 2.
     "missing-day": _HEADER + "e,u1,c,true,1,1.0\ne,u1,c,true,2,2.0\ne,u1,c,true,3,3.0\n"
                    "e,u2,t,false,1,4.0\ne,u2,t,false,3,6.0\n",
+    "pre-only": _HEADER + "e,u1,c,true,-3,1.0\ne,u1,c,true,-2,2.0\ne,u1,c,true,-1,3.0\n"
+                "e,u2,t,false,-3,4.0\ne,u2,t,false,-2,5.0\ne,u2,t,false,-1,6.0\n",
 }
 REGIMES = ("pretest", "similar", "running-mean")
 ORDERS = {"T7": ["--T", "7"], "sweep": ["--sweep-T"]}
@@ -100,10 +104,12 @@ def edge_commands() -> list[list[str]]:
     (no pre-period) and a running-mean ``analyze --T 7`` with its
     ``evaluate``. On the horizon-21 corpus of ``CORPORA``: a pretest
     ``--sweep-T`` read at ``--horizon 14`` with its ``evaluate`` (windows
-    that end before the panel does), and pretest reads at ``--horizon 22``
-    with ``--T 7`` and ``--sweep-T``, which exit 3 (windows past its end).
-    Last, a running-mean ``analyze --panel`` of each panel of ``MALFORMED``,
-    which exits on its load error.
+    that end before the panel does), pretest reads at ``--horizon 22``
+    with ``--T 7`` and ``--sweep-T``, which exit 3 (windows past its end),
+    and a similar read at ``--horizon 21`` whose donor is a panel of
+    ``EDGE_CORPUS``, which exits 3 (a donor shorter than the horizon). Last,
+    a running-mean ``analyze --panel`` of each panel of ``BAD_PANELS``,
+    which exits 3 on its load error or its direct read.
     """
     pre0, h21 = EDGE_CORPUS[0], "arms2.5-h21"
     t7, sweep = ORDERS["T7"], ORDERS["sweep"]
@@ -114,6 +120,9 @@ def edge_commands() -> list[list[str]]:
         (h21, "pretest-sweep-h14", ["--regime", "pretest", *sweep, "--horizon", "14"], True),
         (h21, "pretest-T7-h22", ["--regime", "pretest", *t7, "--horizon", "22"], False),
         (h21, "pretest-sweep-h22", ["--regime", "pretest", *sweep, "--horizon", "22"], False),
+        (h21, "similar-T7-donor-h14", ["--regime", "similar", "--donor",
+                                       f"{pre0}/sim-j1/sim-00000.csv", *t7, "--horizon", "21"],
+         False),
     ]
     commands = [["simulate", "--config", f"{pre0}/config.json",
                  "--out-dir", f"{pre0}/sim-j1", "--jobs", "1"]]
@@ -124,10 +133,10 @@ def edge_commands() -> list[list[str]]:
         if succeeds:
             commands.append(["evaluate", "--estimates", estimates,
                              "--out", f"{corpus}/reports/edge-{label}/report.json"])
-    for name in MALFORMED:
-        commands.append(["analyze", "--panel", f"malformed/{name}.csv", "--regime",
+    for name in BAD_PANELS:
+        commands.append(["analyze", "--panel", f"bad/{name}.csv", "--regime",
                          "running-mean", "--T", "2", "--horizon", "3",
-                         "--out", f"malformed/estimates/{name}.estimates.json", "--jobs", "1"])
+                         "--out", f"bad/estimates/{name}.estimates.json", "--jobs", "1"])
     return commands
 
 
@@ -143,9 +152,9 @@ def run_commands(commands: list[list[str]], results_path: str) -> None:
     for corpus, config in [*CORPORA.items(), EDGE_CORPUS]:
         Path(corpus).mkdir()
         Path(corpus, "config.json").write_text(json.dumps(config), encoding="utf-8")
-    Path("malformed").mkdir()
-    for name, text in MALFORMED.items():
-        Path("malformed", f"{name}.csv").write_text(text, encoding="utf-8")
+    Path("bad").mkdir()
+    for name, text in BAD_PANELS.items():
+        Path("bad", f"{name}.csv").write_text(text, encoding="utf-8")
     results = []
     saved = os.dup(2)
     for argv in commands:
