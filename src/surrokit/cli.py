@@ -16,7 +16,10 @@ manifest recording the command, the values it read, its inputs, outputs, and
 tool version. Exit codes: 0 success, 2 usage, 3 data validation failure or
 an input too large for memory, 4 numerical failure, including a statistic
 that overflows; no output file holds a NaN or infinity. A warning prints as
-one ``surrokit: warning:`` line.
+one ``surrokit: warning:`` line. ``simulate`` and ``analyze --panel-dir``
+exit 3, writing nothing, when their output directory holds a file of their
+output pattern that the run would not write; an ``analyze`` error names
+the panel file, or the donor, it came from.
 
 Set SURROKIT_LOG to a logging level name (DEBUG, INFO, WARNING, ...) to
 control log verbosity; an unknown name is a usage error.
@@ -25,6 +28,7 @@ control log verbosity; an unknown name is a usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -48,7 +52,7 @@ from .estimators import (
 )
 from .evaluation import decision_report
 from .panel import DEFAULT_HORIZON, load_panel, write_panel
-from .simulator import load_config, simulate_experiment
+from .simulator import EXPERIMENT_ID, load_config, simulate_experiment
 from .surrogate import ModelSource, fit_pretest, fit_similar, running_mean_model
 
 logger = logging.getLogger("surrokit")
@@ -85,6 +89,24 @@ def _write_manifest(path: Path, command: str, started: float, fields: dict) -> N
     _write_atomic(path, _dump_json(manifest))
 
 
+def _refuse_strays(out_dir: Path, pattern: str, names: set[str]) -> None:
+    """Refuse an output directory holding a ``pattern`` file that this run will not write.
+
+    The next stage reads every such file, so a stray one would be read as this run's.
+    """
+    if stray := sorted(path.name for path in out_dir.glob(pattern) if path.name not in names):
+        raise DataValidationError(f"{out_dir} holds another run's output: {', '.join(stray)}")
+
+
+@contextlib.contextmanager
+def _naming(source: str):
+    """Prefix ``source`` to the message of a data or numerical error raised inside."""
+    try:
+        yield
+    except (DataValidationError, NumericalError) as exc:
+        raise type(exc)(f"{source}: {exc}") from None
+
+
 # --- simulate ---
 
 def _simulate_one(task: tuple) -> tuple[str, dict[str, float]]:
@@ -112,9 +134,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     tasks = [(config, index, str(out_dir)) for index in range(config.n_experiments)]
+    _refuse_strays(out_dir, "*.csv", {f"{EXPERIMENT_ID.format(i)}.csv" for i in range(len(tasks))})
+    out_dir.mkdir(parents=True, exist_ok=True)
     results = _run_pool(_simulate_one, tasks, args.jobs)
 
     ground_truth = {experiment_id: effects for experiment_id, effects in results}
@@ -149,17 +171,18 @@ def _analyze_one(task: tuple) -> str:
     ``horizon``-day target, or the fixed running-mean ones.
     """
     panel_path, out_path, regime, horizon, direct_days, orders, models = task
-    panel = load_panel(panel_path)
-    arms = sorted(arm.name for arm in panel.treatment_arms)
-    records = []
-    for days in direct_days:
-        records += [estimate_to_record(direct_effect(panel, arm, days)) for arm in arms]
-    if regime == ModelSource.PRE_TEST:
-        models = fit_pretest(panel, orders, horizon)
-    elif regime == ModelSource.RUNNING_MEAN:
-        models = map(running_mean_model, orders)
-    for model in models:
-        records += [estimate_to_record(surrogate_effect(model, panel, arm)) for arm in arms]
+    with _naming(Path(panel_path).name):
+        panel = load_panel(panel_path)
+        arms = sorted(arm.name for arm in panel.treatment_arms)
+        records = []
+        for days in direct_days:
+            records += [estimate_to_record(direct_effect(panel, arm, days)) for arm in arms]
+        if regime == ModelSource.PRE_TEST:
+            models = fit_pretest(panel, orders, horizon)
+        elif regime == ModelSource.RUNNING_MEAN:
+            models = map(running_mean_model, orders)
+        for model in models:
+            records += [estimate_to_record(surrogate_effect(model, panel, arm)) for arm in arms]
     records.sort(key=lambda r: (r["kind"], r["T"], r["arm"]))
     _write_atomic(Path(out_path), _dump_json(records))
     return str(out_path)
@@ -174,7 +197,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     direct_days = orders if args.sweep_T else [horizon]
     models = None
     if args.regime == ModelSource.SIMILAR_TEST:
-        models = fit_similar(load_panel(args.donor), orders, horizon)
+        with _naming(f"donor {args.donor}"):
+            models = fit_similar(load_panel(args.donor), orders, horizon)
 
     if args.panel is not None:
         out_path = Path(args.out)
@@ -187,6 +211,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             raise DataValidationError(f"no panel CSVs found in {args.panel_dir}")
         out_dir = Path(args.out)
         targets = [(str(path), out_dir / f"{path.stem}.estimates.json") for path in panel_files]
+        _refuse_strays(out_dir, "*.estimates.json", {out.name for _, out in targets})
         manifest_path = out_dir / "manifest.json"
         inputs = {"panel_dir": args.panel_dir}
 

@@ -427,13 +427,15 @@ def write_panel(panel: OutcomePanel, dest: str | Path | IO[str]) -> None:
     dest.write(",".join(COLUMNS) + "\n")
     line = io.StringIO()
     writer = csv.writer(line, lineterminator="\r\n")
+    # One user's rows: "\0" stands for the quoted text fields, then come the
+    # day and a %r slot for the outcome. The text replaces each "\0" after the
+    # outcomes are formatted, so a "%" in it is not read as a slot, and no
+    # day or float repr holds a "\0" of its own.
+    template = "".join(f"\0,{day},%r\n" for day in panel.days)
     for user_id, arm, row in zip(panel.user_ids, panel.arms, panel.matrix.tolist()):
         line.seek(0)
         line.truncate()
         flag = "true" if arm.is_control else "false"
         writer.writerow((panel.experiment_id, user_id, arm.name, flag))
-        prefix = line.getvalue()[:-2]
-        dest.write(
-            "".join(f"{prefix},{day},{value!r}\n" for day, value in zip(panel.days, row))
-        )
+        dest.write((template % tuple(row)).replace("\0", line.getvalue()[:-2]))
 

@@ -42,6 +42,9 @@ from .panel import DEFAULT_HORIZON, ArmLabel, OutcomePanel, days_in_range
 
 _MASK64 = 2**64 - 1
 
+# Experiment ``index`` is named EXPERIMENT_ID.format(index).
+EXPERIMENT_ID = "sim-{:05d}"
+
 # Counter high-word tags keeping effect draws and user chains disjoint.
 _EFFECT_STREAM = 1
 _USER_STREAM = 2
@@ -231,7 +234,7 @@ def simulate_experiment(config: SimConfig, index: int) -> SimulatedExperiment:
     }
 
     panel = OutcomePanel.from_matrix(
-        experiment_id=f"sim-{index:05d}",
+        experiment_id=EXPERIMENT_ID.format(index),
         user_ids=_user_ids(n_users),
         arms=[arm for arm in arms for _ in range(config.users_per_arm)],
         days=days_in_range(-config.pre_period, config.horizon),

@@ -72,6 +72,15 @@ def read_bytes_by_name(directory, pattern):
     return {p.name: p.read_bytes() for p in sorted(Path(directory).glob(pattern))}
 
 
+def capitalize_flag(source, dest, line):
+    """Copy panel CSV ``source`` to ``dest`` with the is_control token of ``line`` capitalized."""
+    lines = Path(source).read_text().splitlines(keepends=True)
+    fields = lines[line - 1].split(",")
+    fields[3] = fields[3].capitalize()
+    lines[line - 1] = ",".join(fields)
+    Path(dest).write_text("".join(lines))
+
+
 class TestSimulate:
     def test_writes_corpus_and_sidecar(self, tmp_path):
         out_dir = simulate_toy(tmp_path)
@@ -112,6 +121,21 @@ class TestSimulate:
                      "--seed", "7"]) == 0
         assert main(["simulate", "--config", str(config_path), "--out-dir", str(b)]) == 0
         assert (a / "sim-00000.csv").read_bytes() != (b / "sim-00000.csv").read_bytes()
+
+    def test_directory_holding_another_runs_panel_exits_3(self, tmp_path, capsys):
+        out_dir = simulate_toy(tmp_path, n_experiments=3)
+        before = read_bytes_by_name(out_dir, "*")
+        config_path = write_config(tmp_path, n_experiments=2, seed=2)
+        argv = ["simulate", "--config", str(config_path), "--out-dir", str(out_dir)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"surrokit: data validation error: {out_dir} holds another run's output: sim-00002.csv\n"
+        )
+        assert read_bytes_by_name(out_dir, "*") == before
+        # A run may overwrite the files it writes itself.
+        (out_dir / "sim-00002.csv").unlink()
+        assert main(argv) == 0
+        assert main(argv) == 0
 
     def test_bad_config_exits_3(self, tmp_path):
         config_path = tmp_path / "config.json"
@@ -431,6 +455,48 @@ class TestAnalyze:
         names = sorted(p.name for p in est_dir.glob("*.estimates.json"))
         assert names == ["sim-00000.estimates.json", "sim-00001.estimates.json"]
         assert (est_dir / "manifest.json").exists()
+
+    def test_out_dir_holding_another_runs_estimates_exits_3(self, tmp_path, capsys):
+        out_dir = simulate_toy(tmp_path)
+        est_dir = tmp_path / "estimates"
+        est_dir.mkdir()
+        (est_dir / "old.estimates.json").write_text("[]\n")
+        argv = ["analyze", "--panel-dir", str(out_dir), "--regime", "running-mean",
+                "--T", "5", "--horizon", "5", "--out", str(est_dir)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"surrokit: data validation error: {est_dir} holds another run's output: "
+            "old.estimates.json\n"
+        )
+        assert [p.name for p in est_dir.iterdir()] == ["old.estimates.json"]
+        # A run may overwrite the files it writes itself.
+        (est_dir / "old.estimates.json").unlink()
+        assert main(argv) == 0
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_panel_dir_data_error_names_its_file(self, tmp_path, capsys, jobs):
+        out_dir = simulate_toy(tmp_path)
+        capitalize_flag(out_dir / "sim-00001.csv", out_dir / "sim-00001.csv", 100)
+        assert main(["analyze", "--panel-dir", str(out_dir), "--regime", "running-mean",
+                     "--T", "5", "--horizon", "5", "--out", str(tmp_path / "est"),
+                     "--jobs", jobs]) == 3
+        assert capsys.readouterr().err == (
+            "surrokit: data validation error: sim-00001.csv: line 100: "
+            "is_control must be 'true' or 'false', got 'True'\n"
+        )
+
+    def test_donor_data_error_names_the_donor(self, tmp_path, capsys):
+        out_dir = simulate_toy(tmp_path)
+        donor = tmp_path / "donor.csv"
+        capitalize_flag(out_dir / "sim-00001.csv", donor, 100)
+        assert main(["analyze", "--panel", str(out_dir / "sim-00000.csv"), "--regime", "similar",
+                     "--donor", str(donor), "--T", "3", "--horizon", "5",
+                     "--out", str(tmp_path / "est.json")]) == 3
+        assert capsys.readouterr().err == (
+            f"surrokit: data validation error: donor {donor}: line 100: "
+            "is_control must be 'true' or 'false', got 'True'\n"
+        )
 
     def test_panel_dir_without_csvs_exits_3(self, tmp_path, capsys):
         panel_dir = tmp_path / "panels"

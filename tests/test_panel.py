@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import itertools
 import math
@@ -413,6 +414,24 @@ class TestRoundTrip:
         )
         reloaded = load_text(csv_text(panel))
         assert reloaded == panel
+
+    def test_written_bytes_are_pinned(self):
+        """The CSV bytes of two panels match digests of the per-cell writer's text."""
+        config = SimConfig(arms_per_experiment=2, users_per_arm=200, horizon=63, pre_period=63, seed=3)
+        readme_shape = simulate_experiment(config, 0).panel
+        arms = [ArmLabel('c,"q"\0%s', True), ArmLabel("t\r\n%%1", False)]
+        quoted = OutcomePanel.from_matrix(
+            "e%d\n,x",
+            ['a"b\r', "u\0%2", "plain"],
+            [arms[0], arms[1], arms[1]],
+            [-2, -1, 1, 2],
+            [[-0.0, 1e-30, 1e30, -1.5e-300], [0.1, -1e30, 2.5, 3.0], [1.0, 2.0, 3.0, 4.0]],
+        )
+        digests = [hashlib.sha256(csv_text(p).encode()).hexdigest() for p in (readme_shape, quoted)]
+        assert digests == [
+            "93abcb14b8c5e0baee78dd4369ef64975a6489859f93cbf714407839427d2a7c",
+            "0c24aaadb23fd8536b4d279dc6394b356b631c6fc552488422a78b83568321f4",
+        ]
 
     def test_round_trip_exact_floats(self, tmp_path):
         rng = np.random.default_rng(11)
