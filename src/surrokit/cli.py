@@ -297,6 +297,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 "estimates_dir": args.estimates,
                 "out": str(out_path),
                 "alpha": args.alpha,
+                "long_cycle_days": args.long_cycle_days,
+                "short_cycle_days": args.short_cycle_days,
                 "outputs": [out_path.name, scaled_path.name],
             },
         )

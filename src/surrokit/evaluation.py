@@ -113,22 +113,17 @@ def launch_metrics(counts: Sequence[Sequence[int]]) -> dict:
 def _centered(x: np.ndarray) -> tuple[float, np.ndarray, int]:
     """The mean of ``x``, its deviations from it divided by 2**e, and e.
 
-    e is 0 when every deviation is finite and the largest lies in
-    [2^-129, 2^128), where no square underflows and no fourth power
-    overflows. Otherwise the values themselves are first divided by the
-    exact power of two 2**e that brings the largest |x| into [0.5, 1), so
-    the mean is finite, every deviation is below 2 and the largest nonzero
-    one is at least 2^-54. Raises NumericalError when a value is not finite.
+    The values are first divided by the exact power of two 2**e that brings
+    the largest |x| into [0.5, 1), so the mean is finite, every deviation is
+    below 2 and the largest nonzero one is at least 2^-54. While nothing is
+    subnormal, the division commutes with every rounding of the sums that
+    use it. Raises NumericalError when a value is not finite.
     """
-    exponent = 0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(invalid="ignore"):
+        exponent = int(np.frexp(abs(x).max())[1])
+        x = np.ldexp(x, -exponent)
         mean = x.mean()
         centered = x - mean
-        if not 2.0**-129 <= abs(centered).max() < 2.0**128:
-            exponent = int(np.frexp(abs(x).max())[1])
-            x = np.ldexp(x, -exponent)
-            mean = x.mean()
-            centered = x - mean
     if not np.isfinite(centered).all():
         raise NumericalError("a value is not finite")
     return math.ldexp(float(mean), exponent), centered, exponent

@@ -89,14 +89,15 @@ def _factor(x: np.ndarray, y: np.ndarray, width: int):
     Each step is applied to the column's coefficient row too, so that
     ``q_j = design @ coef[j]``; the rows of ``coef`` are the columns of
     R^-1, and the order-T solution is ``(Q'y)[:T+1] @ coef[:T+1, :T+1]``.
-    The target is swept off each new column as it is made, which gives Q'y
-    and, after the intercept column, the targets' total sum of squares.
+    The target is swept off each new column as it is made, which gives Q'y.
 
     Sums run through ``np.einsum`` (never BLAS), over n rows or over the
     earlier columns one at a time, on vectors whose lengths are n or j, so
     column j's results do not depend on ``width``. The result is cut to the
     longest leading prefix that passes the rank check: every |R_ii| of the
-    prefix above RANK_RTOL times its largest column norm.
+    prefix above RANK_RTOL times its largest column norm. Raises
+    NumericalError, naming the column, when a column's sum of squares
+    overflows, which the rank check would read as collinearity.
     """
     n = x.shape[0]
     q = np.empty((width, n), dtype=float)
@@ -104,12 +105,13 @@ def _factor(x: np.ndarray, y: np.ndarray, width: int):
     q[1:] = x[:, : width - 1].T
     coef = np.identity(width)
     qty = np.empty(width, dtype=float)
-    tss = math.nan
     residual = y.copy()
     smallest_diag, largest_norm = math.inf, 0.0
     for j in range(width):
         v, basis = q[j], q[:j]
         largest_norm = max(largest_norm, math.sqrt(np.einsum("i,i->", v, v)))
+        if largest_norm == math.inf:
+            raise NumericalError(f"the sum of squares of design column {j} overflows")
         for _ in range(2):
             h = np.einsum("ij,j->i", basis, v)
             v -= np.einsum("i,ij->j", h, basis)
@@ -117,14 +119,12 @@ def _factor(x: np.ndarray, y: np.ndarray, width: int):
         diag = math.sqrt(np.einsum("i,i->", v, v))
         smallest_diag = min(smallest_diag, diag)
         if not smallest_diag > RANK_RTOL * largest_norm:
-            return coef[:j, :j], qty[:j], tss
+            return coef[:j, :j], qty[:j]
         v /= diag
         coef[j, : j + 1] /= diag
         qty[j] = np.einsum("i,i->", v, residual)
         residual -= qty[j] * v
-        if j == 0:
-            tss = float(np.einsum("i,i->", residual, residual))
-    return coef, qty, tss
+    return coef, qty
 
 
 def _require_rows(n: int, order: int) -> None:
@@ -152,7 +152,9 @@ def fit_nested(
         TypeError: an order is not an integer.
         NonFiniteOutcome: a used feature or a target is not finite.
         TooFewRows: n <= T + 1 for an order T.
-        NumericalError: the targets' total sum of squares is not finite.
+        NumericalError: a design column of an order T has a sum of squares
+            past the float range, or the order-T intercept or a
+            coefficient is not finite.
         RankDeficient: for an order T, some |R_ii| of the design prefix
             [1 | Y_1..Y_T] is at most RANK_RTOL times the prefix's largest
             column norm.
@@ -178,9 +180,7 @@ def fit_nested(
     _require_rows(n, min(orders))
 
     # Orders with n <= T + 1 fail below, so no column past n - 2 is needed.
-    coef, qty, tss = _factor(x, y, min(top, n - 2) + 1)
-    if not math.isfinite(tss):
-        raise NumericalError(f"the targets' total sum of squares overflows ({tss})")
+    coef, qty = _factor(x, y, min(top, n - 2) + 1)
     models = {}
     for order in sorted(set(orders)):
         _require_rows(n, order)
@@ -190,6 +190,8 @@ def fit_nested(
                 f"at relative tolerance {RANK_RTOL}"
             )
         beta = np.einsum("i,ij->j", qty[: order + 1], coef[: order + 1, : order + 1])
+        if not np.isfinite(beta).all():
+            raise NumericalError(f"the order-{order} fit has a coefficient that is not finite")
         models[order] = SurrogateModel(float(beta[0]), tuple(beta[1:].tolist()), source)
     return tuple(models[order] for order in orders)
 

@@ -1149,9 +1149,12 @@ class TestManifest:
         assert main(["analyze", "--panel-dir", str(out_dir), "--regime", "pretest",
                      "--T", "2", "--horizon", "5", "--out", str(est_dir)]) == 0
         report_path = tmp_path / "report.json"
-        assert main(["evaluate", "--estimates", str(est_dir), "--out", str(report_path)]) == 0
+        assert main(["evaluate", "--estimates", str(est_dir), "--out", str(report_path),
+                     "--long-cycle-days", "63", "--short-cycle-days", "7"]) == 0
         manifest = json.loads(report_path.with_name("report.json.manifest.json").read_text())
-        assert set(manifest) == common | {"estimates_dir", "out", "alpha"}
+        assert set(manifest) == common | {"estimates_dir", "out", "alpha", "long_cycle_days",
+                                          "short_cycle_days"}
+        assert (manifest["long_cycle_days"], manifest["short_cycle_days"]) == (63.0, 7.0)
 
     def test_unknown_log_level_is_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SURROKIT_LOG", "verbose")

@@ -343,6 +343,34 @@ class TestScaledDistribution:
             summary, scaled = scaled_distribution(values, scale_by=[1.0, 2.0, 3.0, 4.0])
             assert summary["mean"] == math.ldexp(float(np.ldexp(scaled, -1024).mean()), 1024)
 
+    def test_statistics_equal_numpys_bits(self):
+        # Wherever numpy's sample standard deviation is finite and above
+        # 1e-153, the scale, the scaled values and every summary statistic
+        # are numpy's own, bit for bit, at any scale of the values.
+        rng = np.random.default_rng(2311)
+        checked = 0
+        for _ in range(3000):
+            s = 10.0 ** rng.uniform(-150, 150)
+            x = s * (rng.uniform(-10, 10) + rng.standard_t(4, rng.integers(4, 201)))
+            reference = s * rng.standard_t(4, rng.integers(2, 51))
+            scale = np.std(reference, ddof=1)
+            if not 1e-153 < scale < math.inf:
+                continue
+            summary, scaled = scaled_distribution(x, scale_by=reference)
+            assert np.array_equal(scaled, x / scale)
+            assert summary["mean"] == np.mean(scaled)
+            assert summary["std_dev"] == np.std(scaled, ddof=1)
+            n, c = scaled.size, scaled - scaled.mean()
+            if scaled.min() == scaled.max():
+                assert summary["excess_kurtosis"] is None
+            else:
+                m2 = np.mean(c**2)
+                g2 = np.mean(c**4) / (m2 * m2) - 3.0
+                g2_corrected = (n - 1) / ((n - 2) * (n - 3)) * ((n + 1) * g2 + 6.0)
+                assert summary["excess_kurtosis"] == g2_corrected
+            checked += 1
+        assert checked > 2900
+
 
 @st.composite
 def shuffled_reads(draw):

@@ -125,11 +125,34 @@ class TestFitLeastSquares:
 class TestFitNested:
     """One factorisation serves every order; each order equals its own fit."""
 
-    def test_overflowing_total_sum_of_squares_is_a_numerical_error(self):
+    def test_targets_whose_sum_of_squares_overflows_still_fit(self):
+        # The coefficients are finite, so the fit is returned and is OLS.
         features = np.random.default_rng(3).standard_normal((8, 2))
         targets = np.array([1e200, -1e200, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-        with pytest.raises(NumericalError, match="total sum of squares"):
-            fit_nested(features, targets, [1, 2])
+        for model in fit_nested(features, targets, [1, 2]):
+            design = np.column_stack([np.ones(8), features[:, : model.order]])
+            expected = np.linalg.lstsq(design, targets, rcond=None)[0]
+            np.testing.assert_allclose([model.intercept, *model.coefficients], expected,
+                                       rtol=1e-14)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_coefficients_that_are_not_finite_are_a_numerical_error(self):
+        features = np.random.default_rng(3).standard_normal((8, 2))
+        targets = np.array([1.7e308, 1.7e308, -1.7e308, 0.0, 1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(NumericalError, match="^the order-1 fit has a coefficient"):
+            fit_nested(features, targets, [2, 1])
+
+    def test_overflowing_design_column_is_a_numerical_error(self):
+        # Not collinearity: the orders that do not use the column still fit.
+        rng = np.random.default_rng(15)
+        features = rng.standard_normal((40, 3))
+        features[:, 1] *= 1e160
+        targets = rng.standard_normal(40)
+        for orders in ([2], [3], [1, 3]):
+            with pytest.raises(NumericalError, match="^the sum of squares of design column 2 "):
+                fit_nested(features, targets, orders)
+        assert fit_nested(features, targets, [1]) == fit_nested(features[:, :1], targets, [1])
 
     def test_pretest_sweep_equals_single_order_fits(self):
         config = SimConfig(users_per_arm=100, ar1_rho=0.4, seed=111)

@@ -16,7 +16,8 @@ scratch directory with relative paths (so that messages compare equal):
   ends of a panel's range (a corpus without a pre-period, and horizons
   short of and past the last day of a corpus, and a donor shorter than the
   horizon) and the panels of ``BAD_PANELS``, which exit on a repeated cell,
-  a missing day or a read of post-allocation days the panel lacks.
+  a missing day or a read of post-allocation days the panel lacks, and a
+  pretest read of ``HUGE_PRE``, whose fit exits 4.
 
 The two roots' exit codes, stderr text and the bytes of every output file
 except ``*manifest.json`` (which holds timings) are compared. The tool
@@ -63,6 +64,13 @@ BAD_PANELS = {
     "pre-only": _HEADER + "e,u1,c,true,-3,1.0\ne,u1,c,true,-2,2.0\ne,u1,c,true,-1,3.0\n"
                 "e,u2,t,false,-3,4.0\ne,u2,t,false,-2,5.0\ne,u2,t,false,-1,6.0\n",
 }
+# Three control and three treatment users over days -3..-1 and 1..3, with
+# pre-period outcomes near 1e160: the sum of squares of a pretest feature
+# overflows.
+HUGE_PRE = _HEADER + "".join(
+    f"e,u{user},{'c' if user < 3 else 't'},{str(user < 3).lower()},{day},"
+    f"{(user + day + 7) * 1e160 if day < 0 else float(user)}\n"
+    for user in range(6) for day in (-3, -2, -1, 1, 2, 3))
 REGIMES = ("pretest", "similar", "running-mean")
 ORDERS = {"T7": ["--T", "7"], "sweep": ["--sweep-T"]}
 EVALUATE_FLAGS = {"default": [], "alpha0.1-long63": ["--alpha", "0.1", "--long-cycle-days", "63"]}
@@ -109,7 +117,8 @@ def edge_commands() -> list[list[str]]:
     and a similar read at ``--horizon 21`` whose donor is a panel of
     ``EDGE_CORPUS``, which exits 3 (a donor shorter than the horizon). Last,
     a running-mean ``analyze --panel`` of each panel of ``BAD_PANELS``,
-    which exits 3 on its load error or its direct read.
+    which exits 3 on its load error or its direct read, and a pretest
+    ``analyze --panel`` of ``HUGE_PRE`` at ``--T 1``, which exits 4.
     """
     pre0, h21 = EDGE_CORPUS[0], "arms2.5-h21"
     t7, sweep = ORDERS["T7"], ORDERS["sweep"]
@@ -137,6 +146,9 @@ def edge_commands() -> list[list[str]]:
         commands.append(["analyze", "--panel", f"bad/{name}.csv", "--regime",
                          "running-mean", "--T", "2", "--horizon", "3",
                          "--out", f"bad/estimates/{name}.estimates.json", "--jobs", "1"])
+    commands.append(["analyze", "--panel", "bad/huge-pre.csv", "--regime", "pretest",
+                     "--T", "1", "--horizon", "3",
+                     "--out", "bad/estimates/huge-pre.estimates.json", "--jobs", "1"])
     return commands
 
 
@@ -153,7 +165,7 @@ def run_commands(commands: list[list[str]], results_path: str) -> None:
         Path(corpus).mkdir()
         Path(corpus, "config.json").write_text(json.dumps(config), encoding="utf-8")
     Path("bad").mkdir()
-    for name, text in BAD_PANELS.items():
+    for name, text in {**BAD_PANELS, "huge-pre": HUGE_PRE}.items():
         Path("bad", f"{name}.csv").write_text(text, encoding="utf-8")
     results = []
     saved = os.dup(2)
