@@ -12,14 +12,17 @@ Subcommands, each with only the flags it reads::
 functions of the input files and flags: floats are serialized with full
 round-trip precision, directory scans are sorted, and worker pools merge
 results in deterministic order. Every run ends by atomically writing a
-manifest recording the command, the values it read, its inputs, outputs, and
-tool version. Exit codes: 0 success, 2 usage, 3 data validation failure or
-an input too large for memory, 4 numerical failure, including a statistic
-that overflows; no output file holds a NaN or infinity. A warning prints as
-one ``surrokit: warning:`` line. ``simulate`` and ``analyze --panel-dir``
-exit 3, writing nothing, when their output directory holds a file of their
-output pattern that the run would not write; an ``analyze`` error names
-the panel file, or the donor, it came from.
+manifest that records the command and each of its flags under its argparse
+dest (``--out-dir`` as ``out_dir``, an absent flag as its default), with
+the seed and horizon ``simulate`` resolves from its config in place of the
+flag, plus the output file names, tool version and duration. Exit codes:
+0 success, 2 usage, 3 data validation failure or an input too large for
+memory, 4 numerical failure, including a statistic that overflows; no
+output file holds a NaN or infinity. A warning prints as one ``surrokit:
+warning:`` line. ``simulate`` and ``analyze --panel-dir`` exit 3, writing
+nothing, when their output directory holds a file of their output pattern
+that the run would not write; an ``analyze`` error names the panel file,
+or the donor, it came from.
 
 Set SURROKIT_LOG to a logging level name (DEBUG, INFO, WARNING, ...) to
 control log verbosity; an unknown name is a usage error.
@@ -79,22 +82,26 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _write_manifest(path: Path, command: str, started: float, fields: dict) -> None:
-    manifest = {
-        "command": command,
-        "tool_version": __version__,
-        "duration_seconds": time.perf_counter() - started,
-        **fields,
-    }
+def _write_manifest(path: Path, args: argparse.Namespace, started: float,
+                    outputs: list[str], **resolved) -> None:
+    """Record every flag of the run under its argparse dest, ``resolved`` over them.
+
+    ``resolved`` holds the values a run settles that its flags leave open,
+    such as the config's seed; ``outputs`` are the names of the files written.
+    """
+    manifest = {key: value for key, value in vars(args).items() if key != "func"}
+    manifest.update(resolved, tool_version=__version__, outputs=outputs,
+                    duration_seconds=time.perf_counter() - started)
     _write_atomic(path, _dump_json(manifest))
 
 
-def _refuse_strays(out_dir: Path, pattern: str, names: set[str]) -> None:
+def _refuse_strays(out_dir: Path, pattern: str, names: list[str]) -> None:
     """Refuse an output directory holding a ``pattern`` file that this run will not write.
 
     The next stage reads every such file, so a stray one would be read as this run's.
     """
-    if stray := sorted(path.name for path in out_dir.glob(pattern) if path.name not in names):
+    kept = set(names)
+    if stray := sorted(path.name for path in out_dir.glob(pattern) if path.name not in kept):
         raise DataValidationError(f"{out_dir} holds another run's output: {', '.join(stray)}")
 
 
@@ -135,7 +142,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, seed=args.seed)
     out_dir = Path(args.out_dir)
     tasks = [(config, index, str(out_dir)) for index in range(config.n_experiments)]
-    _refuse_strays(out_dir, "*.csv", {f"{EXPERIMENT_ID.format(i)}.csv" for i in range(len(tasks))})
+    names = sorted(f"{EXPERIMENT_ID.format(index)}.csv" for index in range(len(tasks)))
+    _refuse_strays(out_dir, "*.csv", names)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = _run_pool(_simulate_one, tasks, args.jobs)
 
@@ -144,24 +152,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _write_atomic(truth_path, _dump_json(ground_truth))
     logger.info("simulated %d experiments into %s", len(results), out_dir)
 
-    _write_manifest(
-        out_dir / "manifest.json",
-        "simulate",
-        started,
-        {
-            "config_path": str(args.config),
-            "out_dir": str(out_dir),
-            "seed": config.seed,
-            "horizon": config.horizon,
-            "outputs": sorted(f"{eid}.csv" for eid, _ in results) + ["ground_truth.json"],
-        },
-    )
+    _write_manifest(out_dir / "manifest.json", args, started, names + ["ground_truth.json"],
+                    seed=config.seed, horizon=config.horizon)
     return EXIT_OK
 
 
 # --- analyze ---
 
-def _analyze_one(task: tuple) -> str:
+def _analyze_one(task: tuple) -> None:
     """Write one panel's direct and surrogate records.
 
     The direct reads come first, so a horizon past the panel's last day
@@ -185,7 +183,6 @@ def _analyze_one(task: tuple) -> str:
             records += [estimate_to_record(surrogate_effect(model, panel, arm)) for arm in arms]
     records.sort(key=lambda r: (r["kind"], r["T"], r["arm"]))
     _write_atomic(Path(out_path), _dump_json(records))
-    return str(out_path)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -203,40 +200,26 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.panel is not None:
         out_path = Path(args.out)
         targets = [(args.panel, out_path)]
+        names = [out_path.name]
         manifest_path = out_path.with_name(out_path.name + ".manifest.json")
-        inputs = {"panel_path": args.panel}
     else:
         panel_files = sorted(Path(args.panel_dir).glob("*.csv"))
         if not panel_files:
             raise DataValidationError(f"no panel CSVs found in {args.panel_dir}")
         out_dir = Path(args.out)
         targets = [(str(path), out_dir / f"{path.stem}.estimates.json") for path in panel_files]
-        _refuse_strays(out_dir, "*.estimates.json", {out.name for _, out in targets})
+        names = sorted(out.name for _, out in targets)
+        _refuse_strays(out_dir, "*.estimates.json", names)
         manifest_path = out_dir / "manifest.json"
-        inputs = {"panel_dir": args.panel_dir}
 
     tasks = [
         (panel_path, str(out_path), args.regime, horizon, direct_days, orders, models)
         for panel_path, out_path in targets
     ]
-    outputs = _run_pool(_analyze_one, tasks, args.jobs)
-    logger.info("analyzed %d panel(s) under regime %s", len(outputs), args.regime)
+    _run_pool(_analyze_one, tasks, args.jobs)
+    logger.info("analyzed %d panel(s) under regime %s", len(tasks), args.regime)
 
-    _write_manifest(
-        manifest_path,
-        "analyze",
-        started,
-        {
-            **inputs,
-            "donor_path": args.donor,
-            "regime": args.regime,
-            "sweep_T": args.sweep_T,
-            "out": str(args.out),
-            "T": args.T,
-            "horizon": horizon,
-            "outputs": sorted(Path(p).name for p in outputs),
-        },
-    )
+    _write_manifest(manifest_path, args, started, names)
     return EXIT_OK
 
 
@@ -289,19 +272,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             _write_atomic(path, text)
             written.append(path)
         logger.info("evaluated %d decision pairs", report["n_pairs"])
-        _write_manifest(
-            out_path.with_name(out_path.name + ".manifest.json"),
-            "evaluate",
-            started,
-            {
-                "estimates_dir": args.estimates,
-                "out": str(out_path),
-                "alpha": args.alpha,
-                "long_cycle_days": args.long_cycle_days,
-                "short_cycle_days": args.short_cycle_days,
-                "outputs": [out_path.name, scaled_path.name],
-            },
-        )
+        _write_manifest(out_path.with_name(out_path.name + ".manifest.json"), args, started,
+                        sorted(path.name for path in written))
     except OSError:
         for path in written:
             path.unlink()

@@ -121,6 +121,7 @@ def welch_se(group_a: np.ndarray, group_b: np.ndarray) -> float:
     return se
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mean_difference_effect(
     treated: np.ndarray,
     control: np.ndarray,
@@ -135,7 +136,8 @@ def mean_difference_effect(
     ``arm`` is the treatment arm's name. ``kind`` and ``T`` are as in
     EffectEstimate, which raises ValueError on one it refuses. Raises
     NumericalError when the point, the standard error, the z statistic or a
-    95% interval bound is not finite (an overflow).
+    95% interval bound is not finite (an overflow); numpy's overflow warnings
+    are silenced inside, so a caller sees the error alone.
     """
     t = np.asarray(treated, dtype=float)
     c = np.asarray(control, dtype=float)

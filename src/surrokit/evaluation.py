@@ -165,6 +165,7 @@ def excess_kurtosis(values: np.ndarray) -> float:
     return (n - 1) / ((n - 2) * (n - 3)) * ((n + 1) * g2 + 6.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def scaled_distribution(
     values: np.ndarray, scale_by: np.ndarray | None = None
 ) -> tuple[dict, np.ndarray]:
@@ -178,7 +179,8 @@ def scaled_distribution(
     true value is. Raises ZeroVariance when the scale is undefined: fewer
     than 2 values in ``scale_by`` or a zero sample standard deviation;
     EmptyInput when ``values`` is empty but the scale is not; NumericalError
-    when a scaled value is not finite.
+    when a scaled value is not finite; numpy's overflow warnings are silenced
+    inside, so a caller sees the error alone.
     The excess kurtosis is None exactly when ``excess_kurtosis`` finds it
     undefined: fewer than 4 values, or constant values.
     """

@@ -132,6 +132,7 @@ def _require_rows(n: int, order: int) -> None:
         raise TooFewRows(f"need more than {order + 1} rows to fit order {order}, got {n}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit_nested(
     features: np.ndarray,
     targets: np.ndarray,
@@ -159,7 +160,8 @@ def fit_nested(
             [1 | Y_1..Y_T] is at most RANK_RTOL times the prefix's largest
             column norm.
 
-    When several orders fail, the error is that of the smallest one.
+    When several orders fail, the error is that of the smallest one. numpy's
+    overflow warnings are silenced inside, so a caller sees the error alone.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)

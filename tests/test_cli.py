@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -28,7 +29,7 @@ from surrokit import (
     surrogate_effect,
     z_test,
 )
-from surrokit.cli import main
+from surrokit.cli import _build_parser, main
 
 TOY_CONFIG = {
     "n_experiments": 2,
@@ -1103,6 +1104,29 @@ def test_corrupted_panel_exits_0_3_or_4(tmp_path, content, regime, order):
         json.loads(out_path.read_text(), parse_constant=pytest.fail)  # no NaN or Infinity
 
 
+def subcommand_options(command):
+    """``{dest: action}`` of every option of ``surrokit <command>`` but ``--help``."""
+    parser = _build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {action.dest: action for action in subparsers.choices[command]._actions
+            if action.option_strings and action.dest != "help"}
+
+
+def replay_argv(manifest):
+    """The argv of a manifest's command: each key that is an option dest becomes
+    its option string; a true ``store_true`` flag is passed bare and a null left out."""
+    options = subcommand_options(manifest["command"])
+    argv = [manifest["command"]]
+    for dest, value in manifest.items():
+        if dest not in options or value is None:
+            continue
+        if isinstance(options[dest], argparse._StoreTrueAction):
+            argv += [options[dest].option_strings[0]] if value else []
+        else:
+            argv += [options[dest].option_strings[0], str(value)]
+    return argv
+
+
 class TestManifest:
     def test_analyze_manifest_fields(self, tmp_path):
         out_dir = simulate_toy(tmp_path)
@@ -1124,26 +1148,30 @@ class TestManifest:
         simulate_toy(tmp_path)
 
     def test_each_manifest_records_only_what_its_command_read(self, tmp_path):
-        common = {"command", "tool_version", "duration_seconds", "outputs"}
+        def expected(command, *resolved):
+            """Every option dest of ``command``, what the run resolves and the common fields."""
+            return set(subcommand_options(command)) | {
+                "command", "tool_version", "duration_seconds", "outputs", *resolved}
+
         out_dir = simulate_toy(tmp_path)
         manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert set(manifest) == common | {"config_path", "out_dir", "seed", "horizon"}
+        assert set(manifest) == expected("simulate", "horizon")
+        assert (manifest["seed"], manifest["horizon"], manifest["jobs"]) == (99, 5, 1)
 
-        analyzed = common | {"donor_path", "regime", "sweep_T", "out", "T", "horizon"}
         est_path = tmp_path / "est.json"
         assert main(["analyze", "--panel", str(out_dir / "sim-00000.csv"),
                      "--regime", "pretest", "--T", "2", "--horizon", "5",
                      "--out", str(est_path)]) == 0
         manifest = json.loads(est_path.with_name("est.json.manifest.json").read_text())
-        assert set(manifest) == analyzed | {"panel_path"}
-        assert manifest["T"] == 2
+        assert set(manifest) == expected("analyze")
+        assert (manifest["T"], manifest["jobs"], manifest["panel_dir"]) == (2, 1, None)
 
         sweep_dir = tmp_path / "sweep"
         assert main(["analyze", "--panel-dir", str(out_dir), "--regime", "pretest",
-                     "--sweep-T", "--horizon", "5", "--out", str(sweep_dir)]) == 0
+                     "--sweep-T", "--horizon", "5", "--out", str(sweep_dir), "--jobs", "2"]) == 0
         manifest = json.loads((sweep_dir / "manifest.json").read_text())
-        assert set(manifest) == analyzed | {"panel_dir"}
-        assert manifest["T"] is None
+        assert set(manifest) == expected("analyze")
+        assert (manifest["T"], manifest["jobs"], manifest["panel"]) == (None, 2, None)
 
         est_dir = tmp_path / "estimates"
         assert main(["analyze", "--panel-dir", str(out_dir), "--regime", "pretest",
@@ -1152,9 +1180,42 @@ class TestManifest:
         assert main(["evaluate", "--estimates", str(est_dir), "--out", str(report_path),
                      "--long-cycle-days", "63", "--short-cycle-days", "7"]) == 0
         manifest = json.loads(report_path.with_name("report.json.manifest.json").read_text())
-        assert set(manifest) == common | {"estimates_dir", "out", "alpha", "long_cycle_days",
-                                          "short_cycle_days"}
+        assert set(manifest) == expected("evaluate")
         assert (manifest["long_cycle_days"], manifest["short_cycle_days"]) == (63.0, 7.0)
+
+    def test_rerunning_a_manifests_command_reproduces_its_outputs(self, tmp_path):
+        out_dir = simulate_toy(tmp_path)
+        panel, donor = str(out_dir / "sim-00000.csv"), str(out_dir / "sim-00001.csv")
+        reads = {
+            "one": ["--panel", panel, "--regime", "pretest", "--T", "2",
+                    "--out", str(tmp_path / "one" / "est.json")],
+            "dir": ["--panel-dir", str(out_dir), "--regime", "running-mean", "--T", "3",
+                    "--out", str(tmp_path / "dir"), "--jobs", "2"],
+            "sweep": ["--panel-dir", str(out_dir), "--regime", "pretest", "--sweep-T",
+                      "--out", str(tmp_path / "sweep")],
+            "similar": ["--panel-dir", str(out_dir), "--regime", "similar", "--donor", donor,
+                        "--T", "4", "--out", str(tmp_path / "similar")],
+        }
+        manifests = [out_dir / "manifest.json"]
+        for name, flags in reads.items():
+            assert main(["analyze", *flags, "--horizon", "5"]) == 0
+            manifests += (tmp_path / name).glob("*manifest.json")
+        report_path = tmp_path / "report" / "report.json"
+        assert main(["evaluate", "--estimates", str(tmp_path / "dir"), "--out", str(report_path),
+                     "--alpha", "0.1", "--short-cycle-days", "7"]) == 0
+        manifests.append(report_path.with_name("report.json.manifest.json"))
+
+        assert len(manifests) == 6
+        for manifest_path in manifests:
+            manifest = json.loads(manifest_path.read_text())
+            directory = manifest_path.parent
+            written = {path.name: path.read_bytes() for path in directory.iterdir()
+                       if not path.name.endswith("manifest.json")}
+            assert sorted(written) == sorted(manifest["outputs"])
+            for name in written:
+                (directory / name).unlink()
+            assert main(replay_argv(manifest)) == 0
+            assert {name: (directory / name).read_bytes() for name in written} == written
 
     def test_unknown_log_level_is_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SURROKIT_LOG", "verbose")

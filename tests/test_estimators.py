@@ -2,6 +2,8 @@ import json
 import math
 import re
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -282,6 +284,13 @@ class TestEstimateInvariants:
         with pytest.raises(NumericalError, match="must be finite"), np.errstate(over="ignore"):
             mean_difference_effect([0.0, 1e200], [0.0, 1.0], experiment_id="e", arm=ARM,
                                    kind="direct", T=63)
+
+    def test_overflowing_standard_error_warns_nothing_first(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="std_error inf"):
+                mean_difference_effect([1e200, -1e200, 3e200], [0.0, 1.0, 2.0],
+                                       experiment_id="e", arm=ARM, kind="direct", T=63)
 
     @pytest.mark.parametrize("kind, T, message", [
         ("surrogate:", 5, "unknown estimate kind 'surrogate:'"),

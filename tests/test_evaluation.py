@@ -1,5 +1,7 @@
 import math
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -270,6 +272,12 @@ class TestScaledDistribution:
     def test_zero_variance(self):
         with pytest.raises(ZeroVariance):
             scaled_distribution([1.0, 2.0], scale_by=[5.0, 5.0, 5.0])
+
+    def test_overflowing_scaled_value_warns_nothing_first(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="a value is not finite"):
+                scaled_distribution([1.0, 2.0, 3.0, 4.0], scale_by=[1e-320, 2e-320, 0.0])
 
     def test_empty_values_with_a_scale_raise_empty_input(self):
         with pytest.raises(EmptyInput, match="no values to scale"):

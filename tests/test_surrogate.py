@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,14 @@ class TestFitNested:
         targets = np.array([1.7e308, 1.7e308, -1.7e308, 0.0, 1.0, 2.0, 3.0, 4.0])
         with pytest.raises(NumericalError, match="^the order-1 fit has a coefficient"):
             fit_nested(features, targets, [2, 1])
+
+    def test_coefficients_that_are_not_finite_warn_nothing_first(self):
+        features = np.random.default_rng(3).standard_normal((8, 2))
+        targets = [1.7e308, 1.7e308, -1.7e308, 0.0, 1.0, 2.0, 3.0, 4.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^the order-1 fit has a coefficient"):
+                fit_nested(features, targets, [1])
 
     def test_overflowing_design_column_is_a_numerical_error(self):
         # Not collinearity: the orders that do not use the column still fit.

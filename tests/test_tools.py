@@ -2,6 +2,7 @@
 tools/cli_matrix.py, the CLI comparison of two trees."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 import time
@@ -99,8 +100,14 @@ def test_cli_matrix_compare_reports_each_kind_of_difference(tmp_path):
     base, change = tmp_path / "base", tmp_path / "change"
     for work in (base, change):
         (work / "c" / "reports").mkdir(parents=True)
-        (work / "c" / "manifest.json").write_text(f"{work.name} timings")
         (work / "c" / "same.json").write_text("[]")
+        # Differing timings only: no difference.
+        (work / "c" / "manifest.json").write_text(json.dumps(
+            {"command": "simulate", "duration_seconds": len(work.name), "out_dir": "c"}))
+    (base / "c" / "reports" / "report.json.manifest.json").write_text(json.dumps(
+        {"command": "evaluate", "duration_seconds": 1.0, "estimates_dir": "e", "alpha": 0.05}))
+    (change / "c" / "reports" / "report.json.manifest.json").write_text(json.dumps(
+        {"command": "evaluate", "duration_seconds": 2.0, "estimates": "e", "alpha": 0.1}))
     (base / "c" / "reports" / "report.json").write_text('{"n_pairs": 4}')
     (change / "c" / "reports" / "report.json").write_text('{"n_pairs": 5}')
     (base / "c" / "only.csv").write_text("x\n")
@@ -113,6 +120,8 @@ def test_cli_matrix_compare_reports_each_kind_of_difference(tmp_path):
         "stderr of `evaluate --out r`: BASE '', CHANGE 'surrokit: x\\n'",
         "only in BASE: c/only.csv",
         "bytes differ: c/reports/report.json",
+        "manifest fields differ: c/reports/report.json.manifest.json: alpha, estimates, "
+        "estimates_dir",
     ]
     assert cli_matrix.compare(base_results, base_results, base, base) == []
 

@@ -19,9 +19,10 @@ scratch directory with relative paths (so that messages compare equal):
   a missing day or a read of post-allocation days the panel lacks, and a
   pretest read of ``HUGE_PRE``, whose fit exits 4.
 
-The two roots' exit codes, stderr text and the bytes of every output file
-except ``*manifest.json`` (which holds timings) are compared. The tool
-prints one line per difference and exits 0 only when there is none, 1
+The two roots' exit codes, stderr text, the bytes of every output file
+and the fields of every ``*manifest.json`` but ``duration_seconds`` (a
+timing) are compared. The tool prints one line per difference, naming the
+fields of a manifest that differ, and exits 0 only when there is none, 1
 otherwise. The interpreters run with one BLAS thread: fork-started pool
 workers that inherit a threaded BLAS can spin for seconds on each small fit.
 """
@@ -202,11 +203,20 @@ def run_root(root: Path, work: Path) -> list[dict]:
     return json.loads(results_path.read_text(encoding="utf-8"))
 
 
-def output_files(work: Path) -> dict[str, bytes]:
-    """``{relative path: bytes}`` of every file under ``work`` but the manifests."""
-    return {path.relative_to(work).as_posix(): path.read_bytes()
-            for path in sorted(work.rglob("*"))
-            if path.is_file() and not path.name.endswith("manifest.json")}
+def output_files(work: Path) -> dict[str, bytes | dict]:
+    """``{relative path: content}`` of every file under ``work``: its bytes, or
+    for a manifest its fields but ``duration_seconds``."""
+    files = {}
+    for path in sorted(work.rglob("*")):
+        if not path.is_file():
+            continue
+        if path.name.endswith("manifest.json"):
+            content = json.loads(path.read_text(encoding="utf-8"))
+            content.pop("duration_seconds")
+        else:
+            content = path.read_bytes()
+        files[path.relative_to(work).as_posix()] = content
+    return files
 
 
 def compare(base_results: list[dict], change_results: list[dict],
@@ -227,7 +237,13 @@ def compare(base_results: list[dict], change_results: list[dict],
         elif path not in base_files:
             lines.append(f"only in CHANGE: {path}")
         elif base_files[path] != change_files[path]:
-            lines.append(f"bytes differ: {path}")
+            base, change = base_files[path], change_files[path]
+            if isinstance(base, dict):
+                fields = sorted(key for key in base.keys() | change.keys()
+                                if key not in base or key not in change or base[key] != change[key])
+                lines.append(f"manifest fields differ: {path}: {', '.join(fields)}")
+            else:
+                lines.append(f"bytes differ: {path}")
     return lines
 
 
