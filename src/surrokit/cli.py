@@ -22,7 +22,9 @@ output file holds a NaN or infinity. A warning prints as one ``surrokit:
 warning:`` line. ``simulate`` and ``analyze --panel-dir`` exit 3, writing
 nothing, when their output directory holds a file of their output pattern
 that the run would not write; an ``analyze`` error names the panel file,
-or the donor, it came from.
+or the donor, it came from. Every output file, each panel included, is
+written as ``<name>.tmp`` and renamed into place, so a failed run leaves
+no partial file for the next stage to read.
 
 Set SURROKIT_LOG to a logging level name (DEBUG, INFO, WARNING, ...) to
 control log verbosity; an unknown name is a usage error.
@@ -71,15 +73,25 @@ def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_atomic(path: Path, text: str) -> None:
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """Yield ``<path>.tmp`` to write, then rename it to ``path``.
+
+    A failed write removes the tmp file and leaves ``path`` as it was, so
+    the next stage never reads a partial file.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        yield tmp
         os.replace(tmp, path)
-    except OSError:
+    finally:
         tmp.unlink(missing_ok=True)
-        raise
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    with _replacing(path) as tmp:
+        tmp.write_text(text, encoding="utf-8")
 
 
 def _write_manifest(path: Path, args: argparse.Namespace, started: float,
@@ -119,7 +131,8 @@ def _naming(source: str):
 def _simulate_one(task: tuple) -> tuple[str, dict[str, float]]:
     config, index, out_dir = task
     experiment = simulate_experiment(config, index)
-    write_panel(experiment.panel, Path(out_dir) / f"{experiment.panel.experiment_id}.csv")
+    with _replacing(Path(out_dir) / f"{experiment.panel.experiment_id}.csv") as tmp:
+        write_panel(experiment.panel, tmp)
     return experiment.panel.experiment_id, experiment.true_effects
 
 

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -89,8 +89,7 @@ class OutcomePanel:
     labels in order of first appearance, is derived once at construction;
     ``horizon`` is the last day.
 
-    Panels compare and hash by value and are safe to share across
-    concurrent readers.
+    Panels compare by value and are safe to share across concurrent readers.
     """
 
     experiment_id: str
@@ -167,9 +166,6 @@ class OutcomePanel:
             and self.days == other.days
             and np.array_equal(self.matrix, other.matrix)
         )
-
-    def __hash__(self) -> int:
-        return hash((self.experiment_id, self.user_ids, self.arms, self.days))
 
     @property
     def horizon(self) -> int:
@@ -279,8 +275,8 @@ def _malformed(exc: ValueError, offset: int) -> MalformedRow:
     return MalformedRow(f"line {row + 2}: {text[:at.start()]}{at[2] or ''}")
 
 
-def load_panel(source: str | Path | IO[str]) -> OutcomePanel:
-    """Load and validate a panel from long-format CSV text.
+def load_panel(path: str | Path) -> OutcomePanel:
+    """Load and validate a panel from a long-format CSV file.
 
     ``csv.reader`` reads the header and ``np.loadtxt`` the body, at most
     ``CHUNK`` rows per call on the same handle, so one chunk's strings are
@@ -297,7 +293,7 @@ def load_panel(source: str | Path | IO[str]) -> OutcomePanel:
     record (blank lines are skipped and not counted).
 
     Args:
-        source: path or open text stream positioned at the header row.
+        path: the CSV file, read as UTF-8 with ``newline=""``.
 
     Raises:
         MalformedRow: the text is not UTF-8 or not CSV, a text field is
@@ -308,22 +304,6 @@ def load_panel(source: str | Path | IO[str]) -> OutcomePanel:
         NoControlArm: no row is labelled as control.
         NonFiniteOutcome: an outcome parses to NaN or infinity.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            return load_panel(handle)
-
-    reader = csv.reader(source)
-    try:
-        header = next(reader, None)
-    except UnicodeDecodeError as exc:
-        raise MalformedRow(f"panel is not valid UTF-8: {exc}") from None
-    except csv.Error as exc:
-        raise MalformedRow(f"line {reader.line_num}: {exc}") from None
-    if header is None:
-        raise MalformedRow("empty input: missing header row")
-    if tuple(header) != COLUMNS:
-        raise MalformedRow(f"bad header {header!r}; expected {list(COLUMNS)}")
-
     users: dict[str, tuple[int, str]] = {}  # user -> (code, first arm)
     arms: dict[str, str] = {}  # arm -> first is_control token
     # The first failure of each check, keyed by its place in the report order:
@@ -331,7 +311,19 @@ def load_panel(source: str | Path | IO[str]) -> OutcomePanel:
     failures: dict[int, tuple] = {}
     user_parts, day_parts, outcome_parts = [], [], []  # one array per chunk
     n_rows = 0
-    with warnings.catch_warnings():
+    with open(path, "r", encoding="utf-8", newline="") as handle, warnings.catch_warnings():
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+        except UnicodeDecodeError as exc:
+            raise MalformedRow(f"panel is not valid UTF-8: {exc}") from None
+        except csv.Error as exc:
+            raise MalformedRow(f"line {reader.line_num}: {exc}") from None
+        if header is None:
+            raise MalformedRow("empty input: missing header row")
+        if tuple(header) != COLUMNS:
+            raise MalformedRow(f"bad header {header!r}; expected {list(COLUMNS)}")
+
         # loadtxt warns when a call finds no rows and when max_rows skips a blank line.
         warnings.filterwarnings("ignore", r".*contained no data", UserWarning)
         # Older numpy releases (1.23 on) only warn when they truncate a day
@@ -339,7 +331,7 @@ def load_panel(source: str | Path | IO[str]) -> OutcomePanel:
         warnings.filterwarnings("error", r".*integer via a float", DeprecationWarning)
         while True:
             try:
-                chunk = np.loadtxt(source, dtype=_ROW, delimiter=",", quotechar='"',
+                chunk = np.loadtxt(handle, dtype=_ROW, delimiter=",", quotechar='"',
                                    comments=None, max_rows=CHUNK, ndmin=1)
             except UnicodeDecodeError as exc:
                 # The text layer decodes ahead in blocks: only a lower bound on the line is known.
@@ -410,21 +402,16 @@ def load_panel(source: str | Path | IO[str]) -> OutcomePanel:
     return OutcomePanel(experiment_id, user_ids, panel_arms, days_in_range(d_min, d_max), matrix)
 
 
-def write_panel(panel: OutcomePanel, dest: str | Path | IO[str]) -> None:
-    """Serialize a panel to the long-format CSV layout.
+def write_panel(panel: OutcomePanel, path: str | Path) -> None:
+    """Serialize a panel to a CSV file in the long-format layout.
 
     Row order is users as stored, days ascending, so a write/load round
     trip reproduces the panel exactly (floats are written with full
     round-trip precision).
     """
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as handle:
-            write_panel(panel, handle)
-        return
     # csv.writer quotes the text fields; day and outcome never need quoting.
     # A "\r\n" terminator makes it quote a bare "\r" as well as "\n"; the
     # terminator itself is cut off below and each row ends in "\n".
-    dest.write(",".join(COLUMNS) + "\n")
     line = io.StringIO()
     writer = csv.writer(line, lineterminator="\r\n")
     # One user's rows: "\0" stands for the quoted text fields, then come the
@@ -432,10 +419,11 @@ def write_panel(panel: OutcomePanel, dest: str | Path | IO[str]) -> None:
     # outcomes are formatted, so a "%" in it is not read as a slot, and no
     # day or float repr holds a "\0" of its own.
     template = "".join(f"\0,{day},%r\n" for day in panel.days)
-    for user_id, arm, row in zip(panel.user_ids, panel.arms, panel.matrix.tolist()):
-        line.seek(0)
-        line.truncate()
-        flag = "true" if arm.is_control else "false"
-        writer.writerow((panel.experiment_id, user_id, arm.name, flag))
-        dest.write((template % tuple(row)).replace("\0", line.getvalue()[:-2]))
-
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(COLUMNS) + "\n")
+        for user_id, arm, row in zip(panel.user_ids, panel.arms, panel.matrix.tolist()):
+            line.seek(0)
+            line.truncate()
+            flag = "true" if arm.is_control else "false"
+            writer.writerow((panel.experiment_id, user_id, arm.name, flag))
+            handle.write((template % tuple(row)).replace("\0", line.getvalue()[:-2]))

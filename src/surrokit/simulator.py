@@ -33,7 +33,6 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO
 
 import numpy as np
 
@@ -263,19 +262,17 @@ def config_from_dict(payload: dict) -> SimConfig:
     return SimConfig(**values)
 
 
-def load_config(source: str | Path | IO[str]) -> SimConfig:
+def load_config(path: str | Path) -> SimConfig:
     """Read a SimConfig from a JSON file."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            return load_config(handle)
-    try:
-        payload = json.load(source)
-    except UnicodeDecodeError as exc:
-        raise InvalidConfig(f"config is not valid UTF-8: {exc}") from None
-    # ValueError: bad JSON, or an integer past Python's digit limit;
-    # RecursionError: arrays or objects nested past the recursion limit.
-    except (ValueError, RecursionError) as exc:
-        raise InvalidConfig(f"config is not valid JSON: {exc}") from None
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            payload = json.load(handle)
+        except UnicodeDecodeError as exc:
+            raise InvalidConfig(f"config is not valid UTF-8: {exc}") from None
+        # ValueError: bad JSON, or an integer past Python's digit limit;
+        # RecursionError: arrays or objects nested past the recursion limit.
+        except (ValueError, RecursionError) as exc:
+            raise InvalidConfig(f"config is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise InvalidConfig("config JSON must be an object")
     return config_from_dict(payload)

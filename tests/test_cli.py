@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import math
 import os
@@ -137,6 +138,21 @@ class TestSimulate:
         (out_dir / "sim-00002.csv").unlink()
         assert main(argv) == 0
         assert main(argv) == 0
+
+    def test_failed_panel_write_leaves_no_partial_panel(self, tmp_path, monkeypatch, capsys):
+        """A panel cut at a user boundary loads as a smaller panel, so none may be left."""
+        def write_half_then_fail(panel, path):
+            surrokit.write_panel(panel, path)
+            lines = Path(path).read_text().splitlines(keepends=True)
+            Path(path).write_text("".join(lines[:len(lines) // 2]))
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(surrokit.cli, "write_panel", write_half_then_fail)
+        out_dir = tmp_path / "corpus"
+        assert main(["simulate", "--config", str(write_config(tmp_path)),
+                     "--out-dir", str(out_dir)]) == 3
+        assert capsys.readouterr().err == "surrokit: io error: [Errno 28] No space left on device\n"
+        assert list(out_dir.iterdir()) == []
 
     def test_bad_config_exits_3(self, tmp_path):
         config_path = tmp_path / "config.json"
@@ -1023,6 +1039,23 @@ class TestOverflow:
         points = [(i * 1e-8, i * 1e300) for i in range(1, 7)]
         assert self.evaluate_points(tmp_path, points) == 4
         assert_one_line_numerical_error(capsys, tmp_path / "report")
+
+    def test_capacity_figure_past_the_float_range_exits_4(self, tmp_path, capsys):
+        # The reads' statistics are finite; the capacity gain, 1e300 / 1e-300 - 1, is not.
+        out_dir = simulate_toy(tmp_path)
+        est_dir = tmp_path / "estimates"
+        assert main(["analyze", "--panel-dir", str(out_dir), "--regime", "running-mean",
+                     "--T", "5", "--horizon", "5", "--out", str(est_dir)]) == 0
+        report_dir = tmp_path / "report"
+        report_dir.mkdir()
+        assert main(["evaluate", "--estimates", str(est_dir),
+                     "--out", str(report_dir / "report.json"),
+                     "--long-cycle-days", "1e300", "--short-cycle-days", "1e-300"]) == 4
+        assert capsys.readouterr().err == (
+            "surrokit: numerical error: report statistic is not finite: "
+            "Out of range float values are not JSON compliant: inf\n"
+        )
+        assert list(report_dir.iterdir()) == []
 
     @pytest.mark.parametrize("points", [
         # Their sum overflows, and so does their standard deviation.

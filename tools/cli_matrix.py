@@ -16,8 +16,9 @@ scratch directory with relative paths (so that messages compare equal):
   ends of a panel's range (a corpus without a pre-period, and horizons
   short of and past the last day of a corpus, and a donor shorter than the
   horizon) and the panels of ``BAD_PANELS``, which exit on a repeated cell,
-  a missing day or a read of post-allocation days the panel lacks, and a
-  pretest read of ``HUGE_PRE``, whose fit exits 4.
+  a missing day or a read of post-allocation days the panel lacks, a
+  pretest read of ``HUGE_PRE``, whose fit exits 4, and an ``evaluate``
+  whose capacity figures overflow, which exits 4.
 
 The two roots' exit codes, stderr text, the bytes of every output file
 and the fields of every ``*manifest.json`` but ``duration_seconds`` (a
@@ -116,10 +117,12 @@ def edge_commands() -> list[list[str]]:
     that end before the panel does), pretest reads at ``--horizon 22``
     with ``--T 7`` and ``--sweep-T``, which exit 3 (windows past its end),
     and a similar read at ``--horizon 21`` whose donor is a panel of
-    ``EDGE_CORPUS``, which exits 3 (a donor shorter than the horizon). Last,
-    a running-mean ``analyze --panel`` of each panel of ``BAD_PANELS``,
-    which exits 3 on its load error or its direct read, and a pretest
-    ``analyze --panel`` of ``HUGE_PRE`` at ``--T 1``, which exits 4.
+    ``EDGE_CORPUS``, which exits 3 (a donor shorter than the horizon), and
+    an ``evaluate`` of the running-mean read at ``--long-cycle-days 1e300
+    --short-cycle-days 1e-300``, which exits 4 (a capacity gain past the
+    float range). Last, a running-mean ``analyze --panel`` of each panel of
+    ``BAD_PANELS``, which exits 3 on its load error or its direct read, and
+    a pretest ``analyze --panel`` of ``HUGE_PRE`` at ``--T 1``, which exits 4.
     """
     pre0, h21 = EDGE_CORPUS[0], "arms2.5-h21"
     t7, sweep = ORDERS["T7"], ORDERS["sweep"]
@@ -143,6 +146,9 @@ def edge_commands() -> list[list[str]]:
         if succeeds:
             commands.append(["evaluate", "--estimates", estimates,
                              "--out", f"{corpus}/reports/edge-{label}/report.json"])
+    commands.append(["evaluate", "--estimates", f"{pre0}/estimates/edge-running-mean-T7",
+                     "--out", f"{pre0}/reports/edge-capacity-overflow/report.json",
+                     "--long-cycle-days", "1e300", "--short-cycle-days", "1e-300"])
     for name in BAD_PANELS:
         commands.append(["analyze", "--panel", f"bad/{name}.csv", "--regime",
                          "running-mean", "--T", "2", "--horizon", "3",
