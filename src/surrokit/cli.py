@@ -11,20 +11,19 @@ Subcommands, each with only the flags it reads::
 ``--T`` and ``--sweep-T`` exclude each other. Numeric outputs are pure
 functions of the input files and flags: floats are serialized with full
 round-trip precision, directory scans are sorted, and worker pools merge
-results in deterministic order. Every run ends by atomically writing a
-manifest that records the command and each of its flags under its argparse
-dest (``--out-dir`` as ``out_dir``, an absent flag as its default), with
-the seed and horizon ``simulate`` resolves from its config in place of the
-flag, plus the output file names, tool version and duration. Exit codes:
-0 success, 2 usage, 3 data validation failure or an input too large for
-memory, 4 numerical failure, including a statistic that overflows; no
-output file holds a NaN or infinity. A warning prints as one ``surrokit:
-warning:`` line. ``simulate`` and ``analyze --panel-dir`` exit 3, writing
-nothing, when their output directory holds a file of their output pattern
-that the run would not write; an ``analyze`` error names the panel file,
-or the donor, it came from. Every output file, each panel included, is
-written as ``<name>.tmp`` and renamed into place, so a failed run leaves
-no partial file for the next stage to read.
+results in deterministic order. A run's outputs appear together, with its
+manifest last, and a failed run leaves none of its files, though an empty
+output directory may remain. The manifest records the command and each of
+its flags under its argparse dest (``--out-dir`` as ``out_dir``, an absent
+flag as its default), with the seed and horizon ``simulate`` resolves from
+its config in place of the flag, plus the output file names, tool version
+and duration. Exit codes: 0 success, 2 usage, 3 data validation failure or
+an input too large for memory, 4 numerical failure, including a statistic
+that overflows; no output file holds a NaN or infinity. A warning prints as
+one ``surrokit: warning:`` line. ``simulate`` and ``analyze --panel-dir``
+exit 3, writing nothing, when their output directory holds a file of their
+output pattern that the run would not write; an ``analyze`` error names the
+panel file, or the donor, it came from.
 
 Set SURROKIT_LOG to a logging level name (DEBUG, INFO, WARNING, ...) to
 control log verbosity; an unknown name is a usage error.
@@ -73,25 +72,31 @@ def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-@contextlib.contextmanager
-def _replacing(path: Path):
-    """Yield ``<path>.tmp`` to write, then rename it to ``path``.
-
-    A failed write removes the tmp file and leaves ``path`` as it was, so
-    the next stage never reads a partial file.
-    """
+def _write_text(path: Path, text: str) -> None:
+    """Write ``path``, creating its directory: a run that fails before it creates none."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    path.write_text(text, encoding="utf-8")
+
+
+@contextlib.contextmanager
+def _publishing(paths: list[Path]):
+    """Yield a ``<name>.tmp`` path to write for each of ``paths``, then rename them in order.
+
+    The caller lists the run's manifest last, so it appears only after every
+    file it names. Any exception, Ctrl-C included, removes every tmp file and
+    every path already renamed, so the next stage never reads a partial run.
+    """
+    tmps = [path.with_name(path.name + ".tmp") for path in paths]
+    published = []
     try:
-        yield tmp
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    with _replacing(path) as tmp:
-        tmp.write_text(text, encoding="utf-8")
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+            published.append(path)
+    except BaseException:
+        for path in tmps + published:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _write_manifest(path: Path, args: argparse.Namespace, started: float,
@@ -104,7 +109,7 @@ def _write_manifest(path: Path, args: argparse.Namespace, started: float,
     manifest = {key: value for key, value in vars(args).items() if key != "func"}
     manifest.update(resolved, tool_version=__version__, outputs=outputs,
                     duration_seconds=time.perf_counter() - started)
-    _write_atomic(path, _dump_json(manifest))
+    _write_text(path, _dump_json(manifest))
 
 
 def _refuse_strays(out_dir: Path, pattern: str, names: list[str]) -> None:
@@ -129,10 +134,9 @@ def _naming(source: str):
 # --- simulate ---
 
 def _simulate_one(task: tuple) -> tuple[str, dict[str, float]]:
-    config, index, out_dir = task
+    config, index, path = task
     experiment = simulate_experiment(config, index)
-    with _replacing(Path(out_dir) / f"{experiment.panel.experiment_id}.csv") as tmp:
-        write_panel(experiment.panel, tmp)
+    write_panel(experiment.panel, path)
     return experiment.panel.experiment_id, experiment.true_effects
 
 
@@ -154,19 +158,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     out_dir = Path(args.out_dir)
-    tasks = [(config, index, str(out_dir)) for index in range(config.n_experiments)]
-    names = sorted(f"{EXPERIMENT_ID.format(index)}.csv" for index in range(len(tasks)))
-    _refuse_strays(out_dir, "*.csv", names)
+    panels = [f"{EXPERIMENT_ID.format(index)}.csv" for index in range(config.n_experiments)]
+    _refuse_strays(out_dir, "*.csv", panels)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = _run_pool(_simulate_one, tasks, args.jobs)
-
-    ground_truth = {experiment_id: effects for experiment_id, effects in results}
-    truth_path = out_dir / "ground_truth.json"
-    _write_atomic(truth_path, _dump_json(ground_truth))
-    logger.info("simulated %d experiments into %s", len(results), out_dir)
-
-    _write_manifest(out_dir / "manifest.json", args, started, names + ["ground_truth.json"],
-                    seed=config.seed, horizon=config.horizon)
+    paths = [out_dir / name for name in [*panels, "ground_truth.json", "manifest.json"]]
+    with _publishing(paths) as tmps:
+        tasks = [(config, index, str(tmp)) for index, tmp in enumerate(tmps[:len(panels)])]
+        ground_truth = dict(_run_pool(_simulate_one, tasks, args.jobs))
+        _write_text(tmps[-2], _dump_json(ground_truth))
+        logger.info("simulated %d experiments into %s", len(tasks), out_dir)
+        _write_manifest(tmps[-1], args, started, [*sorted(panels), "ground_truth.json"],
+                        seed=config.seed, horizon=config.horizon)
     return EXIT_OK
 
 
@@ -195,7 +197,7 @@ def _analyze_one(task: tuple) -> None:
         for model in models:
             records += [estimate_to_record(surrogate_effect(model, panel, arm)) for arm in arms]
     records.sort(key=lambda r: (r["kind"], r["T"], r["arm"]))
-    _write_atomic(Path(out_path), _dump_json(records))
+    _write_text(Path(out_path), _dump_json(records))
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -212,27 +214,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     if args.panel is not None:
         out_path = Path(args.out)
-        targets = [(args.panel, out_path)]
-        names = [out_path.name]
+        panels, outputs = [args.panel], [out_path]
         manifest_path = out_path.with_name(out_path.name + ".manifest.json")
     else:
         panel_files = sorted(Path(args.panel_dir).glob("*.csv"))
         if not panel_files:
             raise DataValidationError(f"no panel CSVs found in {args.panel_dir}")
         out_dir = Path(args.out)
-        targets = [(str(path), out_dir / f"{path.stem}.estimates.json") for path in panel_files]
-        names = sorted(out.name for _, out in targets)
-        _refuse_strays(out_dir, "*.estimates.json", names)
+        panels = [str(path) for path in panel_files]
+        outputs = [out_dir / f"{path.stem}.estimates.json" for path in panel_files]
+        _refuse_strays(out_dir, "*.estimates.json", [out.name for out in outputs])
         manifest_path = out_dir / "manifest.json"
 
-    tasks = [
-        (panel_path, str(out_path), args.regime, horizon, direct_days, orders, models)
-        for panel_path, out_path in targets
-    ]
-    _run_pool(_analyze_one, tasks, args.jobs)
-    logger.info("analyzed %d panel(s) under regime %s", len(tasks), args.regime)
-
-    _write_manifest(manifest_path, args, started, names)
+    with _publishing([*outputs, manifest_path]) as tmps:
+        tasks = [(panel_path, str(tmp), args.regime, horizon, direct_days, orders, models)
+                 for panel_path, tmp in zip(panels, tmps)]
+        _run_pool(_analyze_one, tasks, args.jobs)
+        logger.info("analyzed %d panel(s) under regime %s", len(tasks), args.regime)
+        _write_manifest(tmps[-1], args, started, sorted(out.name for out in outputs))
     return EXIT_OK
 
 
@@ -277,20 +276,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         report_text = _dump_json(report)
     except ValueError as exc:  # a statistic overflowed to NaN or infinity
         raise NumericalError(f"report statistic is not finite: {exc}") from None
-    # Every check has passed: a failed write removes what this run wrote.
     scaled_text = "scaled_difference\n" + "".join(repr(v) + "\n" for v in scaled.tolist())
-    written = []
-    try:
-        for path, text in ((scaled_path, scaled_text), (out_path, report_text)):
-            _write_atomic(path, text)
-            written.append(path)
+    manifest_path = out_path.with_name(out_path.name + ".manifest.json")
+    with _publishing([scaled_path, out_path, manifest_path]) as tmps:
+        _write_text(tmps[0], scaled_text)
+        _write_text(tmps[1], report_text)
         logger.info("evaluated %d decision pairs", report["n_pairs"])
-        _write_manifest(out_path.with_name(out_path.name + ".manifest.json"), args, started,
-                        sorted(path.name for path in written))
-    except OSError:
-        for path in written:
-            path.unlink()
-        raise
+        _write_manifest(tmps[2], args, started, sorted([scaled_path.name, out_path.name]))
     return EXIT_OK
 
 

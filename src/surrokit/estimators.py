@@ -101,7 +101,10 @@ def welch_se(group_a: np.ndarray, group_b: np.ndarray) -> float:
 
     A degenerate value (zero, or below SE_FLOOR from roundoff on constant
     groups) is replaced by SE_FLOOR with a DegenerateVarianceWarning so
-    downstream z statistics stay finite and meaningfully huge.
+    downstream z statistics stay finite and meaningfully huge. A group whose
+    variance overflows, such as ``[1e200, -1e200, 3e200]``, gives ``inf``
+    with numpy's ``RuntimeWarning``, even where the true SE is representable;
+    mean_difference_effect turns that ``inf`` into a NumericalError.
     """
     a = np.asarray(group_a, dtype=float)
     b = np.asarray(group_b, dtype=float)

@@ -139,20 +139,34 @@ class TestSimulate:
         assert main(argv) == 0
         assert main(argv) == 0
 
-    def test_failed_panel_write_leaves_no_partial_panel(self, tmp_path, monkeypatch, capsys):
-        """A panel cut at a user boundary loads as a smaller panel, so none may be left."""
+    @pytest.mark.parametrize("failing", ["first-panel", "second-panel", "manifest-is-a-directory"])
+    def test_failed_panel_write_leaves_no_partial_panel(self, tmp_path, monkeypatch, capsys,
+                                                         failing):
+        """A panel cut at a user boundary loads as a smaller panel, and a corpus
+        short of a panel as a smaller corpus, so a failed run may leave neither."""
+        calls = []
+
         def write_half_then_fail(panel, path):
             surrokit.write_panel(panel, path)
+            calls.append(path)
+            if failing == "second-panel" and len(calls) == 1:
+                return
             lines = Path(path).read_text().splitlines(keepends=True)
             Path(path).write_text("".join(lines[:len(lines) // 2]))
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(surrokit.cli, "write_panel", write_half_then_fail)
         out_dir = tmp_path / "corpus"
+        if failing == "manifest-is-a-directory":
+            (out_dir / "manifest.json").mkdir(parents=True)
+        else:
+            monkeypatch.setattr(surrokit.cli, "write_panel", write_half_then_fail)
         assert main(["simulate", "--config", str(write_config(tmp_path)),
                      "--out-dir", str(out_dir)]) == 3
-        assert capsys.readouterr().err == "surrokit: io error: [Errno 28] No space left on device\n"
-        assert list(out_dir.iterdir()) == []
+        reason = {"manifest-is-a-directory": "[Errno 21] Is a directory"}.get(
+            failing, "[Errno 28] No space left on device\n")
+        err = capsys.readouterr().err
+        assert err.startswith(f"surrokit: io error: {reason}") and len(err.splitlines()) == 1
+        assert [path.name for path in out_dir.iterdir() if path.name != "manifest.json"] == []
 
     def test_bad_config_exits_3(self, tmp_path):
         config_path = tmp_path / "config.json"
@@ -514,6 +528,27 @@ class TestAnalyze:
             f"surrokit: data validation error: donor {donor}: line 100: "
             "is_control must be 'true' or 'false', got 'True'\n"
         )
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_panel_dir_read_leaves_nothing_to_evaluate(self, tmp_path, capsys, jobs):
+        # The panels on either side of the bad one load and are analyzed, at
+        # --jobs 2 in parallel with it; none of their estimates may be kept.
+        out_dir = simulate_toy(tmp_path, n_experiments=3)
+        bad = out_dir / "sim-00001.csv"
+        lines = bad.read_text().splitlines(keepends=True)
+        bad.write_text("".join(lines[:-1]))
+        user, day = lines[-1].split(",")[1], lines[-1].split(",")[4]
+        est_dir = tmp_path / "est"
+        assert main(["analyze", "--panel-dir", str(out_dir), "--regime", "running-mean",
+                     "--T", "5", "--horizon", "5", "--out", str(est_dir), "--jobs", jobs]) == 3
+        assert capsys.readouterr().err == (
+            f"surrokit: data validation error: sim-00001.csv: user '{user}' lacks day {day} "
+            "inside declared range [-5, 5]\n")
+        assert list(est_dir.iterdir()) == []
+        assert main(["evaluate", "--estimates", str(est_dir),
+                     "--out", str(tmp_path / "report" / "report.json")]) == 3
+        assert capsys.readouterr().err == (
+            f"surrokit: data validation error: no *.estimates.json files found in {est_dir}\n")
 
     def test_panel_dir_without_csvs_exits_3(self, tmp_path, capsys):
         panel_dir = tmp_path / "panels"

@@ -88,14 +88,16 @@ def test_cli_matrix_covers_every_stage_flag_and_input_mode():
     assert sum(argv[0] == "evaluate" for argv in grid) == 2 * len(analyze)
     # The edges: one simulate, six window reads, one evaluate per window read
     # that succeeds and one whose capacity figures overflow, one --panel read
-    # of each bad panel and one of huge-pre.
+    # of each bad panel and one of huge-pre, and a --panel-dir read of the
+    # partial corpus at --jobs 1 and 2.
     assert [argv[0] for argv in edges].count("simulate") == 1
-    assert [argv[0] for argv in edges].count("analyze") == 6 + len(cli_matrix.BAD_PANELS) + 1
+    assert [argv[0] for argv in edges].count("analyze") == 6 + len(cli_matrix.BAD_PANELS) + 1 + 2
     assert [argv[0] for argv in edges].count("evaluate") == 3
     assert ["--long-cycle-days", "1e300", "--short-cycle-days", "1e-300"] in [
         argv[-4:] for argv in edges if argv[0] == "evaluate"]
     assert [argv[argv.index("--panel") + 1] for argv in edges if "--panel" in argv] == [
         f"bad/{name}.csv" for name in [*cli_matrix.BAD_PANELS, "huge-pre"]]
+    assert [argv[-1] for argv in edges if "bad/partial" in argv] == ["1", "2"]
     assert not any(part.startswith("/") for argv in commands for part in argv)
 
 

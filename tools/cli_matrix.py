@@ -17,8 +17,11 @@ scratch directory with relative paths (so that messages compare equal):
   short of and past the last day of a corpus, and a donor shorter than the
   horizon) and the panels of ``BAD_PANELS``, which exit on a repeated cell,
   a missing day or a read of post-allocation days the panel lacks, a
-  pretest read of ``HUGE_PRE``, whose fit exits 4, and an ``evaluate``
-  whose capacity figures overflow, which exits 4.
+  pretest read of ``HUGE_PRE``, whose fit exits 4, an ``analyze
+  --panel-dir`` at ``--jobs 1`` and ``2`` of a directory holding
+  ``COMPLETE_PANEL`` and a bad panel, which exits 3 and must leave no
+  estimates of the complete panel, and an ``evaluate`` whose capacity
+  figures overflow, which exits 4.
 
 The two roots' exit codes, stderr text, the bytes of every output file
 and the fields of every ``*manifest.json`` but ``duration_seconds`` (a
@@ -66,6 +69,13 @@ BAD_PANELS = {
     "pre-only": _HEADER + "e,u1,c,true,-3,1.0\ne,u1,c,true,-2,2.0\ne,u1,c,true,-1,3.0\n"
                 "e,u2,t,false,-3,4.0\ne,u2,t,false,-2,5.0\ne,u2,t,false,-1,6.0\n",
 }
+# Two control and two treatment users over days 1..3: a panel a read of days
+# 1..3 accepts. The partial corpus of ``edge_commands`` pairs it with the
+# missing-day panel, which sorts after it, so it is analyzed under every --jobs.
+COMPLETE_PANEL = _HEADER + "".join(
+    f"e,u{user},{'c' if user < 3 else 't'},{str(user < 3).lower()},{day},{user * (day + 0.5)}\n"
+    for user in range(1, 5) for day in (1, 2, 3))
+PARTIAL_CORPUS = {"complete": COMPLETE_PANEL, "missing-day": BAD_PANELS["missing-day"]}
 # Three control and three treatment users over days -3..-1 and 1..3, with
 # pre-period outcomes near 1e160: the sum of squares of a pretest feature
 # overflows.
@@ -121,8 +131,10 @@ def edge_commands() -> list[list[str]]:
     an ``evaluate`` of the running-mean read at ``--long-cycle-days 1e300
     --short-cycle-days 1e-300``, which exits 4 (a capacity gain past the
     float range). Last, a running-mean ``analyze --panel`` of each panel of
-    ``BAD_PANELS``, which exits 3 on its load error or its direct read, and
-    a pretest ``analyze --panel`` of ``HUGE_PRE`` at ``--T 1``, which exits 4.
+    ``BAD_PANELS``, which exits 3 on its load error or its direct read, a
+    pretest ``analyze --panel`` of ``HUGE_PRE`` at ``--T 1``, which exits 4,
+    and a running-mean ``analyze --panel-dir`` of ``PARTIAL_CORPUS`` at
+    ``--jobs 1`` and ``2``, which exits 3 on its missing-day panel.
     """
     pre0, h21 = EDGE_CORPUS[0], "arms2.5-h21"
     t7, sweep = ORDERS["T7"], ORDERS["sweep"]
@@ -156,6 +168,10 @@ def edge_commands() -> list[list[str]]:
     commands.append(["analyze", "--panel", "bad/huge-pre.csv", "--regime", "pretest",
                      "--T", "1", "--horizon", "3",
                      "--out", "bad/estimates/huge-pre.estimates.json", "--jobs", "1"])
+    for jobs in ("1", "2"):
+        commands.append(["analyze", "--panel-dir", "bad/partial", "--regime", "running-mean",
+                         "--T", "2", "--horizon", "3",
+                         "--out", f"bad/estimates/partial-j{jobs}", "--jobs", jobs])
     return commands
 
 
@@ -171,9 +187,11 @@ def run_commands(commands: list[list[str]], results_path: str) -> None:
     for corpus, config in [*CORPORA.items(), EDGE_CORPUS]:
         Path(corpus).mkdir()
         Path(corpus, "config.json").write_text(json.dumps(config), encoding="utf-8")
-    Path("bad").mkdir()
+    Path("bad", "partial").mkdir(parents=True)
     for name, text in {**BAD_PANELS, "huge-pre": HUGE_PRE}.items():
         Path("bad", f"{name}.csv").write_text(text, encoding="utf-8")
+    for name, text in PARTIAL_CORPUS.items():
+        Path("bad", "partial", f"{name}.csv").write_text(text, encoding="utf-8")
     results = []
     saved = os.dup(2)
     for argv in commands:
