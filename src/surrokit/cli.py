@@ -22,8 +22,9 @@ an input too large for memory, 4 numerical failure, including a statistic
 that overflows; no output file holds a NaN or infinity. A warning prints as
 one ``surrokit: warning:`` line. ``simulate`` and ``analyze --panel-dir``
 exit 3, writing nothing, when their output directory holds a file of their
-output pattern that the run would not write; an ``analyze`` error names the
-panel file, or the donor, it came from.
+output pattern that the run would not write, or a ``manifest.json`` that
+another subcommand wrote; an ``analyze`` error names the panel file, or the
+donor, it came from.
 
 Set SURROKIT_LOG to a logging level name (DEBUG, INFO, WARNING, ...) to
 control log verbosity; an unknown name is a usage error.
@@ -112,13 +113,28 @@ def _write_manifest(path: Path, args: argparse.Namespace, started: float,
     _write_text(path, _dump_json(manifest))
 
 
-def _refuse_strays(out_dir: Path, pattern: str, names: list[str]) -> None:
-    """Refuse an output directory holding a ``pattern`` file that this run will not write.
+def _manifest_command(path: Path):
+    """The ``command`` that the manifest at ``path`` records, or None for any other file."""
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError):  # not UTF-8, or not JSON
+        return None
+    return manifest.get("command") if isinstance(manifest, dict) else None
 
-    The next stage reads every such file, so a stray one would be read as this run's.
+
+def _refuse_strays(out_dir: Path, pattern: str, names: list[str], command: str) -> None:
+    """Refuse an output directory holding a ``pattern`` file that this run will not write,
+    or a ``manifest.json`` that another subcommand wrote.
+
+    The next stage reads every such file, so a stray one would be read as this run's,
+    and this run's manifest would replace the other command's record of its run.
     """
     kept = set(names)
-    if stray := sorted(path.name for path in out_dir.glob(pattern) if path.name not in kept):
+    stray = sorted(path.name for path in out_dir.glob(pattern) if path.name not in kept)
+    manifest = out_dir / "manifest.json"
+    if manifest.is_file() and _manifest_command(manifest) != command:
+        stray.append(manifest.name)
+    if stray:
         raise DataValidationError(f"{out_dir} holds another run's output: {', '.join(stray)}")
 
 
@@ -159,7 +175,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, seed=args.seed)
     out_dir = Path(args.out_dir)
     panels = [f"{EXPERIMENT_ID.format(index)}.csv" for index in range(config.n_experiments)]
-    _refuse_strays(out_dir, "*.csv", panels)
+    _refuse_strays(out_dir, "*.csv", panels, args.command)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / name for name in [*panels, "ground_truth.json", "manifest.json"]]
     with _publishing(paths) as tmps:
@@ -189,13 +205,13 @@ def _analyze_one(task: tuple) -> None:
         arms = sorted(arm.name for arm in panel.treatment_arms)
         records = []
         for days in direct_days:
-            records += [estimate_to_record(direct_effect(panel, arm, days)) for arm in arms]
+            records += map(estimate_to_record, direct_effect(panel, arms, days))
         if regime == ModelSource.PRE_TEST:
             models = fit_pretest(panel, orders, horizon)
         elif regime == ModelSource.RUNNING_MEAN:
             models = map(running_mean_model, orders)
         for model in models:
-            records += [estimate_to_record(surrogate_effect(model, panel, arm)) for arm in arms]
+            records += map(estimate_to_record, surrogate_effect(model, panel, arms))
     records.sort(key=lambda r: (r["kind"], r["T"], r["arm"]))
     _write_text(Path(out_path), _dump_json(records))
 
@@ -223,7 +239,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         out_dir = Path(args.out)
         panels = [str(path) for path in panel_files]
         outputs = [out_dir / f"{path.stem}.estimates.json" for path in panel_files]
-        _refuse_strays(out_dir, "*.estimates.json", [out.name for out in outputs])
+        _refuse_strays(out_dir, "*.estimates.json", [out.name for out in outputs],
+                       args.command)
         manifest_path = out_dir / "manifest.json"
 
     with _publishing([*outputs, manifest_path]) as tmps:

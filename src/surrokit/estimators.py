@@ -10,7 +10,9 @@ coefficients as fixed constants.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -55,7 +57,9 @@ class EffectEstimate:
     name, which pairs the direct and surrogate reads of one arm. ``kind`` is
     "direct" or "surrogate:<source>" for a ModelSource value, and ``T``, at
     least 1, is the horizon of a direct read or the order of a surrogate
-    model. The rest derives from the point and standard error:
+    model. ``T`` is stored as an ``int``: an integer such as ``np.int64(3)``
+    is converted, and a bool or a non-integer raises TypeError. The rest
+    derives from the point and standard error:
     z = point / std_error, p = 2 * (1 - Phi(|z|)), and the 95% confidence
     interval is point +/- Z_CRIT_95 * std_error. The point and standard
     error must be finite with a positive standard error, and the z
@@ -72,6 +76,9 @@ class EffectEstimate:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown estimate kind {self.kind!r}")
+        if isinstance(self.T, bool):  # an int to Python, but never a horizon or an order
+            raise TypeError(f"T must be an integer, got {self.T!r}")
+        object.__setattr__(self, "T", operator.index(self.T))
         if not self.T >= 1:
             raise ValueError(f"T must be positive, got {self.T}")
         if not self.std_error > 0.0:
@@ -137,10 +144,10 @@ def mean_difference_effect(
     """Difference in group means with a Welch standard error.
 
     ``arm`` is the treatment arm's name. ``kind`` and ``T`` are as in
-    EffectEstimate, which raises ValueError on one it refuses. Raises
-    NumericalError when the point, the standard error, the z statistic or a
-    95% interval bound is not finite (an overflow); numpy's overflow warnings
-    are silenced inside, so a caller sees the error alone.
+    EffectEstimate, which raises ValueError or TypeError on one it refuses.
+    Raises NumericalError when the point, the standard error, the z
+    statistic or a 95% interval bound is not finite (an overflow); numpy's
+    overflow warnings are silenced inside, so a caller sees the error alone.
     """
     t = np.asarray(treated, dtype=float)
     c = np.asarray(control, dtype=float)
@@ -166,44 +173,50 @@ def _check_treatment_arm(panel: OutcomePanel, arm: str) -> None:
     raise UnknownArm(f"no arm {arm!r} in panel {panel.experiment_id!r}")
 
 
-def _arm_contrast(
-    panel: OutcomePanel, values: np.ndarray, arm: str, kind: str, T: int
-) -> EffectEstimate:
-    """The per-user ``values`` of the arm named ``arm`` against those of the control arm."""
-    return mean_difference_effect(
-        values[panel.arm_mask(arm)],
-        values[panel.arm_mask(panel.control_arm.name)],
-        experiment_id=panel.experiment_id,
-        arm=arm,
-        kind=kind,
-        T=T,
-    )
+def _contrasts(panel: OutcomePanel, arm, read, kind: str, T: int):
+    """Contrast each arm named by ``arm`` against the control arm on one per-user read.
+
+    ``arm`` is one name, which returns one estimate, or an iterable of names,
+    which returns a tuple in that order. Every name is checked before
+    ``read()`` makes the per-user values once, so an unknown or control arm
+    raises ahead of the read's own errors.
+    """
+    names = [arm] if isinstance(arm, str) else list(arm)
+    for name in names:
+        _check_treatment_arm(panel, name)
+    values = read()
+    control, *groups = (values[mask] for mask in panel.arm_mask([panel.control_arm.name, *names]))
+    estimates = tuple(
+        mean_difference_effect(group, control, experiment_id=panel.experiment_id, arm=name,
+                               kind=kind, T=T)
+        for name, group in zip(names, groups))
+    return estimates[0] if isinstance(arm, str) else estimates
 
 
-def direct_effect(
-    panel: OutcomePanel, arm: str, horizon: int | None = None
-) -> EffectEstimate:
+def direct_effect(panel: OutcomePanel, arm: str | Iterable[str], horizon: int | None = None):
     """Difference in means of observed per-user averages over days 1..horizon.
 
-    ``arm`` names a treatment arm; ``horizon`` defaults to the panel's last day.
-    The arm is checked first; a panel that lacks days 1..horizon then raises
-    the OutOfRange of :func:`~surrokit.panel.window`, which names the panel.
+    ``arm`` names a treatment arm, which returns one estimate, or is an
+    iterable of names, which returns a tuple of estimates in that order
+    from one read of the window. ``horizon`` defaults to the panel's last
+    day. The arms are checked first; a panel that lacks days 1..horizon
+    then raises the OutOfRange of :func:`~surrokit.panel.window`, which
+    names the panel.
     """
-    _check_treatment_arm(panel, arm)
     days = panel.horizon if horizon is None else horizon
-    return _arm_contrast(panel, window(panel, 1, days).mean(axis=1), arm, "direct", days)
+    return _contrasts(panel, arm, lambda: window(panel, 1, days).mean(axis=1), "direct", days)
 
 
-def surrogate_effect(model: SurrogateModel, panel: OutcomePanel, arm: str) -> EffectEstimate:
+def surrogate_effect(model: SurrogateModel, panel: OutcomePanel, arm: str | Iterable[str]):
     """Difference in means of surrogate-predicted long-term averages.
 
-    ``arm`` names a treatment arm. The standard error treats the model
-    coefficients as constants; no first-stage fitting uncertainty is
-    propagated.
+    ``arm`` is as in :func:`direct_effect`: one name or an iterable of
+    names, all contrasted from one prediction. The standard error treats
+    the model coefficients as constants; no first-stage fitting uncertainty
+    is propagated.
     """
-    _check_treatment_arm(panel, arm)
     kind = f"surrogate:{model.source.value}"
-    return _arm_contrast(panel, predict(model, panel), arm, kind, model.order)
+    return _contrasts(panel, arm, lambda: predict(model, panel), kind, model.order)
 
 
 def z_test(estimate: EffectEstimate, alpha: float = DEFAULT_ALPHA) -> SignificanceClass:

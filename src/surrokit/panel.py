@@ -180,10 +180,16 @@ class OutcomePanel:
     def treatment_arms(self) -> tuple[ArmLabel, ...]:
         return tuple(a for a in self.arm_labels if not a.is_control)
 
-    def arm_mask(self, arm: str) -> np.ndarray:
-        """Boolean row mask selecting users in the arm named ``arm``."""
-        code = next((k for k, a in enumerate(self.arm_labels) if a.name == arm), -1)
-        return self._arm_codes == code
+    def arm_mask(self, arm: str | Iterable[str]):
+        """Boolean row mask selecting users in the arm named ``arm``.
+
+        An iterable of names gives a tuple of masks in its order. A name that
+        no arm has selects no row.
+        """
+        codes = {label.name: k for k, label in enumerate(self.arm_labels)}
+        if isinstance(arm, str):
+            return self._arm_codes == codes.get(arm, -1)
+        return tuple(self._arm_codes == codes.get(name, -1) for name in arm)
 
     @classmethod
     def from_matrix(

@@ -139,6 +139,27 @@ class TestSimulate:
         assert main(argv) == 0
         assert main(argv) == 0
 
+    @pytest.mark.parametrize("manifest", ["analyze", "not-json", "json-list"])
+    def test_directory_holding_another_commands_manifest_exits_3(self, tmp_path, capsys,
+                                                                 manifest):
+        """A run would replace the other command's record of what the directory holds."""
+        out_dir = tmp_path / "out"
+        if manifest == "analyze":
+            corpus = simulate_toy(tmp_path)
+            assert main(["analyze", "--panel-dir", str(corpus), "--regime", "running-mean",
+                         "--T", "5", "--horizon", "5", "--out", str(out_dir)]) == 0
+        else:
+            out_dir.mkdir()
+            (out_dir / "manifest.json").write_text("[]\n" if manifest == "json-list" else "x")
+        before = read_bytes_by_name(out_dir, "*")
+        config_path = write_config(tmp_path)
+        assert main(["simulate", "--config", str(config_path), "--out-dir", str(out_dir)]) == 3
+        assert capsys.readouterr().err == (
+            f"surrokit: data validation error: {out_dir} holds another run's output: "
+            "manifest.json\n"
+        )
+        assert read_bytes_by_name(out_dir, "*") == before
+
     @pytest.mark.parametrize("failing", ["first-panel", "second-panel", "manifest-is-a-directory"])
     def test_failed_panel_write_leaves_no_partial_panel(self, tmp_path, monkeypatch, capsys,
                                                          failing):
@@ -504,6 +525,37 @@ class TestAnalyze:
         (est_dir / "old.estimates.json").unlink()
         assert main(argv) == 0
         assert main(argv) == 0
+
+    def test_out_dir_holding_the_corpus_manifest_exits_3(self, tmp_path, capsys):
+        """Estimates written into their own corpus would replace simulate's manifest."""
+        out_dir = simulate_toy(tmp_path)
+        before = read_bytes_by_name(out_dir, "*")
+        assert main(["analyze", "--panel-dir", str(out_dir), "--regime", "running-mean",
+                     "--T", "5", "--horizon", "5", "--out", str(out_dir)]) == 3
+        assert capsys.readouterr().err == (
+            f"surrokit: data validation error: {out_dir} holds another run's output: "
+            "manifest.json\n"
+        )
+        assert read_bytes_by_name(out_dir, "*") == before
+
+    def test_sweep_predicts_once_per_order(self, tmp_path, monkeypatch):
+        """Every treatment arm is contrasted from one prediction of each model."""
+        import surrokit.estimators
+
+        orders, predict = [], surrokit.estimators.predict
+
+        def counting_predict(model, panel):
+            orders.append(model.order)
+            return predict(model, panel)
+
+        monkeypatch.setattr(surrokit.estimators, "predict", counting_predict)
+        out_dir = simulate_toy(tmp_path, n_experiments=1, arms_per_experiment=3)
+        assert main(["analyze", "--panel-dir", str(out_dir), "--regime", "pretest",
+                     "--sweep-T", "--horizon", "5", "--jobs", "1",
+                     "--out", str(tmp_path / "est")]) == 0
+        records = json.loads((tmp_path / "est" / "sim-00000.estimates.json").read_text())
+        assert {record["arm"] for record in records} == {"t1", "t2", "t3"}
+        assert orders == [1, 2, 3, 4, 5]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_panel_dir_data_error_names_its_file(self, tmp_path, capsys, jobs):

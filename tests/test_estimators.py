@@ -186,6 +186,67 @@ class TestSurrogateEffect:
         assert (estimate.kind, estimate.T) == ("surrogate:pretest", 5)
 
 
+class TestEveryArmFromOneRead:
+    """An iterable of arm names gives the single-name estimates, in its order."""
+
+    CONFIG = SimConfig(n_experiments=2, arms_per_experiment=3, users_per_arm=30, horizon=14,
+                       pre_period=14, seed=208)
+    ARMS = ("t3", "t1", "t2")
+
+    @pytest.fixture(scope="class")
+    def panel(self):
+        return simulate_experiment(self.CONFIG, 0).panel
+
+    @staticmethod
+    def text(estimates):
+        """The estimates' records as JSON text: equal text means equal bits, -0.0 included."""
+        return json.dumps([estimate_to_record(estimate) for estimate in estimates])
+
+    @pytest.mark.parametrize("horizon", [1, 7, 14, None])
+    def test_direct_tuple_equals_the_per_arm_calls(self, panel, horizon):
+        estimates = direct_effect(panel, self.ARMS, horizon)
+        assert isinstance(estimates, tuple)
+        assert self.text(estimates) == self.text(
+            [direct_effect(panel, arm, horizon) for arm in self.ARMS])
+
+    @pytest.mark.parametrize("source", list(ModelSource))
+    def test_surrogate_tuple_equals_the_per_arm_calls(self, panel, source):
+        model = {
+            ModelSource.PRE_TEST: lambda: fit_pretest(panel, 5),
+            ModelSource.SIMILAR_TEST: lambda: fit_similar(
+                simulate_experiment(self.CONFIG, 1).panel, 5),
+            ModelSource.RUNNING_MEAN: lambda: running_mean_model(5),
+        }[source]()
+        estimates = surrogate_effect(model, panel, self.ARMS)
+        assert isinstance(estimates, tuple)
+        assert self.text(estimates) == self.text(
+            [surrogate_effect(model, panel, arm) for arm in self.ARMS])
+
+    def test_tuple_follows_the_input_order(self, panel):
+        for arms in (list(self.ARMS), ["t2", "t1"], ["t1", "t3", "t1"]):
+            assert [e.arm for e in direct_effect(panel, iter(arms))] == arms
+            assert [e.arm for e in surrogate_effect(running_mean_model(3), panel, arms)] == arms
+
+    @pytest.mark.parametrize("bad, error", [("nope", UnknownArm), ("control", ControlAsTreatment)])
+    @pytest.mark.parametrize("position", [0, 1, 3])
+    def test_bad_name_anywhere_raises_the_single_call_error_before_the_horizon(
+        self, panel, bad, error, position
+    ):
+        arms = list(self.ARMS)
+        arms.insert(position, bad)
+        with pytest.raises(error) as single:
+            direct_effect(panel, bad)
+        with pytest.raises(error) as many:
+            direct_effect(panel, arms, horizon=99)
+        assert str(many.value) == str(single.value)
+        with pytest.raises(error) as many:
+            surrogate_effect(running_mean_model(99), panel, arms)
+        assert str(many.value) == str(single.value)
+        # The names all pass, so the read of days 1..99 raises.
+        with pytest.raises(OutOfRange):
+            direct_effect(panel, self.ARMS, horizon=99)
+
+
 class TestReadsOfMissingDays:
     """Each read of days its panel lacks raises one error that names the panel.
 
@@ -306,6 +367,23 @@ class TestEstimateInvariants:
         with pytest.raises(ValueError, match=message):
             mean_difference_effect([0.0, 1.0], [0.0, 2.0], experiment_id="e", arm=ARM,
                                    kind=kind, T=T)
+
+
+    @pytest.mark.parametrize("T", [True, False, 14.0, "14"])
+    def test_T_that_is_no_integer_rejected(self, T):
+        with pytest.raises(TypeError):
+            EffectEstimate("e", ARM, "direct", T, 1.0, 1.0)
+
+    def test_reads_at_a_bool_or_numpy_horizon(self):
+        """A read builds only estimates whose records are written and read back."""
+        panel = simulate_experiment(SimConfig(users_per_arm=20, horizon=5, pre_period=5,
+                                              seed=209), 0).panel
+        with pytest.raises(TypeError, match="T must be an integer, got True"):
+            direct_effect(panel, "t1", True)
+        estimate = direct_effect(panel, "t1", np.int64(3))
+        assert type(estimate.T) is int
+        record = json.loads(json.dumps(estimate_to_record(estimate)))
+        assert record["T"] == 3 and record_to_estimate(record) == estimate
 
 
 class TestRecords:

@@ -553,6 +553,12 @@ class TestConstruction:
             expected = [a.name == label.name for a in panel.arms]
             assert panel.arm_mask(label.name).tolist() == expected
         assert not panel.arm_mask("absent").any()
+        names = ["t2", "absent", "control", "t2"]
+        masks = panel.arm_mask(iter(names))
+        assert isinstance(masks, tuple)
+        assert [mask.tolist() for mask in masks] == [
+            panel.arm_mask(name).tolist() for name in names]
+        assert panel.arm_mask([]) == ()
 
         # Rows are coded by runs of one label: interleaved labels make runs
         # of one row, and equal labels that are distinct objects share a run.

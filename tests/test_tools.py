@@ -88,10 +88,12 @@ def test_cli_matrix_covers_every_stage_flag_and_input_mode():
     assert sum(argv[0] == "evaluate" for argv in grid) == 2 * len(analyze)
     # The edges: one simulate, six window reads, one evaluate per window read
     # that succeeds and one whose capacity figures overflow, one --panel read
-    # of each bad panel and one of huge-pre, and a --panel-dir read of the
-    # partial corpus at --jobs 1 and 2.
+    # of each bad panel and one of huge-pre, a --panel-dir read of the
+    # partial corpus at --jobs 1 and 2, and a --panel-dir read into its own corpus.
     assert [argv[0] for argv in edges].count("simulate") == 1
-    assert [argv[0] for argv in edges].count("analyze") == 6 + len(cli_matrix.BAD_PANELS) + 1 + 2
+    assert [argv[0] for argv in edges].count("analyze") == (
+        6 + len(cli_matrix.BAD_PANELS) + 1 + 2 + 1)
+    assert edges[-1][edges[-1].index("--panel-dir") + 1] == edges[-1][edges[-1].index("--out") + 1]
     assert [argv[0] for argv in edges].count("evaluate") == 3
     assert ["--long-cycle-days", "1e300", "--short-cycle-days", "1e-300"] in [
         argv[-4:] for argv in edges if argv[0] == "evaluate"]

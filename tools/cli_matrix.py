@@ -20,8 +20,10 @@ scratch directory with relative paths (so that messages compare equal):
   pretest read of ``HUGE_PRE``, whose fit exits 4, an ``analyze
   --panel-dir`` at ``--jobs 1`` and ``2`` of a directory holding
   ``COMPLETE_PANEL`` and a bad panel, which exits 3 and must leave no
-  estimates of the complete panel, and an ``evaluate`` whose capacity
-  figures overflow, which exits 4.
+  estimates of the complete panel, an ``evaluate`` whose capacity
+  figures overflow, which exits 4, and an ``analyze --panel-dir`` whose
+  ``--out`` is the corpus it reads, which exits 3 and leaves the corpus's
+  manifest in place.
 
 The two roots' exit codes, stderr text, the bytes of every output file
 and the fields of every ``*manifest.json`` but ``duration_seconds`` (a
@@ -133,8 +135,10 @@ def edge_commands() -> list[list[str]]:
     float range). Last, a running-mean ``analyze --panel`` of each panel of
     ``BAD_PANELS``, which exits 3 on its load error or its direct read, a
     pretest ``analyze --panel`` of ``HUGE_PRE`` at ``--T 1``, which exits 4,
-    and a running-mean ``analyze --panel-dir`` of ``PARTIAL_CORPUS`` at
-    ``--jobs 1`` and ``2``, which exits 3 on its missing-day panel.
+    a running-mean ``analyze --panel-dir`` of ``PARTIAL_CORPUS`` at
+    ``--jobs 1`` and ``2``, which exits 3 on its missing-day panel, and a
+    running-mean ``analyze`` of ``EDGE_CORPUS`` into its own directory,
+    which exits 3 on the ``simulate`` manifest there.
     """
     pre0, h21 = EDGE_CORPUS[0], "arms2.5-h21"
     t7, sweep = ORDERS["T7"], ORDERS["sweep"]
@@ -172,6 +176,8 @@ def edge_commands() -> list[list[str]]:
         commands.append(["analyze", "--panel-dir", "bad/partial", "--regime", "running-mean",
                          "--T", "2", "--horizon", "3",
                          "--out", f"bad/estimates/partial-j{jobs}", "--jobs", jobs])
+    commands.append(["analyze", "--panel-dir", f"{pre0}/sim-j1", "--regime", "running-mean",
+                     *t7, "--horizon", "14", "--out", f"{pre0}/sim-j1", "--jobs", "1"])
     return commands
 
 
