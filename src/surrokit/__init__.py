@@ -53,6 +53,7 @@ from .evaluation import (
     excess_kurtosis,
     extra_experiments_needed,
     launch_metrics,
+    paired_groups,
     scaled_distribution,
 )
 from .panel import (

@@ -22,9 +22,11 @@ an input too large for memory, 4 numerical failure, including a statistic
 that overflows; no output file holds a NaN or infinity. A warning prints as
 one ``surrokit: warning:`` line. ``simulate`` and ``analyze --panel-dir``
 exit 3, writing nothing, when their output directory holds a file of their
-output pattern that the run would not write, or a ``manifest.json`` that
-another subcommand wrote; an ``analyze`` error names the panel file, or the
-donor, it came from.
+output pattern that the run would not write; every command does when the
+directory it writes into holds a ``manifest.json`` that another subcommand
+wrote. An ``analyze`` error names the panel file, or the donor, it came
+from. ``evaluate`` reports on one (kind, T) group of reads and exits 3 on
+reads of more or fewer.
 
 Set SURROKIT_LOG to a logging level name (DEBUG, INFO, WARNING, ...) to
 control log verbosity; an unknown name is a usage error.
@@ -55,7 +57,7 @@ from .estimators import (
     record_to_estimate,
     surrogate_effect,
 )
-from .evaluation import decision_report
+from .evaluation import decision_report, paired_groups
 from .panel import DEFAULT_HORIZON, load_panel, write_panel
 from .simulator import EXPERIMENT_ID, load_config, simulate_experiment
 from .surrogate import ModelSource, fit_pretest, fit_similar, running_mean_model
@@ -122,15 +124,18 @@ def _manifest_command(path: Path):
     return manifest.get("command") if isinstance(manifest, dict) else None
 
 
-def _refuse_strays(out_dir: Path, pattern: str, names: list[str], command: str) -> None:
-    """Refuse an output directory holding a ``pattern`` file that this run will not write,
-    or a ``manifest.json`` that another subcommand wrote.
+def _refuse_strays(out_dir: Path, command: str, pattern: str = "",
+                   names: list[str] | tuple = ()) -> None:
+    """Refuse an output directory holding a ``manifest.json`` that another subcommand wrote,
+    or a ``pattern`` file that this run will not write.
 
     The next stage reads every such file, so a stray one would be read as this run's,
-    and this run's manifest would replace the other command's record of its run.
+    and this run's manifest would replace the other command's record of its run. A
+    directory with another command's manifest is that command's output, such as a
+    corpus, which a file written into it would corrupt.
     """
-    kept = set(names)
-    stray = sorted(path.name for path in out_dir.glob(pattern) if path.name not in kept)
+    kept, found = set(names), out_dir.glob(pattern) if pattern else ()
+    stray = sorted(path.name for path in found if path.name not in kept)
     manifest = out_dir / "manifest.json"
     if manifest.is_file() and _manifest_command(manifest) != command:
         stray.append(manifest.name)
@@ -175,7 +180,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, seed=args.seed)
     out_dir = Path(args.out_dir)
     panels = [f"{EXPERIMENT_ID.format(index)}.csv" for index in range(config.n_experiments)]
-    _refuse_strays(out_dir, "*.csv", panels, args.command)
+    _refuse_strays(out_dir, args.command, "*.csv", panels)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / name for name in [*panels, "ground_truth.json", "manifest.json"]]
     with _publishing(paths) as tmps:
@@ -230,6 +235,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     if args.panel is not None:
         out_path = Path(args.out)
+        _refuse_strays(out_path.parent, args.command)
         panels, outputs = [args.panel], [out_path]
         manifest_path = out_path.with_name(out_path.name + ".manifest.json")
     else:
@@ -239,8 +245,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         out_dir = Path(args.out)
         panels = [str(path) for path in panel_files]
         outputs = [out_dir / f"{path.stem}.estimates.json" for path in panel_files]
-        _refuse_strays(out_dir, "*.estimates.json", [out.name for out in outputs],
-                       args.command)
+        _refuse_strays(out_dir, args.command, "*.estimates.json",
+                       [out.name for out in outputs])
         manifest_path = out_dir / "manifest.json"
 
     with _publishing([*outputs, manifest_path]) as tmps:
@@ -254,13 +260,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 # --- evaluate ---
 
-def _load_estimates(estimates_dir: str) -> tuple[list, list]:
+def _load_estimates(estimates_dir: str) -> list:
     files = sorted(Path(estimates_dir).glob("*.estimates.json"))
     if not files:
         raise DataValidationError(
             f"no *.estimates.json files found in {estimates_dir}"
         )
-    direct, surrogate = [], []
+    estimates = []
     for path in files:
         item = None  # the index of the record being read
         try:
@@ -270,23 +276,27 @@ def _load_estimates(estimates_dir: str) -> tuple[list, list]:
             for item, record in enumerate(records):
                 if not isinstance(record, dict):
                     raise ValueError("an estimate record must be a JSON object")
-                estimate = record_to_estimate(record)
-                (direct if estimate.kind == "direct" else surrogate).append(estimate)
+                estimates.append(record_to_estimate(record))
         # OverflowError: a JSON integer past the float range; RecursionError:
         # arrays or objects nested past the recursion limit.
         except (TypeError, ValueError, OverflowError, RecursionError) as exc:
             where = "" if item is None else f", item {item}"
             raise DataValidationError(f"bad estimates file {path.name}{where}: {exc}") from None
-    return direct, surrogate
+    return estimates
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    direct, surrogate = _load_estimates(args.estimates)
-    report, scaled = decision_report(
-        direct, surrogate, args.alpha, args.long_cycle_days, args.short_cycle_days
-    )
     out_path = Path(args.out)
+    _refuse_strays(out_path.parent, args.command)
+    groups = paired_groups(_load_estimates(args.estimates))
+    if len(groups) != 1:
+        raise DataValidationError(f"the reads form {len(groups)} (kind, T) groups beside the "
+                                  f"horizon's direct reads, first {list(groups)[:2]}: a "
+                                  "report covers one group")
+    report, scaled = decision_report(
+        *groups.values(), args.alpha, args.long_cycle_days, args.short_cycle_days
+    )
     scaled_path = out_path.with_name(out_path.stem + "_scaled_values.csv")
     report["scaled_values_path"] = scaled_path.name
     try:

@@ -98,7 +98,7 @@ class DegenerateGroup(NumericalError):
 # --- evaluation ---
 
 class KeyMismatch(DataValidationError):
-    """Direct and surrogate estimate lists do not cover the same arms."""
+    """A (kind, T) group reads an arm twice, or not exactly the horizon's direct reads' arms."""
 
 
 class EmptyInput(DataValidationError):

@@ -1,12 +1,14 @@
 """Decision-agreement evaluation between direct and surrogate test reads.
 
-Pairs each arm's direct and surrogate significance classifications,
-tabulates them into a 3x3 confusion matrix (rows = direct read, columns =
-surrogate read), and derives launch-decision metrics. A launch decision is
-"ship iff the read is positive and statistically significant", so
-precision is the share of surrogate ship calls confirmed by the direct
-read and recall is the share of direct ship calls the surrogate also
-makes.
+``paired_groups`` is the one pairing rule: it groups the reads by (kind,
+T) and pairs each read with its arm's direct read at the horizon, the
+largest direct T. ``decision_report`` tabulates one group's pairs of
+significance classifications into a 3x3 confusion matrix (rows = direct
+read, columns = the group's read), and derives launch-decision metrics.
+A launch decision is "ship iff the read is positive and statistically
+significant", so precision is the share of surrogate ship calls confirmed
+by the direct read and recall is the share of direct ship calls the
+surrogate also makes.
 
 Metrics with a zero denominator are reported as ``None`` (an explicit
 undefined marker, serialized as JSON null), never as NaN.
@@ -21,7 +23,7 @@ the report that ``surrokit evaluate`` writes.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -40,42 +42,37 @@ from .estimators import EffectEstimate, SignificanceClass, z_test
 CLASS_ORDER: tuple[SignificanceClass, ...] = tuple(SignificanceClass)
 
 
-def _paired_estimates(
-    direct: list[EffectEstimate], surrogate: list[EffectEstimate]
-) -> dict[tuple[str, str], tuple[EffectEstimate, EffectEstimate]]:
-    """``{(experiment, arm): (direct, surrogate)}`` in direct-list order.
+def paired_groups(estimates: Iterable[EffectEstimate]) -> dict[tuple[str, int], list[tuple]]:
+    """``{(kind, T): [(direct, read), ...]}``: each read paired with its arm's horizon read.
 
-    Both lists must cover exactly the same keys, once each, so a sweep's
-    reads of one arm at several T raise KeyMismatch. So do direct reads at
-    more than one T, or surrogate reads of more than one (kind, T), which
-    one report could not name.
+    The reads are grouped by (kind, T), and the horizon is the largest
+    direct T. Its direct reads are the reference that every other group is
+    paired with, not a group of their own, so a sweep's truncated direct
+    reads form the ``("direct", T)`` groups. The groups, and each group's
+    pairs, are sorted by key: the result depends on no input order. Raises
+    KeyMismatch when a group reads an arm twice or does not read exactly the
+    arms that the horizon reads do, and EmptyInput, a DataValidationError,
+    when no read is direct.
     """
-
-    def keyed(estimates: list[EffectEstimate], label: str) -> dict:
-        out = {}
-        for est in estimates:
-            key = (est.experiment_id, est.arm)
-            if key in out:
-                raise KeyMismatch(f"duplicate {label} estimate for {key}, at T {out[key].T} and "
-                                  f"T {est.T}: reads pair one direct and one surrogate per arm")
-            out[key] = est
-        return out
-
-    direct_by_key = keyed(direct, "direct")
-    surrogate_by_key = keyed(surrogate, "surrogate")
-    if direct_by_key.keys() != surrogate_by_key.keys():
-        missing = sorted(direct_by_key.keys() - surrogate_by_key.keys())
-        extra = sorted(surrogate_by_key.keys() - direct_by_key.keys())
-        raise KeyMismatch(
-            f"estimate keys differ; missing surrogate for {missing[:5]}, "
-            f"missing direct for {extra[:5]}"
-        )
-    for label, by_key in (("direct", direct_by_key), ("surrogate", surrogate_by_key)):
-        groups = sorted({f"{est.kind} at T {est.T}" for est in by_key.values()})
-        if len(groups) > 1:
-            raise KeyMismatch(f"{label} reads mix {groups[0]} and {groups[1]}: a report "
-                              "pairs the reads of one direct T and one surrogate kind and T")
-    return {key: (est, surrogate_by_key[key]) for key, est in direct_by_key.items()}
+    groups: dict[tuple[str, int], dict[tuple[str, str], EffectEstimate]] = {}
+    for est in estimates:
+        group = groups.setdefault((est.kind, est.T), {})
+        key = (est.experiment_id, est.arm)
+        if key in group:
+            raise KeyMismatch(f"{est.kind} at T {est.T} reads {key} twice")
+        group[key] = est
+    horizon = max((T for kind, T in groups if kind == "direct"), default=None)
+    if horizon is None:
+        raise EmptyInput("no direct read to pair the reads with")
+    reference = groups.pop(("direct", horizon))
+    paired = {}
+    for (kind, T), group in sorted(groups.items()):
+        if group.keys() != reference.keys():
+            raise KeyMismatch(f"{kind} at T {T} and direct at T {horizon} read different arms; "
+                              f"only direct reads {sorted(reference.keys() - group.keys())[:5]}, "
+                              f"only {kind} reads {sorted(group.keys() - reference.keys())[:5]}")
+        paired[kind, T] = [(reference[key], group[key]) for key in sorted(group)]
+    return paired
 
 
 def launch_metrics(counts: Sequence[Sequence[int]]) -> dict:
@@ -241,16 +238,17 @@ def extra_experiments_needed(recall: float) -> float:
 
 
 def decision_report(
-    direct: list[EffectEstimate],
-    surrogate: list[EffectEstimate],
+    paired: Sequence[tuple[EffectEstimate, EffectEstimate]],
     alpha: float,
     long_cycle_days: float,
     short_cycle_days: float,
 ) -> tuple[dict, np.ndarray]:
-    """The launch-decision report over paired reads, and the scaled differences.
+    """The launch-decision report over one group's (direct, read) pairs, and scaled differences.
 
-    Pairs the lists once and counts each pair's ``z_test`` classes at
-    ``alpha`` into the ``confusion`` matrix. The JSON-ready report holds:
+    ``paired`` is one group of ``paired_groups``; the report takes the pairs
+    in their order and reads neither their kind nor their T. It counts each
+    pair's ``z_test`` classes at ``alpha`` into the ``confusion`` matrix.
+    The JSON-ready report holds:
     - that matrix and its ``launch_metrics``;
     - the ``scaled_distribution`` of the direct points, the surrogate
       points and their surrogate-minus-direct differences, with points
@@ -258,19 +256,17 @@ def decision_report(
       their own (None where the scale is undefined);
     - the capacity figures for the two cycle lengths.
 
-    The second value holds the scaled differences in sorted (experiment,
-    arm) order, empty where they are undefined. The result depends on
-    neither list's order.
+    The second value holds the scaled differences in the pairs' order,
+    empty where they are undefined.
     """
-    paired = sorted(_paired_estimates(direct, surrogate).items())
     if not paired:
         raise EmptyInput("cannot tabulate zero decision pairs")
     counts = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
-    for _, (d, s) in paired:
+    for d, s in paired:
         counts[CLASS_ORDER.index(z_test(d, alpha))][CLASS_ORDER.index(z_test(s, alpha))] += 1
     metrics = launch_metrics(counts)
-    direct_points = np.array([d.point for _, (d, s) in paired])
-    surrogate_points = np.array([s.point for _, (d, s) in paired])
+    direct_points = np.array([d.point for d, _ in paired])
+    surrogate_points = np.array([s.point for _, s in paired])
     differences = surrogate_points - direct_points
     distributions = {}
     for name, values, scale_by in (

@@ -538,6 +538,21 @@ class TestAnalyze:
         )
         assert read_bytes_by_name(out_dir, "*") == before
 
+    def test_panel_out_into_the_corpus_exits_3(self, tmp_path, capsys):
+        """An estimates file written into a corpus would replace or join its panels."""
+        out_dir = simulate_toy(tmp_path)
+        before = read_bytes_by_name(out_dir, "*")
+        assert main(["analyze", "--panel", str(out_dir / "sim-00000.csv"), "--regime",
+                     "running-mean", "--T", "2", "--horizon", "5",
+                     "--out", str(out_dir / "sim-00001.csv")]) == 3
+        assert capsys.readouterr().err == (
+            f"surrokit: data validation error: {out_dir} holds another run's output: "
+            "manifest.json\n"
+        )
+        assert read_bytes_by_name(out_dir, "*") == before
+        assert main(["analyze", "--panel-dir", str(out_dir), "--regime", "running-mean",
+                     "--T", "2", "--horizon", "5", "--out", str(tmp_path / "estimates")]) == 0
+
     def test_sweep_predicts_once_per_order(self, tmp_path, monkeypatch):
         """Every treatment arm is contrasted from one prediction of each model."""
         import surrokit.estimators
@@ -799,10 +814,12 @@ class TestEvaluate:
                      "--sweep-T", "--horizon", "5", "--out", str(est_dir)]) == 0
         report_path = tmp_path / "report" / "report.json"
         assert main(["evaluate", "--estimates", str(est_dir), "--out", str(report_path)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("surrokit: data validation error: duplicate direct estimate "
-                              "for ('sim-00000', 't1'), at T 1 and T 2: "), err
-        assert "one direct and one surrogate per arm" in err
+        # Direct reads at T 1..4 and pretest reads at T 1..5, each paired with
+        # the direct reads at T 5.
+        assert capsys.readouterr().err == (
+            "surrokit: data validation error: the reads form 9 (kind, T) groups beside the "
+            "horizon's direct reads, first [('direct', 1), ('direct', 2)]: a report covers "
+            "one group\n")
         assert not report_path.parent.exists()
 
     def test_reads_of_two_regimes_and_orders_exit_3(self, tmp_path, capsys):
@@ -814,10 +831,30 @@ class TestEvaluate:
                          "--out", str(est_dir / f"{panel}.estimates.json")]) == 0
         report_path = tmp_path / "report" / "report.json"
         assert main(["evaluate", "--estimates", str(est_dir), "--out", str(report_path)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("surrokit: data validation error: surrogate reads mix "
-                              "surrogate:pretest at T 2 and surrogate:running-mean at T 4: "), err
+        assert capsys.readouterr().err == (
+            "surrokit: data validation error: surrogate:pretest at T 2 and direct at T 5 read "
+            "different arms; only direct reads [('sim-00001', 't1'), ('sim-00001', 't2')], "
+            "only surrogate:pretest reads []\n")
         assert not report_path.parent.exists()
+
+    @pytest.mark.parametrize("into", ["corpus", "estimates"])
+    def test_out_into_another_commands_output_exits_3(self, tmp_path, capsys, into):
+        """A report written into a corpus, or into an analyze --panel-dir output,
+        would add files that the next stage reads as that command's."""
+        self.run_identity_pipeline(tmp_path)
+        capsys.readouterr()
+        out_dir = tmp_path / into
+        before = read_bytes_by_name(out_dir, "*")
+        assert main(["evaluate", "--estimates", str(tmp_path / "estimates"),
+                     "--out", str(out_dir / "report.json")]) == 3
+        assert capsys.readouterr().err == (
+            f"surrokit: data validation error: {out_dir} holds another run's output: "
+            "manifest.json\n"
+        )
+        assert read_bytes_by_name(out_dir, "*") == before
+        assert main(["analyze", "--panel-dir", str(tmp_path / "corpus"), "--regime",
+                     "running-mean", "--T", "5", "--horizon", "5",
+                     "--out", str(tmp_path / "estimates")]) == 0
 
     @pytest.mark.parametrize("value", ["0", "1", "-0.1", "nan"])
     def test_alpha_outside_the_unit_interval_is_usage_error(self, tmp_path, value):
@@ -867,7 +904,8 @@ class TestEvaluate:
         cli_report = json.loads(report_path.read_text())
         assert cli_report.pop("scaled_values_path") == "report_scaled_values.csv"
 
-        report, scaled = surrokit.decision_report(direct, surrogate, 0.05, 56.0, 14.0)
+        [pairs] = surrokit.paired_groups(direct + surrogate).values()
+        report, scaled = surrokit.decision_report(pairs, 0.05, 56.0, 14.0)
         assert report == cli_report
         csv_lines = report_path.with_name("report_scaled_values.csv").read_text().splitlines()
         assert csv_lines[1:] == [repr(v) for v in scaled.tolist()]

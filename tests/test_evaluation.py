@@ -1,5 +1,6 @@
+import json
 import math
-
+import re
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy import stats
 
 from surrokit import (
     CLASS_ORDER,
+    DataValidationError,
     EffectEstimate,
     EmptyInput,
     InvalidCycle,
@@ -26,6 +28,9 @@ from surrokit import (
     extra_experiments_needed,
     fit_pretest,
     launch_metrics,
+    load_panel,
+    paired_groups,
+    record_to_estimate,
     running_mean_model,
     scaled_distribution,
     simulate_experiment,
@@ -56,6 +61,12 @@ def reads(points):
     return direct, surrogate
 
 
+def pairs(direct, surrogate):
+    """The pairs of the one (kind, T) group that ``paired_groups`` finds in both lists."""
+    [group] = paired_groups([*direct, *surrogate]).values()
+    return group
+
+
 def at_unit_scale(values):
     """``values`` times the power of two that brings their largest deviation
     from the mean into [0.5, 1)."""
@@ -73,8 +84,8 @@ def count(matrix, direct, surrogate):
 
 
 def report_confusion(direct, surrogate):
-    """The confusion matrix of ``decision_report`` over the two lists at alpha 0.05."""
-    report, _ = decision_report(direct, surrogate, 0.05, 56.0, 14.0)
+    """The confusion matrix of ``decision_report`` over the lists' pairs at alpha 0.05."""
+    report, _ = decision_report(pairs(direct, surrogate), 0.05, 56.0, 14.0)
     matrix = report["confusion"]
     assert total(matrix) == report["n_pairs"]
     return matrix
@@ -100,34 +111,57 @@ class TestClassifyPairs:
         # 8 (+,+), 3 (+,ns), 5 (ns,ns), 2 (ns,+), 2 (-,-): 20 total
         spec = [(4, 4)] * 8 + [(4, 0)] * 3 + [(0, 0)] * 5 + [(0, 4)] * 2 + [(-4, -4)] * 2
         direct = [estimate_with_z(f"e{i}", "t1", d) for i, (d, s) in enumerate(spec)]
-        surrogate = [estimate_with_z(f"e{i}", "t1", s) for i, (d, s) in enumerate(spec)]
+        surrogate = [estimate_with_z(f"e{i}", "t1", s, SURROGATE_KIND)
+                     for i, (d, s) in enumerate(spec)]
         matrix = report_confusion(direct, surrogate)
         assert matrix == [[8, 3, 0], [2, 5, 0], [0, 0, 2]]
         assert total(matrix) == 20
 
     def test_key_mismatch(self):
         direct = [estimate_with_z("e1", "t1", 1.0)]
-        surrogate = [estimate_with_z("e1", "t2", 1.0)]
-        with pytest.raises(KeyMismatch):
-            decision_report(direct, surrogate, 0.05, 56.0, 14.0)
+        surrogate = [estimate_with_z("e1", "t2", 1.0, SURROGATE_KIND)]
+        with pytest.raises(KeyMismatch, match=re.escape(
+                "surrogate:pretest at T 14 and direct at T 63 read different arms; only direct "
+                "reads [('e1', 't1')], only surrogate:pretest reads [('e1', 't2')]")):
+            paired_groups(direct + surrogate)
 
     def test_duplicate_key(self):
-        direct = [estimate_with_z("e1", "t1", 1.0), estimate_with_z("e1", "t1", 2.0)]
-        surrogate = [estimate_with_z("e1", "t1", 1.0)]
-        with pytest.raises(KeyMismatch):
-            decision_report(direct, surrogate, 0.05, 56.0, 14.0)
+        estimates = [estimate_with_z("e1", "t1", 1.0),
+                     estimate_with_z("e1", "t1", 1.0, SURROGATE_KIND)]
+        for kind, name in ((("direct", 63), "direct at T 63"),
+                           (SURROGATE_KIND, "surrogate:pretest at T 14")):
+            with pytest.raises(KeyMismatch, match=re.escape(f"{name} reads ('e1', 't1') twice")):
+                paired_groups([*estimates, estimate_with_z("e1", "t1", 2.0, kind)])
 
     @pytest.mark.parametrize("label, kinds", [
         ("direct", [("direct", 63), ("direct", 14)]),
         ("surrogate", [SURROGATE_KIND, ("surrogate:similar", 14)]),
     ])
     def test_reads_of_two_kinds_or_horizons_raise(self, label, kinds):
-        # Each key is read once, but the report could name neither group.
+        # Each key is read once, so each group of the two kinds or horizons
+        # reads only one of the horizon's two keys.
         one = [estimate_with_z(f"e{i}", "t1", 1.0, kind) for i, kind in enumerate(kinds)]
-        other = [estimate_with_z(f"e{i}", "t1", 1.0, kinds[0]) for i in range(2)]
-        direct, surrogate = (one, other) if label == "direct" else (other, one)
-        with pytest.raises(KeyMismatch, match=f"^{label} reads mix "):
-            decision_report(direct, surrogate, 0.05, 56.0, 14.0)
+        other = [estimate_with_z(f"e{i}", "t1", 1.0, SURROGATE_KIND if label == "direct"
+                                 else ("direct", 63)) for i in range(2)]
+        group = "direct at T 14" if label == "direct" else "surrogate:pretest at T 14"
+        with pytest.raises(KeyMismatch, match=f"^{group} and direct at T 63 read different arms"):
+            paired_groups(one + other)
+
+    def test_direct_reads_at_two_T_add_a_direct_group(self):
+        # Direct reads at every arm at T 14 are the direct read stopped at day
+        # 14: a group of their own, paired with the horizon's reads.
+        horizon = [estimate_with_z(f"e{i}", "t1", 4.0) for i in range(2)]
+        truncated = [estimate_with_z(f"e{i}", "t1", 0.0, ("direct", 14)) for i in range(2)]
+        surrogate = [estimate_with_z(f"e{i}", "t1", 1.0, SURROGATE_KIND) for i in range(2)]
+        groups = paired_groups(surrogate + truncated + horizon)
+        assert list(groups) == [("direct", 14), SURROGATE_KIND]
+        assert groups["direct", 14] == list(zip(horizon, truncated))
+        assert groups[SURROGATE_KIND] == list(zip(horizon, surrogate))
+
+    def test_reads_with_no_direct_read_raise(self):
+        surrogate = [estimate_with_z("e1", "t1", 1.0, SURROGATE_KIND)]
+        with pytest.raises(DataValidationError, match="^no direct read to pair the reads with$"):
+            paired_groups(surrogate)
 
 
 class TestConfusion:
@@ -145,7 +179,7 @@ class TestConfusion:
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput, match="cannot tabulate zero decision pairs"):
-            decision_report([], [], 0.05, 56.0, 14.0)
+            decision_report([], 0.05, 56.0, 14.0)
 
     def test_permutation_invariance(self):
         pairs = [(POS, NS), (NEG, NEG), (NS, NS), (POS, POS)]
@@ -382,7 +416,7 @@ class TestScaledDistribution:
 
 @st.composite
 def shuffled_reads(draw):
-    """Paired reads over distinct (experiment, arm) keys, and shuffles of both lists."""
+    """Paired reads over distinct (experiment, arm) keys, and a shuffle of both lists' reads."""
     point = st.floats(-50, 50, allow_nan=False)
     std_error = st.floats(0.1, 10)
     rows = draw(st.lists(st.tuples(point, std_error, point, std_error), min_size=1, max_size=12))
@@ -391,19 +425,19 @@ def shuffled_reads(draw):
               for (e, arm), (d, d_se, _, _) in zip(labels, rows)]
     surrogate = [EffectEstimate(e, arm, *SURROGATE_KIND, s, s_se)
                  for (e, arm), (_, _, s, s_se) in zip(labels, rows)]
-    return direct, surrogate, draw(st.permutations(direct)), draw(st.permutations(surrogate))
+    return direct, surrogate, draw(st.permutations(direct + surrogate))
 
 
 class TestDecisionReport:
     @settings(max_examples=60, deadline=None)
     @given(shuffled_reads(), st.sampled_from([0.05, 0.2]))
     def test_report_ignores_input_order(self, reads_and_shuffles, alpha):
-        direct, surrogate, direct_shuffled, surrogate_shuffled = reads_and_shuffles
-        report, scaled = decision_report(direct, surrogate, alpha, 56.0, 14.0)
-        for shuffled in ((direct_shuffled, surrogate), (direct, surrogate_shuffled)):
-            other_report, other_scaled = decision_report(*shuffled, alpha, 56.0, 14.0)
-            assert other_report == report
-            assert other_scaled.tolist() == scaled.tolist()
+        direct, surrogate, shuffled = reads_and_shuffles
+        report, scaled = decision_report(pairs(direct, surrogate), alpha, 56.0, 14.0)
+        assert paired_groups(shuffled) == paired_groups(direct + surrogate)
+        other_report, other_scaled = decision_report(pairs(shuffled, []), alpha, 56.0, 14.0)
+        assert other_report == report
+        assert other_scaled.tolist() == scaled.tolist()
         # shuffled_reads builds both lists in one key order.
         counts = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
         order = [POS, NS, NEG]
@@ -416,12 +450,12 @@ class TestDecisionReport:
         # Scaled by the direct SD of 3.5e-129, the surrogate point 1 becomes
         # 2.8e128, whose fourth power is past the float range.
         points = [(0.0, 0.0), (0.0, 0.0), (0.0, 1.0), (7.02e-129, 0.0)]
-        report, _ = decision_report(*reads(points), 0.05, 56.0, 14.0)
+        report, _ = decision_report(pairs(*reads(points)), 0.05, 56.0, 14.0)
         for name in ("direct", "surrogate", "differences"):
             assert report["kurtosis"][name] == pytest.approx(4.0, rel=1e-12)
 
     def test_one_arm_has_null_distributions(self):
-        report, scaled = decision_report(*reads([(4.0, 4.0)]), 0.05, 56.0, 14.0)
+        report, scaled = decision_report(pairs(*reads([(4.0, 4.0)])), 0.05, 56.0, 14.0)
         assert report["n_pairs"] == 1 and report["confusion"][0][0] == 1
         undefined = {"direct": None, "surrogate": None, "differences": None}
         assert report["kurtosis"] == report["distributions"] == undefined
@@ -429,7 +463,7 @@ class TestDecisionReport:
 
     def test_equal_direct_points_have_null_direct_and_surrogate(self):
         report, scaled = decision_report(
-            *reads([(4.0, 4.0), (4.0, 0.0), (4.0, 1.0)]), 0.05, 56.0, 14.0)
+            pairs(*reads([(4.0, 4.0), (4.0, 0.0), (4.0, 1.0)])), 0.05, 56.0, 14.0)
         for name in ("direct", "surrogate"):
             assert report["kurtosis"][name] is None and report["distributions"][name] is None
         assert report["distributions"]["differences"]["n"] == scaled.size == 3
@@ -495,7 +529,7 @@ class TestSimulatedAgreement:
             for arm in experiment.panel.treatment_arms:
                 direct.append(direct_effect(experiment.panel, arm.name))
                 surrogate.append(surrogate_effect(model, experiment.panel, arm.name))
-        report, _ = decision_report(direct, surrogate, 0.05, 56.0, 14.0)
+        report, _ = decision_report(pairs(direct, surrogate), 0.05, 56.0, 14.0)
         assert 0.90 <= report["agreement"] <= 0.99
         assert report["false_launch_negatives"] == 0
 
@@ -521,3 +555,66 @@ class TestSimulatedAgreement:
                 assert pretest.z_stat == pytest.approx(running.z_stat, rel=1e-9, abs=0)
                 compared += 1
         assert compared == 40  # every fitted b_1 of this corpus is positive
+
+
+class TestSweepGroups:
+    """``paired_groups`` over the CLI's sweeps of one seeded corpus, under the
+    pretest and running-mean regimes, against the oracles of known reads."""
+
+    # Item 12's prototype corpus: 75 arms in 30 tests, 21 + 21 days.
+    CONFIG = {"n_experiments": 30, "arms_per_experiment": 2.5, "users_per_arm": 200,
+              "horizon": 21, "pre_period": 21, "effect_scale": 0.1, "seed": 77}
+
+    @pytest.fixture(scope="class")
+    def sweep(self, tmp_path_factory):
+        """The corpus directory and each regime's ``paired_groups``."""
+        from surrokit.cli import main
+
+        root = tmp_path_factory.mktemp("sweep")
+        (root / "config.json").write_text(json.dumps(self.CONFIG))
+        corpus = root / "corpus"
+        assert main(["simulate", "--config", str(root / "config.json"),
+                     "--out-dir", str(corpus)]) == 0
+        groups = {}
+        for regime in ("pretest", "running-mean"):
+            estimates = root / regime
+            assert main(["analyze", "--panel-dir", str(corpus), "--regime", regime,
+                         "--sweep-T", "--horizon", "21", "--out", str(estimates)]) == 0
+            groups[regime] = paired_groups(
+                record_to_estimate(record) for path in sorted(estimates.glob("*.estimates.json"))
+                for record in json.loads(path.read_text()))
+        return corpus, groups
+
+    @staticmethod
+    def confusion(pairs):
+        return decision_report(pairs, 0.05, 56.0, 14.0)[0]["confusion"]
+
+    def test_every_regime_has_one_group_per_read_kind_and_T(self, sweep):
+        _, groups = sweep
+        for regime, kind in (("pretest", "surrogate:pretest"),
+                             ("running-mean", "surrogate:running-mean")):
+            assert list(groups[regime]) == [("direct", T) for T in range(1, 21)] + [
+                (kind, T) for T in range(1, 22)]
+            assert {len(pairs) for pairs in groups[regime].values()} == {75}
+
+    def test_pretest_read_at_the_horizon_agrees_with_the_direct_read(self, sweep):
+        _, groups = sweep
+        pairs = groups["pretest"]["surrogate:pretest", 21]
+        assert all(abs(read.p_value - 0.05) > 1e-9 for pair in pairs for read in pair)
+        report, _ = decision_report(pairs, 0.05, 56.0, 14.0)
+        assert report["agreement"] == 1.0
+
+    def test_pretest_and_running_mean_calls_agree_at_t1(self, sweep):
+        corpus, groups = sweep
+        for path in sorted(corpus.glob("*.csv")):
+            assert fit_pretest(load_panel(path), 1, 21).coefficients[0] > 0, path.name
+        assert self.confusion(groups["pretest"]["surrogate:pretest", 1]) == self.confusion(
+            groups["running-mean"]["surrogate:running-mean", 1])
+
+    def test_truncated_direct_reads_call_as_the_running_mean_does(self, sweep):
+        _, groups = sweep
+        for T in range(1, 21):
+            direct = groups["running-mean"]["direct", T]
+            assert groups["pretest"]["direct", T] == direct
+            assert self.confusion(direct) == self.confusion(
+                groups["running-mean"]["surrogate:running-mean", T]), T

@@ -89,16 +89,23 @@ def test_cli_matrix_covers_every_stage_flag_and_input_mode():
     # The edges: one simulate, six window reads, one evaluate per window read
     # that succeeds and one whose capacity figures overflow, one --panel read
     # of each bad panel and one of huge-pre, a --panel-dir read of the
-    # partial corpus at --jobs 1 and 2, and a --panel-dir read into its own corpus.
+    # partial corpus at --jobs 1 and 2, a --panel-dir read into its own
+    # corpus, and last a --panel read and an evaluate whose --out file lies in
+    # that corpus.
     assert [argv[0] for argv in edges].count("simulate") == 1
     assert [argv[0] for argv in edges].count("analyze") == (
-        6 + len(cli_matrix.BAD_PANELS) + 1 + 2 + 1)
-    assert edges[-1][edges[-1].index("--panel-dir") + 1] == edges[-1][edges[-1].index("--out") + 1]
-    assert [argv[0] for argv in edges].count("evaluate") == 3
+        6 + len(cli_matrix.BAD_PANELS) + 1 + 2 + 1 + 1)
+    own, panel_into, evaluate_into = edges[-3:]
+    corpus = own[own.index("--panel-dir") + 1]
+    assert own[own.index("--out") + 1] == corpus
+    for argv in (panel_into, evaluate_into):
+        assert argv[argv.index("--out") + 1].rpartition("/")[0] == corpus
+    assert [argv[0] for argv in edges].count("evaluate") == 4
     assert ["--long-cycle-days", "1e300", "--short-cycle-days", "1e-300"] in [
         argv[-4:] for argv in edges if argv[0] == "evaluate"]
     assert [argv[argv.index("--panel") + 1] for argv in edges if "--panel" in argv] == [
-        f"bad/{name}.csv" for name in [*cli_matrix.BAD_PANELS, "huge-pre"]]
+        *(f"bad/{name}.csv" for name in [*cli_matrix.BAD_PANELS, "huge-pre"]),
+        f"{corpus}/sim-00000.csv"]
     assert [argv[-1] for argv in edges if "bad/partial" in argv] == ["1", "2"]
     assert not any(part.startswith("/") for argv in commands for part in argv)
 

@@ -21,9 +21,10 @@ scratch directory with relative paths (so that messages compare equal):
   --panel-dir`` at ``--jobs 1`` and ``2`` of a directory holding
   ``COMPLETE_PANEL`` and a bad panel, which exits 3 and must leave no
   estimates of the complete panel, an ``evaluate`` whose capacity
-  figures overflow, which exits 4, and an ``analyze --panel-dir`` whose
+  figures overflow, which exits 4, an ``analyze --panel-dir`` whose
   ``--out`` is the corpus it reads, which exits 3 and leaves the corpus's
-  manifest in place.
+  manifest in place, and an ``analyze --panel`` and an ``evaluate`` whose
+  ``--out`` file lies in that corpus, which exit 3 and leave it as it is.
 
 The two roots' exit codes, stderr text, the bytes of every output file
 and the fields of every ``*manifest.json`` but ``duration_seconds`` (a
@@ -138,7 +139,10 @@ def edge_commands() -> list[list[str]]:
     a running-mean ``analyze --panel-dir`` of ``PARTIAL_CORPUS`` at
     ``--jobs 1`` and ``2``, which exits 3 on its missing-day panel, and a
     running-mean ``analyze`` of ``EDGE_CORPUS`` into its own directory,
-    which exits 3 on the ``simulate`` manifest there.
+    which exits 3 on the ``simulate`` manifest there. After it, so that
+    where they write no later command reads, an ``analyze --panel`` whose
+    ``--out`` replaces a panel of ``EDGE_CORPUS`` and an ``evaluate`` whose
+    report lies in that corpus, which exit 3 on the same manifest.
     """
     pre0, h21 = EDGE_CORPUS[0], "arms2.5-h21"
     t7, sweep = ORDERS["T7"], ORDERS["sweep"]
@@ -178,6 +182,11 @@ def edge_commands() -> list[list[str]]:
                          "--out", f"bad/estimates/partial-j{jobs}", "--jobs", jobs])
     commands.append(["analyze", "--panel-dir", f"{pre0}/sim-j1", "--regime", "running-mean",
                      *t7, "--horizon", "14", "--out", f"{pre0}/sim-j1", "--jobs", "1"])
+    commands.append(["analyze", "--panel", f"{pre0}/sim-j1/sim-00000.csv", "--regime",
+                     "running-mean", *t7, "--horizon", "14",
+                     "--out", f"{pre0}/sim-j1/sim-00001.csv", "--jobs", "1"])
+    commands.append(["evaluate", "--estimates", f"{pre0}/estimates/edge-running-mean-T7",
+                     "--out", f"{pre0}/sim-j1/report.json"])
     return commands
 
 
