@@ -41,6 +41,7 @@ from .estimators import (
     direct_effect,
     estimate_to_record,
     mean_difference_effect,
+    panel_reads,
     record_to_estimate,
     surrogate_effect,
     welch_se,

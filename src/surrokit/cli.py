@@ -3,30 +3,34 @@
 Subcommands, each with only the flags it reads::
 
     surrokit simulate --config cfg.json --out-dir corpus/ [--seed N] [--jobs N]
-    surrokit analyze (--panel exp.csv | --panel-dir corpus/) --regime REGIME
-        [--donor donor.csv] [--T 14 | --sweep-T] [--horizon 63] --out PATH [--jobs N]
+    surrokit analyze --panel-dir corpus/ --regime REGIME
+        [--donor donor.csv] [--T 14 | --sweep-T] [--horizon 63] --out estimates/ [--jobs N]
     surrokit evaluate --estimates estimates/ --out report.json [--alpha 0.05]
         [--long-cycle-days 56] [--short-cycle-days 14]
 
-``--T`` and ``--sweep-T`` exclude each other. Numeric outputs are pure
-functions of the input files and flags: floats are serialized with full
-round-trip precision, directory scans are sorted, and worker pools merge
-results in deterministic order. A run's outputs appear together, with its
-manifest last, and a failed run leaves none of its files, though an empty
-output directory may remain. The manifest records the command and each of
-its flags under its argparse dest (``--out-dir`` as ``out_dir``, an absent
-flag as its default), with the seed and horizon ``simulate`` resolves from
-its config in place of the flag, plus the output file names, tool version
-and duration. Exit codes: 0 success, 2 usage, 3 data validation failure or
-an input too large for memory, 4 numerical failure, including a statistic
-that overflows; no output file holds a NaN or infinity. A warning prints as
-one ``surrokit: warning:`` line. ``simulate`` and ``analyze --panel-dir``
-exit 3, writing nothing, when their output directory holds a file of their
-output pattern that the run would not write; every command does when the
-directory it writes into holds a ``manifest.json`` that another subcommand
-wrote. An ``analyze`` error names the panel file, or the donor, it came
-from. ``evaluate`` reports on one (kind, T) group of reads and exits 3 on
-reads of more or fewer.
+``--T`` and ``--sweep-T`` exclude each other, and a flag is spelled in
+full, never abbreviated. ``analyze`` reads every CSV of ``--panel-dir``,
+so a one-panel run reads a directory holding one CSV, and writes
+``<panel>.estimates.json`` and ``manifest.json`` into the ``--out``
+directory. Numeric outputs are pure functions of the input files and flags:
+floats are serialized with full round-trip precision, directory scans are
+sorted, and worker pools merge results in deterministic order. A run's
+outputs appear together, with its manifest last, and a failed run leaves
+none of its files, though an empty output directory may remain. The
+manifest records the command and each of its flags under its argparse dest
+(``--out-dir`` as ``out_dir``, an absent flag as its default), with the
+seed and horizon ``simulate`` resolves from its config in place of the
+flag, plus the output file names, tool version and duration. Exit codes: 0
+success, 2 usage, 3 data validation failure or an input too large for
+memory, 4 numerical failure, including a statistic that overflows; no
+output file holds a NaN or infinity. A warning prints as one ``surrokit:
+warning:`` line. ``simulate`` and ``analyze`` exit 3, writing nothing,
+when their output directory holds a file of their output pattern that the
+run would not write; every command does when the directory it writes into
+holds a ``manifest.json`` that another subcommand wrote. An ``analyze``
+error names the panel file, or the donor, it came from. ``evaluate``
+reports on one (kind, T) group of reads and exits 3 on reads of more or
+fewer.
 
 Set SURROKIT_LOG to a logging level name (DEBUG, INFO, WARNING, ...) to
 control log verbosity; an unknown name is a usage error.
@@ -50,17 +54,11 @@ import numpy as np
 
 from . import __version__
 from .errors import DataValidationError, NumericalError
-from .estimators import (
-    DEFAULT_ALPHA,
-    direct_effect,
-    estimate_to_record,
-    record_to_estimate,
-    surrogate_effect,
-)
+from .estimators import DEFAULT_ALPHA, estimate_to_record, panel_reads, record_to_estimate
 from .evaluation import decision_report, paired_groups
 from .panel import DEFAULT_HORIZON, load_panel, write_panel
 from .simulator import EXPERIMENT_ID, load_config, simulate_experiment
-from .surrogate import ModelSource, fit_pretest, fit_similar, running_mean_model
+from .surrogate import ModelSource, fit_similar
 
 logger = logging.getLogger("surrokit")
 
@@ -196,29 +194,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # --- analyze ---
 
 def _analyze_one(task: tuple) -> None:
-    """Write one panel's direct and surrogate records.
-
-    The direct reads come first, so a horizon past the panel's last day
-    fails before a model of any order up to it is made. ``models`` holds the
-    donor's models under the similar regime; under the others each panel
-    makes its own: pretest models fitted on its pre-period with a
-    ``horizon``-day target, or the fixed running-mean ones.
-    """
+    """Write the records of one panel's reads: see :func:`~surrokit.estimators.panel_reads`."""
     panel_path, out_path, regime, horizon, direct_days, orders, models = task
     with _naming(Path(panel_path).name):
-        panel = load_panel(panel_path)
-        arms = sorted(arm.name for arm in panel.treatment_arms)
-        records = []
-        for days in direct_days:
-            records += map(estimate_to_record, direct_effect(panel, arms, days))
-        if regime == ModelSource.PRE_TEST:
-            models = fit_pretest(panel, orders, horizon)
-        elif regime == ModelSource.RUNNING_MEAN:
-            models = map(running_mean_model, orders)
-        for model in models:
-            records += map(estimate_to_record, surrogate_effect(model, panel, arms))
-    records.sort(key=lambda r: (r["kind"], r["T"], r["arm"]))
-    _write_text(Path(out_path), _dump_json(records))
+        reads = panel_reads(load_panel(panel_path), regime, orders, horizon, direct_days, models)
+    _write_text(Path(out_path), _dump_json(list(map(estimate_to_record, reads))))
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -232,25 +212,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.regime == ModelSource.SIMILAR_TEST:
         with _naming(f"donor {args.donor}"):
             models = fit_similar(load_panel(args.donor), orders, horizon)
-
-    if args.panel is not None:
-        out_path = Path(args.out)
-        _refuse_strays(out_path.parent, args.command)
-        panels, outputs = [args.panel], [out_path]
-        manifest_path = out_path.with_name(out_path.name + ".manifest.json")
-    else:
-        panel_files = sorted(Path(args.panel_dir).glob("*.csv"))
-        if not panel_files:
-            raise DataValidationError(f"no panel CSVs found in {args.panel_dir}")
-        out_dir = Path(args.out)
-        panels = [str(path) for path in panel_files]
-        outputs = [out_dir / f"{path.stem}.estimates.json" for path in panel_files]
-        _refuse_strays(out_dir, args.command, "*.estimates.json",
-                       [out.name for out in outputs])
-        manifest_path = out_dir / "manifest.json"
-
-    with _publishing([*outputs, manifest_path]) as tmps:
-        tasks = [(panel_path, str(tmp), args.regime, horizon, direct_days, orders, models)
+    panels = sorted(Path(args.panel_dir).glob("*.csv"))
+    if not panels:
+        raise DataValidationError(f"no panel CSVs found in {args.panel_dir}")
+    out_dir = Path(args.out)
+    outputs = [out_dir / f"{path.stem}.estimates.json" for path in panels]
+    _refuse_strays(out_dir, args.command, "*.estimates.json", [out.name for out in outputs])
+    with _publishing([*outputs, out_dir / "manifest.json"]) as tmps:
+        tasks = [(str(panel_path), str(tmp), args.regime, horizon, direct_days, orders, models)
                  for panel_path, tmp in zip(panels, tmps)]
         _run_pool(_analyze_one, tasks, args.jobs)
         logger.info("analyzed %d panel(s) under regime %s", len(tasks), args.regime)
@@ -344,13 +313,13 @@ def _build_parser() -> argparse.ArgumentParser:
     jobs.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
 
     parser = argparse.ArgumentParser(
-        prog="surrokit",
+        prog="surrokit", allow_abbrev=False,
         description="Surrogate-index A/B-test pipeline: simulate, analyze, evaluate.",
     )
     parser.add_argument("--version", action="version", version=f"surrokit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", parents=[jobs],
+    p_sim = sub.add_parser("simulate", parents=[jobs], allow_abbrev=False,
                            help="generate a synthetic experiment corpus")
     p_sim.add_argument("--config", required=True, help="SimConfig JSON file")
     p_sim.add_argument("--out-dir", required=True, help="corpus output directory")
@@ -358,11 +327,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the config's RNG seed")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_an = sub.add_parser("analyze", parents=[jobs],
+    p_an = sub.add_parser("analyze", parents=[jobs], allow_abbrev=False,
                           help="estimate direct and surrogate effects")
-    panel_group = p_an.add_mutually_exclusive_group(required=True)
-    panel_group.add_argument("--panel", help="one panel CSV")
-    panel_group.add_argument("--panel-dir", help="directory of panel CSVs")
+    p_an.add_argument("--panel-dir", required=True, help="directory of panel CSVs")
     p_an.add_argument("--regime", required=True, choices=[s.value for s in ModelSource],
                       help="surrogate training regime")
     p_an.add_argument("--donor", default=None,
@@ -374,11 +341,11 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="emit records for every T in 1..horizon")
     p_an.add_argument("--horizon", type=_positive_int, default=DEFAULT_HORIZON,
                       help="long-term horizon in days")
-    p_an.add_argument("--out", required=True,
-                      help="output estimates file (--panel) or directory (--panel-dir)")
+    p_an.add_argument("--out", required=True, help="estimates output directory")
     p_an.set_defaults(func=cmd_analyze)
 
-    p_ev = sub.add_parser("evaluate", help="decision-agreement report from estimate files")
+    p_ev = sub.add_parser("evaluate", allow_abbrev=False,
+                          help="decision-agreement report from estimate files")
     p_ev.add_argument("--estimates", required=True,
                       help="directory of *.estimates.json files")
     p_ev.add_argument("--out", required=True, help="report JSON path")

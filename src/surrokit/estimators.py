@@ -26,7 +26,7 @@ from .errors import (
     UnknownArm,
 )
 from .panel import OutcomePanel, window
-from .surrogate import ModelSource, SurrogateModel, predict
+from .surrogate import ModelSource, SurrogateModel, fit_pretest, predict, running_mean_model
 
 # Two-sided 95% normal critical value, pinned so confidence intervals are
 # reproducible bit for bit.
@@ -217,6 +217,36 @@ def surrogate_effect(model: SurrogateModel, panel: OutcomePanel, arm: str | Iter
     """
     kind = f"surrogate:{model.source.value}"
     return _contrasts(panel, arm, lambda: predict(model, panel), kind, model.order)
+
+
+def panel_reads(panel: OutcomePanel, regime: ModelSource | str, orders: Iterable[int],
+                horizon: int, direct_days: Iterable[int],
+                models: Iterable[SurrogateModel] | None = None) -> list[EffectEstimate]:
+    """Every read ``surrokit analyze`` makes of one panel, in the order it writes them.
+
+    Each read covers every treatment arm. The direct reads at each of
+    ``direct_days`` come first, so a horizon past the panel's last day fails
+    before a model of any order up to it is made. Under the similar regime
+    ``models`` holds the donor's models, one per order; under the others it
+    is None and the panel makes its own: pretest models of ``orders`` fitted
+    on its pre-period with a ``horizon``-day target, or the fixed
+    running-mean ones. The reads are sorted by (kind, T, arm). An unknown
+    regime, or ``models`` given or left out against that rule, raises
+    ValueError.
+    """
+    regime = ModelSource(regime)
+    if (models is None) == (regime == ModelSource.SIMILAR_TEST):
+        raise ValueError(f"models go with the similar regime and only with it; got "
+                         f"{'no models' if models is None else 'models'} under {regime.value}")
+    arms = sorted(arm.name for arm in panel.treatment_arms)
+    reads = [read for days in direct_days for read in direct_effect(panel, arms, days)]
+    if regime == ModelSource.PRE_TEST:
+        models = fit_pretest(panel, orders, horizon)
+    elif regime == ModelSource.RUNNING_MEAN:
+        models = map(running_mean_model, orders)
+    for model in models:
+        reads += surrogate_effect(model, panel, arms)
+    return sorted(reads, key=lambda read: (read.kind, read.T, read.arm))
 
 
 def z_test(estimate: EffectEstimate, alpha: float = DEFAULT_ALPHA) -> SignificanceClass:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import resource
+import shutil
 import subprocess
 import sys
 from decimal import Decimal
@@ -25,6 +26,8 @@ from surrokit import (
     fit_pretest,
     fit_similar,
     load_panel,
+    panel_reads,
+    record_to_estimate,
     running_mean_model,
     simulate_experiment,
     surrogate_effect,
@@ -72,6 +75,27 @@ def exact_stdev(values):
 
 def read_bytes_by_name(directory, pattern):
     return {p.name: p.read_bytes() for p in sorted(Path(directory).glob(pattern))}
+
+
+def one_panel_dir(panel_path, directory):
+    """``directory``, made to hold a copy of panel CSV ``panel_path`` and nothing else."""
+    directory.mkdir(parents=True)
+    shutil.copy(panel_path, directory)
+    return directory
+
+
+def write_panel_dir(tmp_path, content, name="panel.csv"):
+    """``tmp_path / "panels"``, holding one panel CSV of ``content``, text or bytes, and
+    nothing else."""
+    panel_dir = tmp_path / "panels"
+    panel_dir.mkdir(exist_ok=True)
+    (panel_dir / name).write_bytes(content.encode() if isinstance(content, str) else content)
+    return panel_dir
+
+
+def read_estimates(est_dir, panel="sim-00000"):
+    """The records ``analyze`` wrote for ``panel`` into ``est_dir``."""
+    return json.loads((est_dir / f"{panel}.estimates.json").read_text())
 
 
 def capitalize_flag(source, dest, line):
@@ -249,7 +273,7 @@ class TestSimulate:
         assert "baseline_sd must be finite" in capsys.readouterr().err
 
 
-PANEL_ARGS = ["--panel", "p.csv", "--regime", "pretest", "--out", "o.json"]
+PANEL_ARGS = ["--panel-dir", "p", "--regime", "pretest", "--out", "o"]
 
 
 @pytest.mark.parametrize(
@@ -274,41 +298,55 @@ def test_flag_of_another_subcommand_is_usage_error(argv):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--panel", "p.csv", "--regime", "pretest", "--out", "o"],  # a removed flag
+    ["analyze", *PANEL_ARGS, "--sweep"],  # abbreviations of --panel-dir and --sweep-T
+    ["analyze", "--panel-d", "p", "--regime", "pretest", "--out", "o"],
+    ["simulate", "--config", "c.json", "--out", "o"],
+    ["evaluate", "--estimates", "e", "--out", "r.json", "--alph", "0.1"],
+], ids=["removed-panel", "sweep", "panel-d", "out-of-out-dir", "alph"])
+def test_removed_or_abbreviated_flag_is_usage_error(argv):
+    """argparse would read a unique prefix as its flag, and so ``--panel p.csv`` as
+    ``--panel-dir p.csv``; every flag must be spelled in full."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+
+
 class TestAnalyzeUsage:
     def test_t_zero_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
-            main(["analyze", "--panel", "p.csv", "--regime", "pretest",
-                  "--T", "0", "--out", "o.json"])
+            main(["analyze", "--panel-dir", "p", "--regime", "pretest",
+                  "--T", "0", "--out", "o"])
         assert excinfo.value.code == 2
 
     def test_similar_requires_donor(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
-            main(["analyze", "--panel", "p.csv", "--regime", "similar",
-                  "--out", "o.json"])
+            main(["analyze", "--panel-dir", "p", "--regime", "similar",
+                  "--out", "o"])
         assert excinfo.value.code == 2
 
     def test_donor_rejected_outside_similar(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
-            main(["analyze", "--panel", "p.csv", "--regime", "pretest",
-                  "--donor", "d.csv", "--out", "o.json"])
+            main(["analyze", "--panel-dir", "p", "--regime", "pretest",
+                  "--donor", "d.csv", "--out", "o"])
         assert excinfo.value.code == 2
 
     def test_t_above_horizon_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
-            main(["analyze", "--panel", "p.csv", "--regime", "pretest",
-                  "--T", "20", "--horizon", "5", "--out", "o.json"])
+            main(["analyze", "--panel-dir", "p", "--regime", "pretest",
+                  "--T", "20", "--horizon", "5", "--out", "o"])
         assert excinfo.value.code == 2
 
     def test_missing_panel_exits_3(self, tmp_path):
-        assert main(["analyze", "--panel", str(tmp_path / "absent.csv"),
+        assert main(["analyze", "--panel-dir", str(tmp_path / "absent"),
                      "--regime", "running-mean", "--T", "2", "--horizon", "5",
-                     "--out", str(tmp_path / "o.json")]) == 3
+                     "--out", str(tmp_path / "o")]) == 3
 
     def analyze_bytes_exit(self, tmp_path, capsys, content):
-        panel_path = tmp_path / "panel.csv"
-        panel_path.write_bytes(content)
-        code = main(["analyze", "--panel", str(panel_path), "--regime", "running-mean",
-                     "--T", "1", "--horizon", "1", "--out", str(tmp_path / "o.json")])
+        panel_dir = write_panel_dir(tmp_path, content)
+        code = main(["analyze", "--panel-dir", str(panel_dir), "--regime", "running-mean",
+                     "--T", "1", "--horizon", "1", "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert err.startswith("surrokit:") and "Traceback" not in err
         return code, err
@@ -329,11 +367,11 @@ class TestAnalyzeUsage:
 class TestAnalyze:
     def test_running_mean_full_horizon_matches_direct(self, tmp_path):
         out_dir = simulate_toy(tmp_path)
-        out_path = tmp_path / "est.json"
-        assert main(["analyze", "--panel", str(out_dir / "sim-00000.csv"),
+        one = one_panel_dir(out_dir / "sim-00000.csv", tmp_path / "one")
+        assert main(["analyze", "--panel-dir", str(one),
                      "--regime", "running-mean", "--T", "5", "--horizon", "5",
-                     "--out", str(out_path)]) == 0
-        records = json.loads(out_path.read_text())
+                     "--out", str(tmp_path / "est")]) == 0
+        records = read_estimates(tmp_path / "est")
         direct = {r["arm"]: r for r in records if r["kind"] == "direct"}
         surrogate = {r["arm"]: r for r in records if r["kind"].startswith("surrogate")}
         assert set(direct) == set(surrogate) == {"t1", "t2"}
@@ -345,20 +383,21 @@ class TestAnalyze:
 
     def test_out_in_missing_directory_is_created(self, tmp_path):
         out_dir = simulate_toy(tmp_path)
-        out_path = tmp_path / "missing" / "a.json"
-        assert main(["analyze", "--panel", str(out_dir / "sim-00000.csv"),
+        one = one_panel_dir(out_dir / "sim-00000.csv", tmp_path / "one")
+        est_dir = tmp_path / "missing" / "est"
+        assert main(["analyze", "--panel-dir", str(one),
                      "--regime", "running-mean", "--T", "5", "--horizon", "5",
-                     "--out", str(out_path)]) == 0
-        assert sorted(p.name for p in out_path.parent.iterdir()) == [
-            "a.json", "a.json.manifest.json"]
+                     "--out", str(est_dir)]) == 0
+        assert sorted(p.name for p in est_dir.iterdir()) == [
+            "manifest.json", "sim-00000.estimates.json"]
 
     def test_pretest_matches_library_composition(self, tmp_path):
         out_dir = simulate_toy(tmp_path)
         panel_path = out_dir / "sim-00001.csv"
-        out_path = tmp_path / "est.json"
-        assert main(["analyze", "--panel", str(panel_path), "--regime", "pretest",
-                     "--T", "2", "--horizon", "5", "--out", str(out_path)]) == 0
-        records = json.loads(out_path.read_text())
+        one = one_panel_dir(panel_path, tmp_path / "one")
+        assert main(["analyze", "--panel-dir", str(one), "--regime", "pretest",
+                     "--T", "2", "--horizon", "5", "--out", str(tmp_path / "est")]) == 0
+        records = read_estimates(tmp_path / "est", "sim-00001")
 
         panel = load_panel(panel_path)
         model = fit_pretest(panel, 2)
@@ -375,11 +414,12 @@ class TestAnalyze:
         out_dir = simulate_toy(tmp_path, pre_period=8)
         panel_path = out_dir / "sim-00000.csv"
         panel = load_panel(panel_path)
-        out_path = tmp_path / "est.json"
+        one = one_panel_dir(panel_path, tmp_path / "one")
         for order in (2, 4):
-            assert main(["analyze", "--panel", str(panel_path), "--regime", "pretest",
-                         "--T", str(order), "--horizon", "4", "--out", str(out_path)]) == 0
-            records = json.loads(out_path.read_text())
+            assert main(["analyze", "--panel-dir", str(one), "--regime", "pretest",
+                         "--T", str(order), "--horizon", "4",
+                         "--out", str(tmp_path / "est")]) == 0
+            records = read_estimates(tmp_path / "est")
             model = fit_pretest(panel, order, 4)
             got = {r["arm"]: r for r in records if r["kind"] == "surrogate:pretest"}
             assert got == {arm: estimate_to_record(surrogate_effect(model, panel, arm))
@@ -390,23 +430,25 @@ class TestAnalyze:
 
     def test_pretest_pre_period_shorter_than_horizon_exits_3(self, tmp_path, capsys):
         out_dir = simulate_toy(tmp_path, pre_period=3)
-        assert main(["analyze", "--panel", str(out_dir / "sim-00000.csv"), "--regime", "pretest",
-                     "--T", "2", "--horizon", "5", "--out", str(tmp_path / "o.json")]) == 3
+        one = one_panel_dir(out_dir / "sim-00000.csv", tmp_path / "one")
+        assert main(["analyze", "--panel-dir", str(one), "--regime", "pretest",
+                     "--T", "2", "--horizon", "5", "--out", str(tmp_path / "o")]) == 3
         assert "horizon 5 exceeds the 3-day pre-period" in capsys.readouterr().err
-        assert not (tmp_path / "o.json").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_similar_regime_uses_donor(self, tmp_path):
         # At --horizon 4 the donor's days run past the horizon, so the
         # model's target must come from the flag, not the donor's last day.
         out_dir = simulate_toy(tmp_path)
-        out_path = tmp_path / "est.json"
+        one = one_panel_dir(out_dir / "sim-00000.csv", tmp_path / "one")
         panel = load_panel(out_dir / "sim-00000.csv")
         donor = load_panel(out_dir / "sim-00001.csv")
         for horizon in (5, 4):
-            assert main(["analyze", "--panel", str(out_dir / "sim-00000.csv"),
+            assert main(["analyze", "--panel-dir", str(one),
                          "--regime", "similar", "--donor", str(out_dir / "sim-00001.csv"),
-                         "--T", "3", "--horizon", str(horizon), "--out", str(out_path)]) == 0
-            records = json.loads(out_path.read_text())
+                         "--T", "3", "--horizon", str(horizon),
+                         "--out", str(tmp_path / "est")]) == 0
+            records = read_estimates(tmp_path / "est")
 
             model = fit_similar(donor, 3, horizon)
             expected = {
@@ -418,11 +460,11 @@ class TestAnalyze:
 
     def test_sweep_emits_every_order(self, tmp_path):
         out_dir = simulate_toy(tmp_path)
-        out_path = tmp_path / "est.json"
-        assert main(["analyze", "--panel", str(out_dir / "sim-00000.csv"),
+        one = one_panel_dir(out_dir / "sim-00000.csv", tmp_path / "one")
+        assert main(["analyze", "--panel-dir", str(one),
                      "--regime", "running-mean", "--horizon", "5", "--sweep-T",
-                     "--out", str(out_path)]) == 0
-        records = json.loads(out_path.read_text())
+                     "--out", str(tmp_path / "est")]) == 0
+        records = read_estimates(tmp_path / "est")
         direct_ts = sorted({r["T"] for r in records if r["kind"] == "direct"})
         surrogate_ts = sorted({r["T"] for r in records if r["kind"] != "direct"})
         assert direct_ts == [1, 2, 3, 4, 5]
@@ -477,6 +519,31 @@ class TestAnalyze:
                 expected.sort(key=lambda r: (r["kind"], r["T"], r["arm"]))
                 records = json.loads(serial[f"{panel_path.stem}.estimates.json"])
                 assert records == json.loads(json.dumps(expected))
+
+    @pytest.mark.parametrize("regime", ["pretest", "similar", "running-mean"])
+    @pytest.mark.parametrize("order", [["--T", "3"], ["--sweep-T"]], ids=["T3", "sweep"])
+    def test_records_read_back_are_the_panel_reads_of_each_simulated_panel(
+            self, tmp_path, regime, order):
+        """What analyze writes, read back, is the library's reads of each panel as
+        simulated: the write, load and read round trip loses nothing."""
+        overrides = {"n_experiments": 3, "arms_per_experiment": 2.5}
+        config = SimConfig(**{**TOY_CONFIG, **overrides})
+        out_dir = simulate_toy(tmp_path, **overrides)
+        horizon = config.horizon
+        orders = range(1, horizon + 1) if order == ["--sweep-T"] else [3]
+        direct_days = orders if order == ["--sweep-T"] else [horizon]
+        donor, models = [], None
+        if regime == "similar":
+            donor = ["--donor", str(out_dir / "sim-00000.csv")]
+            models = fit_similar(simulate_experiment(config, 0).panel, orders, horizon)
+        est_dir = tmp_path / "est"
+        assert main(["analyze", "--panel-dir", str(out_dir), "--regime", regime, *donor, *order,
+                     "--horizon", str(horizon), "--out", str(est_dir)]) == 0
+        for k in range(config.n_experiments):
+            panel = simulate_experiment(config, k).panel
+            records = read_estimates(est_dir, panel.experiment_id)
+            assert list(map(record_to_estimate, records)) == panel_reads(
+                panel, regime, orders, horizon, direct_days, models)
 
     def test_pool_starts_no_more_workers_than_panels(self, tmp_path, monkeypatch):
         import concurrent.futures
@@ -538,20 +605,23 @@ class TestAnalyze:
         )
         assert read_bytes_by_name(out_dir, "*") == before
 
-    def test_panel_out_into_the_corpus_exits_3(self, tmp_path, capsys):
-        """An estimates file written into a corpus would replace or join its panels."""
-        out_dir = simulate_toy(tmp_path)
-        before = read_bytes_by_name(out_dir, "*")
-        assert main(["analyze", "--panel", str(out_dir / "sim-00000.csv"), "--regime",
-                     "running-mean", "--T", "2", "--horizon", "5",
-                     "--out", str(out_dir / "sim-00001.csv")]) == 3
-        assert capsys.readouterr().err == (
-            f"surrokit: data validation error: {out_dir} holds another run's output: "
-            "manifest.json\n"
-        )
-        assert read_bytes_by_name(out_dir, "*") == before
-        assert main(["analyze", "--panel-dir", str(out_dir), "--regime", "running-mean",
-                     "--T", "2", "--horizon", "5", "--out", str(tmp_path / "estimates")]) == 0
+    def test_no_output_replaces_an_input_panel(self, tmp_path, capsys):
+        """An --out that names the panel exits 3; the panel's own directory takes the
+        estimates beside it. Either way the panel keeps its bytes."""
+        out_dir = simulate_toy(tmp_path, n_experiments=1)
+        one = one_panel_dir(out_dir / "sim-00000.csv", tmp_path / "d")
+        panel = one / "sim-00000.csv"
+        before = panel.read_bytes()
+        argv = ["analyze", "--panel-dir", str(one), "--regime", "running-mean", "--T", "2",
+                "--horizon", "5", "--out"]
+        assert main([*argv, str(panel)]) == 3
+        assert capsys.readouterr().err.startswith("surrokit: io error: ")
+        assert sorted(p.name for p in one.iterdir()) == ["sim-00000.csv"]
+        assert panel.read_bytes() == before
+        assert main([*argv, str(one)]) == 0
+        assert sorted(p.name for p in one.iterdir()) == [
+            "manifest.json", "sim-00000.csv", "sim-00000.estimates.json"]
+        assert panel.read_bytes() == before
 
     def test_sweep_predicts_once_per_order(self, tmp_path, monkeypatch):
         """Every treatment arm is contrasted from one prediction of each model."""
@@ -588,9 +658,10 @@ class TestAnalyze:
         out_dir = simulate_toy(tmp_path)
         donor = tmp_path / "donor.csv"
         capitalize_flag(out_dir / "sim-00001.csv", donor, 100)
-        assert main(["analyze", "--panel", str(out_dir / "sim-00000.csv"), "--regime", "similar",
+        one = one_panel_dir(out_dir / "sim-00000.csv", tmp_path / "one")
+        assert main(["analyze", "--panel-dir", str(one), "--regime", "similar",
                      "--donor", str(donor), "--T", "3", "--horizon", "5",
-                     "--out", str(tmp_path / "est.json")]) == 3
+                     "--out", str(tmp_path / "est")]) == 3
         assert capsys.readouterr().err == (
             f"surrokit: data validation error: donor {donor}: line 100: "
             "is_control must be 'true' or 'false', got 'True'\n"
@@ -635,10 +706,9 @@ class TestAnalyze:
         ):
             for day, value in ((-2, 5.0), (-1, 5.0), (1, 1.0 + i), (2, 2.0 * i + 0.5)):
                 rows.append(f"e,u{i},{arm},{flag},{day},{value}")
-        panel_path = tmp_path / "flat.csv"
-        panel_path.write_text("\n".join(rows) + "\n")
-        assert main(["analyze", "--panel", str(panel_path), "--regime", "pretest",
-                     "--T", "2", "--horizon", "2", "--out", str(tmp_path / "o.json")]) == 4
+        panel_dir = write_panel_dir(tmp_path, "\n".join(rows) + "\n", "flat.csv")
+        assert main(["analyze", "--panel-dir", str(panel_dir), "--regime", "pretest",
+                     "--T", "2", "--horizon", "2", "--out", str(tmp_path / "o")]) == 4
 
 
 class TestEvaluate:
@@ -825,10 +895,12 @@ class TestEvaluate:
     def test_reads_of_two_regimes_and_orders_exit_3(self, tmp_path, capsys):
         out_dir = simulate_toy(tmp_path)
         est_dir = tmp_path / "estimates"
+        est_dir.mkdir()
         for panel, regime, T in (("sim-00000", "pretest", "2"), ("sim-00001", "running-mean", "4")):
-            assert main(["analyze", "--panel", str(out_dir / f"{panel}.csv"), "--regime", regime,
-                         "--T", T, "--horizon", "5",
-                         "--out", str(est_dir / f"{panel}.estimates.json")]) == 0
+            one = one_panel_dir(out_dir / f"{panel}.csv", tmp_path / panel)
+            assert main(["analyze", "--panel-dir", str(one), "--regime", regime,
+                         "--T", T, "--horizon", "5", "--out", str(one / "est")]) == 0
+            shutil.copy(one / "est" / f"{panel}.estimates.json", est_dir)
         report_path = tmp_path / "report" / "report.json"
         assert main(["evaluate", "--estimates", str(est_dir), "--out", str(report_path)]) == 3
         assert capsys.readouterr().err == (
@@ -1085,41 +1157,39 @@ class TestOverflow:
     @pytest.mark.parametrize("case", CASES)
     def test_overflowing_outcome_exits_4(self, tmp_path, capsys, case):
         (bad_user, bad_day, bad_value), regime = self.CASES[case]
-        panel_path = tmp_path / "panel.csv"
-        panel_path.write_text(small_panel_text(
+        panel_dir = write_panel_dir(tmp_path, small_panel_text(
             lambda user, day: bad_value if (user, day) == (bad_user, bad_day)
             else base_outcome(user, day)))
         out_dir = tmp_path / "out"
         out_dir.mkdir()
-        assert main(["analyze", "--panel", str(panel_path), "--regime", regime, "--T", "1",
-                     "--horizon", "3", "--out", str(out_dir / "o.json")]) == 4
+        assert main(["analyze", "--panel-dir", str(panel_dir), "--regime", regime, "--T", "1",
+                     "--horizon", "3", "--out", str(out_dir)]) == 4
         assert_one_line_numerical_error(capsys, out_dir)
 
     @pytest.mark.filterwarnings("ignore::surrokit.errors.DegenerateVarianceWarning")
     def test_overflowing_z_of_constant_arms_exits_4(self, tmp_path, capsys):
-        panel_path = tmp_path / "panel.csv"
-        panel_path.write_text(small_panel_text(lambda user, day: 0.0 if user % 2 == 0 else 1e297))
+        panel_dir = write_panel_dir(
+            tmp_path, small_panel_text(lambda user, day: 0.0 if user % 2 == 0 else 1e297))
         out_dir = tmp_path / "out"
         out_dir.mkdir()
-        assert main(["analyze", "--panel", str(panel_path), "--regime", "running-mean",
-                     "--T", "1", "--horizon", "3", "--out", str(out_dir / "o.json")]) == 4
+        assert main(["analyze", "--panel-dir", str(panel_dir), "--regime", "running-mean",
+                     "--T", "1", "--horizon", "3", "--out", str(out_dir)]) == 4
         assert_one_line_numerical_error(capsys, out_dir)
 
     def test_overflow_prints_no_numpy_warning(self, tmp_path):
-        panel_path = tmp_path / "panel.csv"
-        panel_path.write_text(small_panel_text(
+        panel_dir = write_panel_dir(tmp_path, small_panel_text(
             lambda user, day: 1e200 if user == day == 1 else base_outcome(user, day)))
-        result = run_cli("analyze", "--panel", panel_path, "--regime", "running-mean",
-                         "--T", 1, "--horizon", 3, "--out", tmp_path / "o.json")
+        result = run_cli("analyze", "--panel-dir", panel_dir, "--regime", "running-mean",
+                         "--T", 1, "--horizon", 3, "--out", tmp_path / "o")
         assert result.returncode == 4
         assert result.stderr.startswith("surrokit: numerical error:")
         assert len(result.stderr.splitlines()) == 1, result.stderr
 
     def test_se_floor_warning_prints_one_line(self, tmp_path):
-        panel_path = tmp_path / "panel.csv"
-        panel_path.write_text(small_panel_text(lambda user, day: 0.0 if user % 2 == 0 else 1e297))
-        result = run_cli("analyze", "--panel", panel_path, "--regime", "running-mean",
-                         "--T", 1, "--horizon", 3, "--out", tmp_path / "o.json")
+        panel_dir = write_panel_dir(
+            tmp_path, small_panel_text(lambda user, day: 0.0 if user % 2 == 0 else 1e297))
+        result = run_cli("analyze", "--panel-dir", panel_dir, "--regime", "running-mean",
+                         "--T", 1, "--horizon", 3, "--out", tmp_path / "o")
         assert result.returncode == 4
         lines = result.stderr.splitlines()
         assert len(lines) == 2, result.stderr
@@ -1249,13 +1319,14 @@ def corrupted_panels(draw):
 @given(content=corrupted_panels(), regime=st.sampled_from(["pretest", "running-mean", "similar"]),
        order=st.sampled_from([["--T", "1"], ["--T", "3"], ["--sweep-T"]]))
 def test_corrupted_panel_exits_0_3_or_4(tmp_path, content, regime, order):
-    panel_path, out_path = tmp_path / "panel.csv", tmp_path / "o.json"
-    panel_path.write_bytes(content)
-    out_path.unlink(missing_ok=True)
+    panel_dir = write_panel_dir(tmp_path, content)
+    out_dir = tmp_path / "o"
+    shutil.rmtree(out_dir, ignore_errors=True)
+    out_path = out_dir / "panel.estimates.json"
     donor = ["--donor", str(tmp_path / "donor.csv")] if regime == "similar" else []
     (tmp_path / "donor.csv").write_text(small_panel_text())
-    code = main(["analyze", "--panel", str(panel_path), "--regime", regime, *donor, *order,
-                 "--horizon", "3", "--out", str(out_path)])
+    code = main(["analyze", "--panel-dir", str(panel_dir), "--regime", regime, *donor, *order,
+                 "--horizon", "3", "--out", str(out_dir)])
     assert code in (0, 3, 4)
     assert out_path.exists() == (code == 0)
     if code == 0:
@@ -1288,13 +1359,11 @@ def replay_argv(manifest):
 class TestManifest:
     def test_analyze_manifest_fields(self, tmp_path):
         out_dir = simulate_toy(tmp_path)
-        out_path = tmp_path / "est.json"
-        assert main(["analyze", "--panel", str(out_dir / "sim-00000.csv"),
+        one = one_panel_dir(out_dir / "sim-00000.csv", tmp_path / "one")
+        assert main(["analyze", "--panel-dir", str(one),
                      "--regime", "running-mean", "--T", "5", "--horizon", "5",
-                     "--out", str(out_path)]) == 0
-        manifest = json.loads(
-            out_path.with_name(out_path.name + ".manifest.json").read_text()
-        )
+                     "--out", str(tmp_path / "est")]) == 0
+        manifest = json.loads((tmp_path / "est" / "manifest.json").read_text())
         assert manifest["command"] == "analyze"
         assert manifest["T"] == 5
         assert manifest["horizon"] == 5
@@ -1316,20 +1385,13 @@ class TestManifest:
         assert set(manifest) == expected("simulate", "horizon")
         assert (manifest["seed"], manifest["horizon"], manifest["jobs"]) == (99, 5, 1)
 
-        est_path = tmp_path / "est.json"
-        assert main(["analyze", "--panel", str(out_dir / "sim-00000.csv"),
-                     "--regime", "pretest", "--T", "2", "--horizon", "5",
-                     "--out", str(est_path)]) == 0
-        manifest = json.loads(est_path.with_name("est.json.manifest.json").read_text())
-        assert set(manifest) == expected("analyze")
-        assert (manifest["T"], manifest["jobs"], manifest["panel_dir"]) == (2, 1, None)
-
         sweep_dir = tmp_path / "sweep"
         assert main(["analyze", "--panel-dir", str(out_dir), "--regime", "pretest",
                      "--sweep-T", "--horizon", "5", "--out", str(sweep_dir), "--jobs", "2"]) == 0
         manifest = json.loads((sweep_dir / "manifest.json").read_text())
         assert set(manifest) == expected("analyze")
-        assert (manifest["T"], manifest["jobs"], manifest["panel"]) == (None, 2, None)
+        assert (manifest["T"], manifest["jobs"]) == (None, 2)
+        assert manifest["panel_dir"] == str(out_dir)
 
         est_dir = tmp_path / "estimates"
         assert main(["analyze", "--panel-dir", str(out_dir), "--regime", "pretest",
@@ -1343,10 +1405,11 @@ class TestManifest:
 
     def test_rerunning_a_manifests_command_reproduces_its_outputs(self, tmp_path):
         out_dir = simulate_toy(tmp_path)
-        panel, donor = str(out_dir / "sim-00000.csv"), str(out_dir / "sim-00001.csv")
+        one = one_panel_dir(out_dir / "sim-00000.csv", tmp_path / "panel")
+        donor = str(out_dir / "sim-00001.csv")
         reads = {
-            "one": ["--panel", panel, "--regime", "pretest", "--T", "2",
-                    "--out", str(tmp_path / "one" / "est.json")],
+            "one": ["--panel-dir", str(one), "--regime", "pretest", "--T", "2",
+                    "--out", str(tmp_path / "one")],
             "dir": ["--panel-dir", str(out_dir), "--regime", "running-mean", "--T", "3",
                     "--out", str(tmp_path / "dir"), "--jobs", "2"],
             "sweep": ["--panel-dir", str(out_dir), "--regime", "pretest", "--sweep-T",

@@ -28,6 +28,7 @@ from surrokit import (
     fit_pretest,
     fit_similar,
     mean_difference_effect,
+    panel_reads,
     record_to_estimate,
     running_mean_model,
     simulate_experiment,
@@ -245,6 +246,35 @@ class TestEveryArmFromOneRead:
         # The names all pass, so the read of days 1..99 raises.
         with pytest.raises(OutOfRange):
             direct_effect(panel, self.ARMS, horizon=99)
+
+
+class TestPanelReads:
+    CONFIG = SimConfig(n_experiments=1, arms_per_experiment=3, users_per_arm=30, horizon=7,
+                       pre_period=7, seed=36)
+
+    @pytest.fixture(scope="class")
+    def panel(self):
+        return simulate_experiment(self.CONFIG, 0).panel
+
+    @pytest.mark.parametrize("regime", list(ModelSource))
+    def test_every_arm_is_read_at_each_direct_day_and_order(self, panel, regime):
+        models = fit_similar(panel, [2, 5], 7) if regime == ModelSource.SIMILAR_TEST else None
+        reads = panel_reads(panel, regime.value, [5, 2], 7, [7, 3], models)
+        kind = f"surrogate:{regime.value}"
+        assert [(read.kind, read.T, read.arm) for read in reads] == [
+            (k, T, arm) for k, T in [("direct", 3), ("direct", 7), (kind, 2), (kind, 5)]
+            for arm in ("t1", "t2", "t3")]
+        assert reads[3:6] == list(direct_effect(panel, ["t1", "t2", "t3"], 7))
+
+    @pytest.mark.parametrize("regime, models, message", [
+        ("similar", None, "got no models under similar"),
+        ("pretest", [running_mean_model(2)], "got models under pretest"),
+        ("running-mean", [], "got models under running-mean"),
+        ("nope", None, "'nope' is not a valid ModelSource"),
+    ])
+    def test_models_go_with_the_similar_regime_only(self, panel, regime, models, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            panel_reads(panel, regime, [2], 7, [7], models)
 
 
 class TestReadsOfMissingDays:

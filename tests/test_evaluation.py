@@ -1,4 +1,3 @@
-import json
 import math
 import re
 import warnings
@@ -22,15 +21,15 @@ from surrokit import (
     SimConfig,
     ZeroVariance,
     capacity_gain,
+    config_from_dict,
     decision_report,
     direct_effect,
     excess_kurtosis,
     extra_experiments_needed,
     fit_pretest,
     launch_metrics,
-    load_panel,
     paired_groups,
-    record_to_estimate,
+    panel_reads,
     running_mean_model,
     scaled_distribution,
     simulate_experiment,
@@ -558,32 +557,23 @@ class TestSimulatedAgreement:
 
 
 class TestSweepGroups:
-    """``paired_groups`` over the CLI's sweeps of one seeded corpus, under the
-    pretest and running-mean regimes, against the oracles of known reads."""
+    """``paired_groups`` over the sweeps ``analyze`` makes of one seeded corpus,
+    under the pretest and running-mean regimes, against the oracles of known reads."""
 
     # Item 12's prototype corpus: 75 arms in 30 tests, 21 + 21 days.
     CONFIG = {"n_experiments": 30, "arms_per_experiment": 2.5, "users_per_arm": 200,
               "horizon": 21, "pre_period": 21, "effect_scale": 0.1, "seed": 77}
 
     @pytest.fixture(scope="class")
-    def sweep(self, tmp_path_factory):
-        """The corpus directory and each regime's ``paired_groups``."""
-        from surrokit.cli import main
-
-        root = tmp_path_factory.mktemp("sweep")
-        (root / "config.json").write_text(json.dumps(self.CONFIG))
-        corpus = root / "corpus"
-        assert main(["simulate", "--config", str(root / "config.json"),
-                     "--out-dir", str(corpus)]) == 0
-        groups = {}
-        for regime in ("pretest", "running-mean"):
-            estimates = root / regime
-            assert main(["analyze", "--panel-dir", str(corpus), "--regime", regime,
-                         "--sweep-T", "--horizon", "21", "--out", str(estimates)]) == 0
-            groups[regime] = paired_groups(
-                record_to_estimate(record) for path in sorted(estimates.glob("*.estimates.json"))
-                for record in json.loads(path.read_text()))
-        return corpus, groups
+    def sweep(self):
+        """The corpus's panels and each regime's ``paired_groups`` of their sweep reads."""
+        config = config_from_dict(self.CONFIG)
+        panels = [simulate_experiment(config, k).panel for k in range(config.n_experiments)]
+        orders = range(1, config.horizon + 1)
+        groups = {regime: paired_groups(read for panel in panels for read in panel_reads(
+                      panel, regime, orders, config.horizon, orders))
+                  for regime in ("pretest", "running-mean")}
+        return panels, groups
 
     @staticmethod
     def confusion(pairs):
@@ -605,9 +595,9 @@ class TestSweepGroups:
         assert report["agreement"] == 1.0
 
     def test_pretest_and_running_mean_calls_agree_at_t1(self, sweep):
-        corpus, groups = sweep
-        for path in sorted(corpus.glob("*.csv")):
-            assert fit_pretest(load_panel(path), 1, 21).coefficients[0] > 0, path.name
+        panels, groups = sweep
+        for panel in panels:
+            assert fit_pretest(panel, 1, 21).coefficients[0] > 0, panel.experiment_id
         assert self.confusion(groups["pretest"]["surrogate:pretest", 1]) == self.confusion(
             groups["running-mean"]["surrogate:running-mean", 1])
 

@@ -74,24 +74,24 @@ def test_cli_matrix_of_the_tree_against_itself_reports_no_difference():
     assert elapsed < 15, elapsed
 
 
-def test_cli_matrix_covers_every_stage_flag_and_input_mode():
+def test_cli_matrix_covers_every_stage_and_flag():
     commands = cli_matrix.matrix()
     edges = cli_matrix.edge_commands()
     grid = commands[:-len(edges)]
     assert commands[-len(edges):] == edges
     words = {word for argv in commands for word in argv}
-    assert {"--sweep-T", "--panel", "--panel-dir", "--donor", "--alpha"} <= words
+    assert {"--sweep-T", "--panel-dir", "--donor", "--alpha"} <= words
     assert sum(argv[0] == "simulate" for argv in grid) == 2 * len(cli_matrix.CORPORA)
     # Each analyze run is evaluated twice: at default flags and at the others.
     analyze = [argv for argv in grid if argv[0] == "analyze"]
-    assert len(analyze) == len(cli_matrix.CORPORA) * 3 * 2 * 2 * 2
+    assert len(analyze) == len(cli_matrix.CORPORA) * 3 * 2 * 2
     assert sum(argv[0] == "evaluate" for argv in grid) == 2 * len(analyze)
     # The edges: one simulate, six window reads, one evaluate per window read
-    # that succeeds and one whose capacity figures overflow, one --panel read
-    # of each bad panel and one of huge-pre, a --panel-dir read of the
-    # partial corpus at --jobs 1 and 2, a --panel-dir read into its own
-    # corpus, and last a --panel read and an evaluate whose --out file lies in
-    # that corpus.
+    # that succeeds and one whose capacity figures overflow, one read of the
+    # one-panel directory of each bad panel and of huge-pre, a read of the
+    # partial corpus at --jobs 1 and 2, a read into its own corpus, and last
+    # a read whose --out names a panel of that corpus and an evaluate whose
+    # --out file lies in it.
     assert [argv[0] for argv in edges].count("simulate") == 1
     assert [argv[0] for argv in edges].count("analyze") == (
         6 + len(cli_matrix.BAD_PANELS) + 1 + 2 + 1 + 1)
@@ -103,9 +103,12 @@ def test_cli_matrix_covers_every_stage_flag_and_input_mode():
     assert [argv[0] for argv in edges].count("evaluate") == 4
     assert ["--long-cycle-days", "1e300", "--short-cycle-days", "1e-300"] in [
         argv[-4:] for argv in edges if argv[0] == "evaluate"]
-    assert [argv[argv.index("--panel") + 1] for argv in edges if "--panel" in argv] == [
-        *(f"bad/{name}.csv" for name in [*cli_matrix.BAD_PANELS, "huge-pre"]),
-        f"{corpus}/sim-00000.csv"]
+    assert panel_into[panel_into.index("--panel-dir") + 1] == corpus
+    assert panel_into[panel_into.index("--out") + 1] == f"{corpus}/sim-00001.csv"
+    read_dirs = [argv[argv.index("--panel-dir") + 1] for argv in edges if "--panel-dir" in argv]
+    assert [path for path in read_dirs if path.startswith("bad/")] == [
+        *(f"bad/{name}" for name in [*cli_matrix.BAD_PANELS, "huge-pre"]),
+        "bad/partial", "bad/partial"]
     assert [argv[-1] for argv in edges if "bad/partial" in argv] == ["1", "2"]
     assert not any(part.startswith("/") for argv in commands for part in argv)
 

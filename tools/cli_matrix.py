@@ -9,22 +9,23 @@ scratch directory with relative paths (so that messages compare equal):
 - ``simulate`` of each corpus in CORPORA at ``--jobs 1`` and ``2``;
 - ``analyze`` of the ``--jobs 1`` corpus under the pretest, similar and
   running-mean regimes, each at ``--T 7`` and ``--sweep-T``, at ``--jobs
-  1`` and ``2``, through both ``--panel`` and ``--panel-dir``;
+  1`` and ``2``;
 - ``evaluate`` of each ``analyze`` output at default flags and at
   ``--alpha 0.1 --long-cycle-days 63``;
 - the edge commands of ``edge_commands``, which read day windows at the
   ends of a panel's range (a corpus without a pre-period, and horizons
   short of and past the last day of a corpus, and a donor shorter than the
-  horizon) and the panels of ``BAD_PANELS``, which exit on a repeated cell,
-  a missing day or a read of post-allocation days the panel lacks, a
-  pretest read of ``HUGE_PRE``, whose fit exits 4, an ``analyze
-  --panel-dir`` at ``--jobs 1`` and ``2`` of a directory holding
-  ``COMPLETE_PANEL`` and a bad panel, which exits 3 and must leave no
-  estimates of the complete panel, an ``evaluate`` whose capacity
-  figures overflow, which exits 4, an ``analyze --panel-dir`` whose
-  ``--out`` is the corpus it reads, which exits 3 and leaves the corpus's
-  manifest in place, and an ``analyze --panel`` and an ``evaluate`` whose
-  ``--out`` file lies in that corpus, which exit 3 and leave it as it is.
+  horizon) and the panels of ``BAD_PANELS``, each alone in a directory,
+  which exit on a repeated cell, a missing day or a read of
+  post-allocation days the panel lacks, a pretest read of ``HUGE_PRE``,
+  whose fit exits 4, an ``analyze`` at ``--jobs 1`` and ``2`` of a
+  directory holding ``COMPLETE_PANEL`` and a bad panel, which exits 3 and
+  must leave no estimates of the complete panel, an ``evaluate`` whose
+  capacity figures overflow, which exits 4, an ``analyze`` whose ``--out``
+  is the corpus it reads, which exits 3 and leaves the corpus's manifest in
+  place, an ``analyze`` whose ``--out`` names a panel of that corpus, which
+  exits 3 and leaves it as it is, and an ``evaluate`` whose ``--out`` file
+  lies in that corpus, which exits 3 and leaves it as it is.
 
 The two roots' exit codes, stderr text, the bytes of every output file
 and the fields of every ``*manifest.json`` but ``duration_seconds`` (a
@@ -104,19 +105,14 @@ def matrix() -> list[list[str]]:
             donor = ["--donor", f"{panels}/sim-00000.csv"] if regime == "similar" else []
             for order, order_flags in ORDERS.items():
                 for jobs in ("1", "2"):
-                    for source in ("panel", "panel-dir"):
-                        estimates = f"{corpus}/estimates/{regime}-{order}-j{jobs}-{source}"
-                        if source == "panel":
-                            read = ["--panel", f"{panels}/sim-00001.csv",
-                                    "--out", f"{estimates}/sim-00001.estimates.json"]
-                        else:
-                            read = ["--panel-dir", panels, "--out", estimates]
-                        commands.append(["analyze", *read, "--regime", regime, *donor,
-                                         *order_flags, *horizon, "--jobs", jobs])
-                        for name, flags in EVALUATE_FLAGS.items():
-                            report = estimates.replace("/estimates/", "/reports/") + f"-{name}"
-                            commands.append(["evaluate", "--estimates", estimates,
-                                             "--out", f"{report}/report.json", *flags])
+                    estimates = f"{corpus}/estimates/{regime}-{order}-j{jobs}"
+                    commands.append(["analyze", "--panel-dir", panels, "--out", estimates,
+                                     "--regime", regime, *donor, *order_flags, *horizon,
+                                     "--jobs", jobs])
+                    for name, flags in EVALUATE_FLAGS.items():
+                        report = estimates.replace("/estimates/", "/reports/") + f"-{name}"
+                        commands.append(["evaluate", "--estimates", estimates,
+                                         "--out", f"{report}/report.json", *flags])
     return commands + edge_commands()
 
 
@@ -133,16 +129,19 @@ def edge_commands() -> list[list[str]]:
     ``EDGE_CORPUS``, which exits 3 (a donor shorter than the horizon), and
     an ``evaluate`` of the running-mean read at ``--long-cycle-days 1e300
     --short-cycle-days 1e-300``, which exits 4 (a capacity gain past the
-    float range). Last, a running-mean ``analyze --panel`` of each panel of
-    ``BAD_PANELS``, which exits 3 on its load error or its direct read, a
-    pretest ``analyze --panel`` of ``HUGE_PRE`` at ``--T 1``, which exits 4,
-    a running-mean ``analyze --panel-dir`` of ``PARTIAL_CORPUS`` at
-    ``--jobs 1`` and ``2``, which exits 3 on its missing-day panel, and a
-    running-mean ``analyze`` of ``EDGE_CORPUS`` into its own directory,
-    which exits 3 on the ``simulate`` manifest there. After it, so that
-    where they write no later command reads, an ``analyze --panel`` whose
-    ``--out`` replaces a panel of ``EDGE_CORPUS`` and an ``evaluate`` whose
-    report lies in that corpus, which exit 3 on the same manifest.
+    float range). Last, a running-mean ``analyze`` of the directory
+    ``bad/<name>`` of each panel of ``BAD_PANELS``, which holds that panel
+    alone and exits 3 on its load error or its direct read, a pretest
+    ``analyze`` of ``bad/huge-pre``, which holds ``HUGE_PRE`` alone, at
+    ``--T 1``, which exits 4, a running-mean ``analyze`` of
+    ``PARTIAL_CORPUS`` at ``--jobs 1`` and ``2``, which exits 3 on its
+    missing-day panel, and a running-mean ``analyze`` of ``EDGE_CORPUS``
+    into its own directory, which exits 3 on the ``simulate`` manifest
+    there. After it, so that where they write no later command reads, an
+    ``analyze`` of ``EDGE_CORPUS`` whose ``--out`` names a panel there,
+    which exits 3 on an io error and leaves the panel as it is, and an
+    ``evaluate`` whose report lies in that corpus, which exits 3 on the
+    ``simulate`` manifest.
     """
     pre0, h21 = EDGE_CORPUS[0], "arms2.5-h21"
     t7, sweep = ORDERS["T7"], ORDERS["sweep"]
@@ -170,21 +169,21 @@ def edge_commands() -> list[list[str]]:
                      "--out", f"{pre0}/reports/edge-capacity-overflow/report.json",
                      "--long-cycle-days", "1e300", "--short-cycle-days", "1e-300"])
     for name in BAD_PANELS:
-        commands.append(["analyze", "--panel", f"bad/{name}.csv", "--regime",
-                         "running-mean", "--T", "2", "--horizon", "3",
-                         "--out", f"bad/estimates/{name}.estimates.json", "--jobs", "1"])
-    commands.append(["analyze", "--panel", "bad/huge-pre.csv", "--regime", "pretest",
+        commands.append(["analyze", "--panel-dir", f"bad/{name}", "--regime", "running-mean",
+                         "--T", "2", "--horizon", "3",
+                         "--out", f"bad/estimates/{name}", "--jobs", "1"])
+    commands.append(["analyze", "--panel-dir", "bad/huge-pre", "--regime", "pretest",
                      "--T", "1", "--horizon", "3",
-                     "--out", "bad/estimates/huge-pre.estimates.json", "--jobs", "1"])
+                     "--out", "bad/estimates/huge-pre", "--jobs", "1"])
     for jobs in ("1", "2"):
         commands.append(["analyze", "--panel-dir", "bad/partial", "--regime", "running-mean",
                          "--T", "2", "--horizon", "3",
                          "--out", f"bad/estimates/partial-j{jobs}", "--jobs", jobs])
     commands.append(["analyze", "--panel-dir", f"{pre0}/sim-j1", "--regime", "running-mean",
                      *t7, "--horizon", "14", "--out", f"{pre0}/sim-j1", "--jobs", "1"])
-    commands.append(["analyze", "--panel", f"{pre0}/sim-j1/sim-00000.csv", "--regime",
-                     "running-mean", *t7, "--horizon", "14",
-                     "--out", f"{pre0}/sim-j1/sim-00001.csv", "--jobs", "1"])
+    commands.append(["analyze", "--panel-dir", f"{pre0}/sim-j1", "--regime", "running-mean",
+                     *t7, "--horizon", "14", "--out", f"{pre0}/sim-j1/sim-00001.csv",
+                     "--jobs", "1"])
     commands.append(["evaluate", "--estimates", f"{pre0}/estimates/edge-running-mean-T7",
                      "--out", f"{pre0}/sim-j1/report.json"])
     return commands
@@ -204,7 +203,8 @@ def run_commands(commands: list[list[str]], results_path: str) -> None:
         Path(corpus, "config.json").write_text(json.dumps(config), encoding="utf-8")
     Path("bad", "partial").mkdir(parents=True)
     for name, text in {**BAD_PANELS, "huge-pre": HUGE_PRE}.items():
-        Path("bad", f"{name}.csv").write_text(text, encoding="utf-8")
+        Path("bad", name).mkdir()
+        Path("bad", name, f"{name}.csv").write_text(text, encoding="utf-8")
     for name, text in PARTIAL_CORPUS.items():
         Path("bad", "partial", f"{name}.csv").write_text(text, encoding="utf-8")
     results = []
